@@ -2,11 +2,12 @@
 plus :func:`unified_snapshot` — the single merged view of every counter
 a simulated stack produces (engine, filesystem, device, obs metrics).
 
-A snapshot covers one engine *or* a whole :mod:`repro.cluster` store:
-pass a ``ClusterStore`` as ``db`` and the engine/device/fs sections
-aggregate across every node, per-shard sections (``shard0``...) carry
-each shard's own view, and a ``replication`` section reports lag,
-shipped records, and failovers."""
+One builder covers one engine (a one-machine stack) and a whole
+:mod:`repro.cluster` store: pass a ``ClusterStore`` as ``db`` and the
+engine/device/fs sections aggregate across every node, per-shard
+sections (``shard0``...) carry each shard's own view, a ``replication``
+section reports lag, shipped records, and failovers, and a ``net``
+section the fabric's counters."""
 
 from __future__ import annotations
 
@@ -61,6 +62,16 @@ def _sum_numeric(dicts: Iterable[Dict[str, float]]) -> Dict[str, float]:
     return total
 
 
+def _engine_rollup(dbs) -> Dict[str, float]:
+    """Key-wise counter sums plus mean cache hit ratios over ``dbs``."""
+    engine = _sum_numeric(dict(vars(db.stats.snapshot())) for db in dbs)
+    engine["table_cache_hit_ratio"] = (
+        sum(db.table_cache.hit_ratio for db in dbs) / len(dbs))
+    engine["block_cache_hit_ratio"] = (
+        sum(db.block_cache.hit_ratio for db in dbs) / len(dbs))
+    return engine
+
+
 def aggregate_engine_stats(dbs) -> Dict[str, float]:
     """Roll one ``engine`` section up from several engine instances.
 
@@ -72,97 +83,39 @@ def aggregate_engine_stats(dbs) -> Dict[str, float]:
     dbs = list(dbs)
     if not dbs:
         return {}
-    engine = _sum_numeric(dict(vars(db.stats.snapshot())) for db in dbs)
+    engine = _engine_rollup(dbs)
     engine["engines"] = len(dbs)
-    engine["table_cache_hit_ratio"] = (
-        sum(db.table_cache.hit_ratio for db in dbs) / len(dbs))
-    engine["block_cache_hit_ratio"] = (
-        sum(db.block_cache.hit_ratio for db in dbs) / len(dbs))
     return engine
 
 
-def _cluster_snapshot(cluster, tracer=None, server=None,
-                      recorder=None) -> Dict[str, Dict[str, float]]:
-    """The cluster flavor of :func:`unified_snapshot`.
-
-    ``device``/``fs`` sum over every node; ``engine`` rolls up the shard
-    *primaries* (the serving engines); ``shardN`` sections give each
-    shard's own engine/replication view; ``replication`` carries the
-    cluster-wide lag/shipping/failover counters.
-    """
-    nodes = cluster.nodes()
-    snap: Dict[str, Dict[str, float]] = {
-        "clock": {"virtual_seconds": cluster.env.now},
-        "device": _sum_numeric(dict(vars(n.device.stats.snapshot()))
-                               for n in nodes),
-        "fs": _sum_numeric(dict(vars(n.fs.stats.snapshot()))
-                           for n in nodes),
-    }
-    snap["fs"]["num_barrier_calls"] = sum(
-        n.fs.stats.num_barrier_calls for n in nodes)
-    snap["engine"] = aggregate_engine_stats(
-        shard.primary.db for shard in cluster.shards)
-    health = _sum_numeric(dict(shard.primary.db.health.snapshot())
-                          for shard in cluster.shards)
-    health["read_only_shards"] = sum(
-        1 for shard in cluster.shards if shard.primary.db.health.read_only)
-    health["quarantined_tables"] = sum(
-        len(shard.primary.db._quarantined) for shard in cluster.shards)
-    snap["health"] = health
-    replication: Dict[str, float] = {
-        "failovers": 0, "failed_shards": 0,
-        "wal_tail_records_replayed": 0, "records_applied": 0,
-        "backlog": 0, "max_lag": 0.0, "replicas": 0,
-        "fenced_writes": 0, "fenced_ships": 0, "partition_promotions": 0,
-    }
-    for shard in cluster.shards:
-        replication["failovers"] += shard.failovers
-        replication["wal_tail_records_replayed"] += (
-            shard.wal_tail_records_replayed)
-        replication["fenced_writes"] += shard.fenced_writes
-        replication["fenced_ships"] += shard.fenced_ships
-        replication["partition_promotions"] += shard.partition_promotions
-        replication["replicas"] += len(shard.replicas)
-        if shard.state == "failed":
-            replication["failed_shards"] += 1
-        link = shard.replication
-        if link is not None:
-            replication["records_applied"] += link.records_applied
-            replication["backlog"] += link.backlog
-            replication["max_lag"] = max(replication["max_lag"],
-                                         link.max_lag)
+def _cluster_sections(cluster) -> Dict[str, Dict[str, float]]:
+    """The store's own sections (``shardN``, ``replication``, ``net``),
+    read off its :meth:`~repro.cluster.ClusterStore.describe` status."""
+    status = cluster.describe()
+    rows = status["shards"]
+    sections: Dict[str, Dict[str, float]] = {}
+    for shard, row in zip(cluster.shards, rows):
         per_shard = dict(vars(shard.primary.db.stats.snapshot()))
-        per_shard["replicas"] = len(shard.replicas)
-        per_shard["failovers"] = shard.failovers
-        per_shard["wal_tail_records_replayed"] = (
-            shard.wal_tail_records_replayed)
-        per_shard["replication_max_lag"] = (link.max_lag if link else 0.0)
-        per_shard["epoch"] = shard.epoch
-        per_shard["fenced_writes"] = shard.fenced_writes
-        per_shard["fenced_ships"] = shard.fenced_ships
+        per_shard.update((key, row[key]) for key in (
+            "failovers", "wal_tail_records_replayed", "replication_max_lag",
+            "epoch", "fenced_writes", "fenced_ships"))
+        per_shard["replicas"] = len(row["replicas"])
         per_shard["read_only"] = int(shard.primary.db.health.read_only)
-        snap[f"shard{shard.shard_id}"] = per_shard
-    snap["replication"] = replication
-    fabric = getattr(cluster, "fabric", None)
-    if fabric is not None:
-        # Net counters exist only when a fabric routes the traffic, so
-        # the no-fabric snapshot stays byte-identical to before.
-        snap["net"] = {key: float(value)
-                       for key, value in fabric.snapshot().items()}
-    if tracer is None:
-        tracer = getattr(cluster.env, "tracer", None)
-    if tracer is not None and getattr(tracer, "enabled", False):
-        snap["metrics"] = tracer.metrics.snapshot()
-    if server is not None:
-        snap["svc"] = server.stats.snapshot()
-    if recorder is not None:
-        latency: Dict[str, float] = {}
-        for kind in recorder.kinds(include_aux=True):
-            latency[f"{kind}.count"] = recorder.count(kind)
-            latency[f"{kind}.mean"] = recorder.mean(kind)
-            latency[f"{kind}.p99"] = recorder.percentile(99.0, kind)
-        snap["latency"] = latency
-    return snap
+        sections[f"shard{row['shard']}"] = per_shard
+    replication = {key: status[key] for key in (
+        "failovers", "wal_tail_records_replayed", "fenced_writes",
+        "fenced_ships", "partition_promotions")}
+    replication["failed_shards"] = sum(
+        row["state"] == "failed" for row in rows)
+    replication["records_applied"] = sum(
+        row["records_applied"] for row in rows)
+    replication["backlog"] = sum(row["backlog"] for row in rows)
+    replication["replicas"] = sum(len(row["replicas"]) for row in rows)
+    replication["max_lag"] = status["max_replication_lag"]
+    sections["replication"] = replication
+    sections["net"] = {key: float(value)
+                       for key, value in status["net"].items()}
+    return sections
 
 
 def unified_snapshot(stack, db=None, tracer=None, server=None,
@@ -185,7 +138,7 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
       (demotions, remote request/dollar totals, LSST-cache hit rate and
       miss p999) — only when the engine has tiering installed
     * ``metrics`` — the :class:`~repro.obs.MetricsRegistry` counters and
-      gauges (only when a tracer with metrics observes the stack)
+      gauges (only when an enabled tracer observes the stack)
     * ``svc``     — :class:`~repro.svc.ServerStats` counters (only when
       a ``server`` is given)
     * ``latency`` — per-kind count/mean/p99 from a
@@ -193,43 +146,60 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
       (``kind.wait``/``kind.service``) included (only when a
       ``recorder`` is given)
 
-    ``stack`` is anything with ``env``/``device``/``fs`` attributes (the
-    harness's :class:`~repro.bench.harness.Stack`); ``tracer`` defaults
-    to the one installed on ``stack.env``.
+    ``stack`` is one machine: anything with ``env``/``device``/``fs``
+    attributes (the harness's :class:`~repro.bench.harness.Stack`);
+    ``tracer`` defaults to the one installed on its ``env``.
 
-    When ``db`` is a multi-shard store (anything with a ``shards``
-    attribute — :class:`~repro.cluster.ClusterStore`), ``stack`` may be
-    ``None``: the cluster owns its nodes' devices/filesystems, and the
-    snapshot aggregates across all of them with per-shard ``shardN``
-    sections plus a ``replication`` section.
+    A :class:`~repro.cluster.ClusterStore` owns its machines, so for one
+    ``stack`` is ``None`` and ``db`` is the store.  The snapshot is the
+    same builder over more machines: ``device``/``fs`` sum over every
+    node; ``engine``/``health`` roll up the shard *primaries* (the
+    serving engines; ``engine`` gains their count as ``engines``,
+    ``health`` the ``read_only_shards`` count); and the store
+    adds its own sections — ``shardN`` (each shard's engine/replication
+    view), ``replication`` (cluster-wide lag/shipping/failover counters)
+    and ``net`` (the fabric's counters).
     """
-    if db is not None and hasattr(db, "shards"):
-        return _cluster_snapshot(db, tracer=tracer, server=server,
-                                 recorder=recorder)
-    fs_stats = stack.fs.stats
+    cluster = db if stack is None else None
+    if cluster is not None:
+        machines = cluster.nodes()
+        serving = [node.db for node in cluster.primaries()]
+    else:
+        machines = [stack]
+        serving = [db] if db is not None else []
+    env = machines[0].env
     snap: Dict[str, Dict[str, float]] = {
-        "clock": {"virtual_seconds": stack.env.now},
-        "device": dict(vars(stack.device.stats.snapshot())),
-        "fs": dict(vars(fs_stats.snapshot())),
+        "clock": {"virtual_seconds": env.now},
+        "device": _sum_numeric(dict(vars(m.device.stats.snapshot()))
+                               for m in machines),
+        "fs": _sum_numeric(dict(vars(m.fs.stats.snapshot()))
+                           for m in machines),
     }
-    snap["fs"]["num_barrier_calls"] = fs_stats.num_barrier_calls
-    if db is not None:
-        engine: Dict[str, float] = dict(vars(db.stats.snapshot()))
-        engine["table_cache_hit_ratio"] = db.table_cache.hit_ratio
-        engine["block_cache_hit_ratio"] = db.block_cache.hit_ratio
-        snap["engine"] = engine
-        health = dict(db.health.snapshot())
-        health["eio_retries"] = stack.device.stats.num_eio_retries
-        health["quarantined_tables"] = len(db._quarantined)
+    snap["fs"]["num_barrier_calls"] = sum(
+        m.fs.stats.num_barrier_calls for m in machines)
+    if serving:
+        snap["engine"] = _engine_rollup(serving)
+        # A cluster rolls up the numeric counters; one engine keeps its
+        # diagnostics (``reason``, ``errors_by_site``) as well.
+        health = (dict(db.health.snapshot()) if cluster is None
+                  else _sum_numeric(engine.health.snapshot()
+                                    for engine in serving))
+        health["eio_retries"] = sum(m.device.stats.num_eio_retries
+                                    for m in machines)
+        health["quarantined_tables"] = sum(len(engine._quarantined)
+                                           for engine in serving)
         snap["health"] = health
-        tiering = getattr(db, "tiering", None)
-        if tiering is not None:
-            # Tier counters exist only when the objstore subsystem was
-            # installed, so the untiered snapshot stays byte-identical.
-            snap["tier"] = tiering.snapshot()
+    if cluster is not None:
+        snap["engine"]["engines"] = len(serving)
+        snap["health"]["read_only_shards"] = snap["health"]["read_only"]
+        snap.update(_cluster_sections(cluster))
+    elif serving and db.tiering is not None:
+        # Tier counters exist only when the objstore subsystem was
+        # installed, so the untiered snapshot stays byte-identical.
+        snap["tier"] = db.tiering.snapshot()
     if tracer is None:
-        tracer = getattr(stack.env, "tracer", None)
-    if tracer is not None and getattr(tracer, "enabled", False):
+        tracer = env.tracer
+    if tracer.enabled:
         snap["metrics"] = tracer.metrics.snapshot()
     if server is not None:
         snap["svc"] = server.stats.snapshot()

@@ -15,7 +15,8 @@ loadgen drive a cluster unchanged.
 """
 
 from .failover import FailoverController, read_wal_tail
-from .net import CONTROL_PLANE, FencedError, NetConfig, NetworkFabric
+from .net import (CONTROL_PLANE, PERFECT_WIRE, FencedError, NetConfig,
+                  NetworkFabric)
 from .partition import HashPartitioner, RangePartitioner, make_partitioner
 from .replication import ReplicationLink, ShardReplication
 from .store import (SHARD_ACTIVE, SHARD_FAILED, SHARD_FAILING_OVER,
@@ -32,6 +33,7 @@ __all__ = [
     "HashPartitioner",
     "NetConfig",
     "NetworkFabric",
+    "PERFECT_WIRE",
     "RangePartitioner",
     "ReplicationLink",
     "Shard",

@@ -6,8 +6,8 @@ shard enters ``failing_over`` and the controller runs the promotion
 protocol:
 
 1. **Stop shipping.**  The dead primary's replication links are torn
-   down; whatever they had queued is discarded (it will be re-read from
-   disk, which is the authoritative copy).
+   down; whatever was still on the wire is discarded (it will be
+   re-read from disk, which is the authoritative copy).
 2. **Replay the WAL tail.**  The dead node's *surviving* on-disk WAL
    files are read back — acked writes are there, because an ack implies
    the record was fdatasync'd before :meth:`~repro.lsm.LSMEngine.write`
@@ -27,15 +27,16 @@ Detection latency is one heartbeat interval; promotion cost is the tail
 read + replay, all in virtual time — both land in the open-loop tail
 percentiles rather than disappearing.
 
-**Fabric mode** (a :class:`~repro.cluster.net.NetworkFabric` is
-installed) changes both detection and promotion:
+Everything crosses the cluster's
+:class:`~repro.cluster.net.NetworkFabric`, which shapes both detection
+and promotion:
 
 * Detection runs over the fabric's datagram channel: a heartbeat probe
   can be lost or slowed without the primary being dead, so the
   controller requires ``grace_misses`` *consecutive* misses before
   acting — a slow-but-alive primary is not promoted away on one unlucky
-  probe.  A confirmed death (the connection-reset event) still fails
-  over immediately, as before.
+  probe.  A confirmed death (the connection-reset event) fails over
+  immediately.
 * A primary that misses its grace window while **alive** is partitioned
   or gray, not dead: its disk is unreachable, so there is no tail to
   replay.  Instead the controller waits for the replica side of the cut
@@ -107,8 +108,8 @@ class FailoverController:
     """Detects dead (or fenced-away) primaries and promotes replicas."""
 
     def __init__(self, env: Environment, shards: List[Any],
+                 fabric: NetworkFabric,
                  heartbeat_interval: float = 0.005,
-                 fabric: Optional[NetworkFabric] = None,
                  grace_misses: int = 3,
                  probe_timeout: Optional[float] = None):
         if heartbeat_interval <= 0:
@@ -142,8 +143,6 @@ class FailoverController:
                     # Confirmed death (connection reset / engine kill):
                     # no grace needed, the node is gone.
                     yield from self._failover(shard, primary_dead=True)
-                    continue
-                if self.fabric is None:
                     continue
                 rtt = self.fabric.probe(CONTROL_PLANE,
                                         shard.primary.node_id)
@@ -181,10 +180,10 @@ class FailoverController:
                 # every *accepted* record will be delivered — wait for
                 # the replica side to drain them so no acked write is
                 # left behind, then fence the rest via the epoch bump.
-                deadline = self.env.now + max(
-                    4 * self.heartbeat_interval,
-                    8 * self.fabric.config.delay if self.fabric else 0.0)
-                while (replication.outstanding > 0
+                deadline = (self.env.now + shard.config.replication_lag
+                            + max(4 * self.heartbeat_interval,
+                                  8 * self.fabric.config.delay))
+                while (replication.backlog > 0
                        and self.env.now < deadline):
                     yield self.env.timeout(self.heartbeat_interval / 4)
             if not shard.replicas:
@@ -198,11 +197,11 @@ class FailoverController:
             if primary_dead:
                 # Replay the dead primary's WAL tail onto every replica
                 # so the whole replica group converges before
-                # promotion.  Over a fabric, salvaging a dead machine's
-                # disk is a bulk network transfer and is charged as one.
+                # promotion.  Salvaging a dead machine's disk is a bulk
+                # network transfer and is charged as one.
                 tail = yield from read_wal_tail(old_primary.fs,
                                                 old_primary.db.dbname)
-                if self.fabric is not None and tail:
+                if tail:
                     tail_bytes = sum(batch.byte_size for _f, _l, batch
                                      in tail)
                     yield self.env.timeout(

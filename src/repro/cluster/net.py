@@ -2,9 +2,11 @@
 
 Every message the cluster sends between machines — replication ships,
 failure-detector heartbeats, WAL-tail reads during promotion — is routed
-through one :class:`NetworkFabric` so that network misbehavior is a
-first-class, seeded, reproducible input rather than an implicit perfect
-wire.  The fabric models two channel flavors:
+through one :class:`NetworkFabric`, so network misbehavior is a
+first-class, seeded, reproducible input.  There is no second path: a
+perfect network is the fault-free configuration :data:`PERFECT_WIRE` of
+the same fabric, and a cluster built without a :class:`NetConfig` gets
+exactly that.  The fabric models two channel flavors:
 
 * **Reliable channels** (replication shipping, tail reads).  Modeled on
   a TCP-like transport: an *accepted* message is never silently lost —
@@ -32,13 +34,15 @@ sequence and everything downstream of it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..storage import DeviceError
 
-__all__ = ["NetConfig", "NetworkFabric", "FencedError", "CONTROL_PLANE"]
+__all__ = ["NetConfig", "NetworkFabric", "FencedError", "CONTROL_PLANE",
+           "PERFECT_WIRE"]
 
 #: Pseudo-node for everything co-located with the router/controller:
 #: clients, the failure detector, and promotion logic all "live" here.
@@ -57,7 +61,7 @@ class FencedError(DeviceError):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetConfig:
     """Fault-injection knobs for a :class:`NetworkFabric`.
 
@@ -95,13 +99,21 @@ class NetConfig:
             raise ValueError("duplicate must be in [0, 1]")
 
 
+#: The fault-free fabric configuration, and what ``ClusterConfig.net=None``
+#: resolves to: zero delay and jitter, no loss, duplication or reordering,
+#: infinite bulk bandwidth.  Every delay the fabric hands out is 0.0 and
+#: no delay, loss or duplication draw touches the RNG; only a partition
+#: (and the backoff of whoever retries across it) can still happen.
+PERFECT_WIRE = NetConfig(delay=0.0, jitter=0.0, loss=0.0, duplicate=0.0,
+                         reorder=0.0, bulk_bandwidth=math.inf)
+
+
 class NetworkFabric:
     """Routes and fault-injects every inter-node message.
 
     The fabric never owns a process: it hands out delay samples and
-    accept/refuse verdicts that callers turn into ``env.timeout`` waits,
-    so an unconfigured cluster (``fabric is None``) schedules exactly
-    the same events as before the fabric existed.
+    accept/refuse verdicts that callers turn into scheduled deliveries
+    and ``env.timeout`` waits.
     """
 
     def __init__(self, env: Any, config: Optional[NetConfig] = None):
@@ -169,11 +181,6 @@ class NetworkFabric:
     def reachable(self, src: str, dst: str) -> bool:
         """True when ``src`` can currently open a connection to ``dst``."""
         return (src, dst) not in self._blocked
-
-    @property
-    def partitioned(self) -> bool:
-        """True while any directed cut is active."""
-        return bool(self._blocked)
 
     # -- reliable channel (replication, bulk) ----------------------------
 

@@ -1,27 +1,19 @@
-"""Primary → replica WAL shipping with bounded lag.
+"""Primary → replica WAL shipping over the network fabric.
 
 A :class:`ReplicationLink` carries one primary's committed group-commit
 records to one replica.  The primary's commit leader calls
 :meth:`ReplicationLink.ship` (via the engine's ``wal_shipper`` hook)
-right after its WAL barrier; the link delays each record by the
-configured network/apply lag and then applies it on the replica through
-``db.write`` — i.e. through the replica's **own** group-commit path
-(``wal.group_append``), so replica state is as crash-consistent as any
-primary's.
+right after its WAL barrier; the link sends each record through the
+shard's :class:`~repro.cluster.net.NetworkFabric` and the replica
+applies it through ``db.write`` — i.e. through the replica's **own**
+group-commit path (``wal.group_append``), so replica state is as
+crash-consistent as any primary's.
 
-The backlog is bounded: when ``max_backlog`` records are in flight,
-``ship`` blocks the primary's commit leader until the link drains —
-explicit backpressure that keeps replication lag within a configured
-bound instead of letting a slow replica fall arbitrarily behind.
-
-The link is deliberately *asynchronous*: an ack does not wait for the
-replica.  The durability story for acked writes therefore rests on the
-primary's own synced WAL plus failover tail replay
-(:mod:`repro.cluster.failover`), not on shipping winning a race.
-
-**Fabric mode.**  When the shard is built with a
-:class:`~repro.cluster.net.NetworkFabric`, every ship is routed through
-it: a partitioned link refuses the send *synchronously* (before any
+There is one wire.  A record accepted at time ``t`` is delivered at
+``t + replication_lag + fabric delay``: the configured apply lag plus
+whatever the fabric's :class:`~repro.cluster.net.NetConfig` adds (zero
+on the fault-free :data:`~repro.cluster.net.PERFECT_WIRE`).  A
+partitioned link refuses the send *synchronously* (before any
 scheduling point), the shipper retries with seeded
 exponential-backoff-with-jitter, and a promotion that bumps the shard
 epoch turns the next retry into a typed
@@ -29,16 +21,25 @@ epoch turns the next retry into a typed
 instead of silently diverging the replica set.  Accepted messages are
 never lost (loss = retransmit delay, TCP-like); delivery may be delayed,
 duplicated, or reordered, and the replica side resequences so records
-always apply in primary-sequence order.  The no-fabric code path is
-byte-for-byte the original: an unconfigured cluster schedules exactly
-the same events as before the fabric existed.
+always apply in the order they were shipped — which is primary-sequence
+order, gaps included (a group whose WAL barrier failed claimed sequence
+numbers it never shipped).
+
+The backlog is bounded: when ``max_backlog`` records are accepted but
+not yet applied, ``ship`` blocks the primary's commit leader until the
+replica catches up — explicit backpressure that keeps replication lag
+within a configured bound instead of letting a slow replica fall
+arbitrarily behind.
+
+The link is deliberately *asynchronous*: an ack does not wait for the
+replica.  The durability story for acked writes therefore rests on the
+primary's own synced WAL plus failover tail replay
+(:mod:`repro.cluster.failover`), not on shipping winning a race.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..lsm.wal import WriteBatch
 from ..sim import Condition, Environment, Event
@@ -51,10 +52,10 @@ class ReplicationLink:
     """Ships committed WAL records from one primary to one replica."""
 
     def __init__(self, env: Environment, shard_id: int, replica: Any,
-                 lag: float = 0.002, max_backlog: int = 64,
-                 fabric: Optional[NetworkFabric] = None,
-                 src: str = "", shard: Any = None, epoch: int = 1,
-                 retry_initial: float = 0.001, retry_cap: float = 0.05):
+                 fabric: NetworkFabric, lag: float = 0.002,
+                 max_backlog: int = 64, src: str = "", shard: Any = None,
+                 epoch: int = 1, retry_initial: float = 0.001,
+                 retry_cap: float = 0.05):
         if lag < 0:
             raise ValueError("replication lag must be >= 0")
         if max_backlog < 1:
@@ -62,10 +63,9 @@ class ReplicationLink:
         self.env = env
         self.shard_id = shard_id
         self.replica = replica
+        self.fabric = fabric
         self.lag = lag
         self.max_backlog = max_backlog
-        #: Fabric routing (None -> perfect wire, the original model).
-        self.fabric = fabric
         self.src = src
         self.shard = shard
         #: Shard epoch this link was wired under; a bumped shard epoch
@@ -73,58 +73,44 @@ class ReplicationLink:
         self.epoch = epoch
         self.retry_initial = retry_initial
         self.retry_cap = retry_cap
-        self._queue: Deque[Tuple[int, int, bytes, float]] = deque()
-        #: Fabric mode: (arrival, first_seq, last_seq, record, sent)
-        #: heap for messages on the wire, plus an arrived-but-unapplied
-        #: resequencing buffer keyed by first_seq.
-        self._wire: List[Tuple[float, int, int, bytes, float]] = []
-        self._arrived: Dict[int, Tuple[int, int, bytes, float]] = {}
-        self._outstanding = 0
+        #: Accepted-but-unhandled messages ``(arrival, first_seq,
+        #: last_seq, record, sent_at)`` keyed by ship order (a dense
+        #: per-link counter, NOT the engine sequence, which has gaps):
+        #: on the wire until their arrival time, then buffered at the
+        #: replica until every predecessor has been handled (the
+        #: resequencing buffer).
+        self._pending: Dict[int, Tuple[float, int, int, bytes, float]] = {}
+        self._shipped = 0
         self._work = Condition(env, name=f"repl-s{shard_id}-work")
         self._space = Condition(env, name=f"repl-s{shard_id}-space")
         self._stopped = False
-        self._severed = False
         #: Records applied on the replica / observed lag high-water mark.
         self.records_applied = 0
         self.max_lag = 0.0
-        #: Fabric-mode observability.
-        self.resequenced = 0
+        #: Redundant deliveries the replica discarded.
         self.duplicates_dropped = 0
-        run = self._run if fabric is None else self._run_fabric
         self._proc = env.process(
-            run(), name=f"repl-s{shard_id}-{replica.node_id}")
+            self._run(), name=f"repl-s{shard_id}-{replica.node_id}")
 
     # -- primary side ---------------------------------------------------
 
     def ship(self, first_seq: int, last_seq: int, record: bytes
              ) -> Generator[Event, Any, None]:
-        """Enqueue one committed record (blocks on a full backlog)."""
-        if self.fabric is not None:
-            yield from self._ship_fabric(first_seq, last_seq, record)
-            return
-        while len(self._queue) >= self.max_backlog and not self._stopped:
-            yield self._space.wait()
-        if self._stopped:
-            # Link torn down (failover in progress): drop the record.
-            # Tail replay reads it back from the primary's synced WAL.
-            return
-        self._queue.append((first_seq, last_seq, record, self.env.now))
-        self._work.notify_one()
+        """Send one committed record (blocks on a full backlog).
 
-    def _ship_fabric(self, first_seq: int, last_seq: int, record: bytes
-                     ) -> Generator[Event, Any, None]:
-        """Fabric ship: fail-fast on partition, retry with backoff, fence.
-
-        The epoch check and the accept/refuse verdict both happen with
-        no scheduling point in between the commit path's memtable insert
+        Fail-fast on partition, retry with backoff, fence.  The epoch
+        check and the accept/refuse verdict both happen with no
+        scheduling point in between the commit path's memtable insert
         and the first refusal — so a write that is going to be fenced is
         never observable by a read on the old primary (reads snapshot
         the engine sequence at entry, and the commit leader holds the
         engine mutex until ship returns or raises).
         """
-        while self._outstanding >= self.max_backlog and not self._stopped:
+        while len(self._pending) >= self.max_backlog and not self._stopped:
             yield self._space.wait()
         if self._stopped:
+            # Link torn down (failover in progress): drop the record.
+            # Tail replay reads it back from the primary's synced WAL.
             return
         fabric = self.fabric
         attempt = 0
@@ -141,188 +127,108 @@ class ReplicationLink:
             yield self.env.timeout(
                 fabric.backoff(attempt, self.retry_initial, self.retry_cap))
         now = self.env.now
-        heappush(self._wire, (now + delay, first_seq, last_seq, record, now))
-        self._outstanding += 1
-        dup = fabric.duplicate_delay(delay)
-        if dup is not None:
-            heappush(self._wire, (now + dup, first_seq, last_seq, record, now))
-            self._outstanding += 1
+        # A duplicating wire delivers the record twice: the copy trails
+        # the original, holds a backlog slot until it lands, and the
+        # receive loop drops it as already applied.
+        for delay in (delay, fabric.duplicate_delay(delay)):
+            if delay is not None:
+                self._pending[self._shipped] = (
+                    now + (self.lag + delay), first_seq, last_seq, record,
+                    now)
+                self._shipped += 1
         self._work.notify_all()
+
+    def _stale_epoch(self) -> bool:
+        """True once the shard has moved past the epoch we were wired under."""
+        return self.shard is not None and self.shard.epoch > self.epoch
 
     def _check_fence(self, first_seq: int, last_seq: int) -> None:
         """Raise FencedError when the shard has moved past our epoch."""
-        if self.shard is not None and self.shard.epoch > self.epoch:
-            num_ops = last_seq - first_seq + 1
-            self.shard.note_fenced_write(num_ops)
+        if self._stale_epoch():
+            self.shard.note_fenced_write(last_seq - first_seq + 1)
             raise FencedError(
                 f"shard {self.shard_id} epoch {self.shard.epoch} fences "
                 f"link epoch {self.epoch}: write seq {first_seq}.."
                 f"{last_seq} rejected")
 
-    def applied_through(self) -> int:
-        """Primary sequence number the replica has applied through."""
-        return self.replica.applied_primary_seq
-
     @property
-    def outstanding(self) -> int:
-        """Accepted-but-unapplied records (fabric) or queued (classic)."""
-        if self.fabric is None:
-            return len(self._queue)
-        return self._outstanding
+    def backlog(self) -> int:
+        """Accepted-but-unapplied records: on the wire or buffered."""
+        return len(self._pending)
 
     # -- replica side ---------------------------------------------------
 
     def _run(self) -> Generator[Event, Any, None]:
+        """Receive loop: handle messages in the order they were shipped.
+
+        Records apply strictly in ship order, so the only arrival that
+        matters is the next message's: the loop sleeps until it lands
+        (successors that overtake it on a reordering wire just wait in
+        ``_pending``), and idles on ``_work`` when nothing is pending at
+        all.  A message the replica is already past — a duplicate
+        delivery, or a record failover replayed from the WAL tail — is
+        dropped on arrival.
+        """
+        env, pending, replica = self.env, self._pending, self.replica
+        turn = 0  # ship-order index of the next message to handle
         while True:
-            if self._stopped:
-                return
-            if not self._queue:
+            if pending and self._stale_epoch():
+                # Stale-primary traffic (gray failure: the old primary
+                # could still reach this replica after promotion):
+                # reject everything this link still carries.
+                for _arrival, first, last, _record, _sent in pending.values():
+                    self.shard.note_fenced_ship(last - first + 1)
+                pending.clear()
+                self._space.notify_all()
+            message = pending.get(turn)
+            if message is None:
+                if self._stopped:
+                    # A sever can drop a record's predecessor off the
+                    # wire and leave an unappliable gap behind; failover
+                    # tail replay supersedes whatever is left.
+                    pending.clear()
+                    self._space.notify_all()
+                    return
                 yield self._work.wait()
                 continue
-            first_seq, last_seq, record, enqueued = self._queue.popleft()
-            self._space.notify_one()
-            target = enqueued + self.lag
-            if self.env.now < target:
-                yield self.env.timeout(target - self.env.now)
-            if self._severed:
-                # The record was still in flight on the wire when the
-                # primary died: it never arrived.  Failover recovers it
-                # from the dead node's WAL tail.
-                return
-            if last_seq <= self.replica.applied_primary_seq:
-                continue  # already applied (failover replayed past it)
-            if self.shard is not None and self.epoch < self.shard.epoch:
-                # Stale-epoch delivery (gray failure: the old primary
-                # could still reach this replica after promotion).
-                self.shard.note_fenced_ship(last_seq - first_seq + 1)
-                continue
-            _first, batch = WriteBatch.decode(record)
-            yield from self.replica.db.write(batch)
-            self.replica.applied_primary_seq = last_seq
-            self.records_applied += 1
-            lag = self.env.now - enqueued
-            if lag > self.max_lag:
-                self.max_lag = lag
-            tracer = self.env.tracer
-            if tracer.enabled:
-                tracer.gauge(f"cluster.shard{self.shard_id}.replication_lag",
-                             lag)
-                tracer.count("cluster.records_shipped")
-
-    def _run_fabric(self) -> Generator[Event, Any, None]:
-        """Receive loop: resequence arrivals, apply in seq order."""
-        env = self.env
-        while True:
-            # Move everything that has arrived off the wire.
-            now = env.now
-            while self._wire and self._wire[0][0] <= now:
-                _arrival, first, last, record, sent = heappop(self._wire)
-                if first in self._arrived:
-                    # Duplicate delivery of an in-buffer record.
-                    self.duplicates_dropped += 1
-                    self._outstanding -= 1
-                    self._space.notify_all()
-                    continue
-                self._arrived[first] = (first, last, record, sent)
-            progressed = yield from self._apply_arrived()
-            if progressed:
-                continue
-            if self._stopped and not self._wire:
-                # A sever can drop a record's predecessor off the wire
-                # and leave an unappliable gap behind; failover tail
-                # replay supersedes whatever is left, so discard it.
-                for first in sorted(self._arrived):
-                    del self._arrived[first]
-                    self._outstanding -= 1
-                self._space.notify_all()
-                return
-            waits = [self._work.wait()]
-            if self._wire:
-                waits.append(env.timeout(self._wire[0][0] - env.now))
-            yield env.any_of(waits)
-
-    def _apply_arrived(self) -> Generator[Event, Any, bool]:
-        """Apply every in-order record in the buffer; True if any."""
-        progressed = False
-        if self.shard is not None and self.epoch < self.shard.epoch:
-            # The shard moved to a newer epoch: everything this link
-            # still holds is stale-primary traffic.  Reject it all
-            # (gray failure: the old primary could still reach this
-            # replica after promotion) so the link drains and stops.
-            for first in sorted(self._arrived):
-                _f, last, _record, _sent = self._arrived.pop(first)
-                self.shard.note_fenced_ship(last - first + 1)
-                self._outstanding -= 1
-                progressed = True
-            if progressed:
-                self._space.notify_all()
-            return progressed
-        while self._arrived:
-            expected = self.replica.applied_primary_seq + 1
-            stale = [first for first in self._arrived
-                     if self._arrived[first][1] < expected]
-            for first in stale:
-                # Duplicate of an already-applied record (or a replayed
-                # prefix after failover): drop it.
-                del self._arrived[first]
+            arrival, _first, last, record, sent = message
+            if arrival > env.now:
+                yield env.timeout(arrival - env.now)
+                if pending.get(turn) is not message or self._stale_epoch():
+                    continue  # severed off the wire, or fenced meanwhile
+            if last <= replica.applied_primary_seq:
                 self.duplicates_dropped += 1
-                self._outstanding -= 1
-                progressed = True
-                self._space.notify_all()
-            entry = self._arrived.pop(expected, None)
-            if entry is None:
-                if self._arrived and not stale:
-                    # A successor arrived before its predecessor:
-                    # head-of-line wait while the wire catches up.
-                    self.resequenced += 1
-                    return progressed
-                continue
-            first, last, record, sent = entry
-            if self.shard is not None and self.epoch < self.shard.epoch:
-                # Stale-epoch delivery (gray failure: the old primary
-                # could still reach this replica after promotion).
-                self.shard.note_fenced_ship(last - first + 1)
-                self._outstanding -= 1
-                progressed = True
-                self._space.notify_all()
-                continue
-            _first, batch = WriteBatch.decode(record)
-            yield from self.replica.db.write(batch)
-            self.replica.applied_primary_seq = last
-            self.records_applied += 1
-            self._outstanding -= 1
-            progressed = True
+            else:
+                _first, batch = WriteBatch.decode(record)
+                yield from replica.db.write(batch)
+                replica.applied_primary_seq = last
+                self.records_applied += 1
+                lag = env.now - sent
+                if lag > self.max_lag:
+                    self.max_lag = lag
+                tracer = env.tracer
+                if tracer.enabled:
+                    tracer.gauge(
+                        f"cluster.shard{self.shard_id}.replication_lag", lag)
+                    tracer.count("cluster.records_shipped")
+            del pending[turn]
+            turn += 1
             self._space.notify_all()
-            lag = self.env.now - sent
-            if lag > self.max_lag:
-                self.max_lag = lag
-            tracer = self.env.tracer
-            if tracer.enabled:
-                tracer.gauge(f"cluster.shard{self.shard_id}.replication_lag",
-                             lag)
-                tracer.count("cluster.records_shipped")
-        return progressed
 
     def sever(self) -> None:
         """Primary death: lose everything not yet *delivered*.
 
-        Shipped-but-undelivered records model bytes in flight on the
-        wire — a dead primary's connection reset drops them, so they are
-        cleared here and only the WAL tail can bring them back.  A
-        record mid-apply on the replica has already arrived and is
-        allowed to finish (never torn).  In fabric mode the same rule
-        holds per message: wire in-flight is dropped, records already
-        arrived at the replica survive and drain.
+        Accepted-but-undelivered records are bytes in flight on the
+        wire — a dead primary's connection reset drops them, and only
+        the WAL tail can bring them back.  Records that already arrived
+        at the replica survive and drain; one mid-apply is allowed to
+        finish (never torn).
         """
-        self._severed = True
         self._stopped = True
-        self._queue.clear()
-        if self.fabric is not None:
-            now = self.env.now
-            kept = [entry for entry in self._wire if entry[0] <= now]
-            dropped = len(self._wire) - len(kept)
-            self._wire = kept
-            self._outstanding -= dropped
+        now = self.env.now
+        for turn in [turn for turn, message in self._pending.items()
+                     if message[0] > now]:
+            del self._pending[turn]
         self._work.notify_all()
         self._space.notify_all()
 
@@ -330,12 +236,10 @@ class ReplicationLink:
         """Tear the link down; an in-flight apply finishes first.
 
         Never interrupts the apply coroutine: a half-delivered group on a
-        live replica would corrupt its write path.  Whatever is left in
-        the classic backlog is discarded — failover tail replay re-reads
-        those records from the primary's surviving WAL files.  In fabric
-        mode, accepted messages still on the wire are delivered and
-        applied first (the reliable-channel guarantee), unless a sever
-        already dropped them.
+        live replica would corrupt its write path.  Accepted records
+        still on the wire are delivered and applied first (the
+        reliable-channel guarantee), unless a sever already dropped
+        them.
         """
         self._stopped = True
         self._work.notify_all()
@@ -366,7 +270,7 @@ class ShardReplication:
 
     def applied_through(self) -> int:
         """Min primary sequence applied across replicas (WAL retention)."""
-        return min(link.applied_through() for link in self.links)
+        return min(link.replica.applied_primary_seq for link in self.links)
 
     def sever(self) -> None:
         """Drop every link's undelivered records (primary death)."""
@@ -390,10 +294,5 @@ class ShardReplication:
 
     @property
     def backlog(self) -> int:
-        """Records currently queued across links."""
-        return sum(len(link._queue) for link in self.links)
-
-    @property
-    def outstanding(self) -> int:
-        """Accepted-but-unapplied records across links (fabric drain)."""
-        return sum(link.outstanding for link in self.links)
+        """Accepted-but-unapplied records across links."""
+        return sum(link.backlog for link in self.links)

@@ -34,7 +34,8 @@ from ..sim import Condition, Environment, Event
 from ..storage import (BlockDevice, DeviceError, DeviceProfile, PageCache,
                        SATA_SSD, SimFS)
 from .failover import FailoverController
-from .net import CONTROL_PLANE, FencedError, NetConfig, NetworkFabric
+from .net import (CONTROL_PLANE, FencedError, NetConfig, NetworkFabric,
+                  PERFECT_WIRE)
 from .partition import make_partitioner
 from .replication import ReplicationLink, ShardReplication
 
@@ -59,7 +60,8 @@ class ClusterConfig:
     num_shards: int = 4
     replicas_per_shard: int = 1
     partitioner: str = "hash"
-    #: Ship→apply delivery delay per record, seconds.
+    #: Ship→apply delivery delay per record, seconds (the fabric's own
+    #: delay comes on top).
     replication_lag: float = 0.002
     #: Records in flight per link before ship() backpressures.
     max_backlog: int = 64
@@ -70,17 +72,17 @@ class ClusterConfig:
     #: None -> the scaled SATA SSD profile at ``scale``.
     device: Optional[DeviceProfile] = None
     scale: int = 1024
-    #: None -> perfect wire (the original model, byte-identical).
-    #: Configured -> every inter-node message routes through a
-    #: :class:`~repro.cluster.net.NetworkFabric` built from this.
+    #: Configuration of the :class:`~repro.cluster.net.NetworkFabric`
+    #: every inter-node message routes through; None -> the fault-free
+    #: :data:`~repro.cluster.net.PERFECT_WIRE`.
     net: Optional[NetConfig] = None
     #: Consecutive heartbeat probe misses tolerated before failover
-    #: (fabric mode only; an isolated lost probe is not a dead primary).
+    #: (an isolated lost probe is not a dead primary).
     grace_misses: int = 3
     #: Probe round trips slower than this count as a miss (gray
     #: failure).  None -> the heartbeat interval.
     probe_timeout: Optional[float] = None
-    #: Retry/backoff envelope for fabric-mode shipping and parked ops.
+    #: Retry/backoff envelope for ships refused by a partition.
     retry_initial: float = 0.001
     retry_cap: float = 0.05
 
@@ -121,20 +123,15 @@ class Shard:
     """One key range's replica group: a primary plus R replicas."""
 
     def __init__(self, env: Environment, shard_id: int, primary: ClusterNode,
-                 replicas: List[ClusterNode], replication_lag: float,
-                 max_backlog: int, fabric: Optional[NetworkFabric] = None,
-                 retry_initial: float = 0.001, retry_cap: float = 0.05):
+                 replicas: List[ClusterNode], config: ClusterConfig,
+                 fabric: NetworkFabric):
         self.env = env
         self.shard_id = shard_id
         self.primary = primary
         self.replicas = list(replicas)
-        self.replication_lag = replication_lag
-        self.max_backlog = max_backlog
-        #: None -> perfect wire; set -> all shard traffic is routed and
-        #: fault-injected through the fabric.
+        self.config = config
+        #: All shard traffic is routed (and fault-injected) through it.
         self.fabric = fabric
-        self.retry_initial = retry_initial
-        self.retry_cap = retry_cap
         self.state = SHARD_ACTIVE
         #: Fencing epoch: bumped at every promotion.  Replication links
         #: carry the epoch they were wired under; a stale link's sends
@@ -168,13 +165,13 @@ class Shard:
         """
         if self.replicas:
             links = [ReplicationLink(self.env, self.shard_id, replica,
-                                     lag=self.replication_lag,
-                                     max_backlog=self.max_backlog,
-                                     fabric=self.fabric,
+                                     self.fabric,
+                                     lag=self.config.replication_lag,
+                                     max_backlog=self.config.max_backlog,
                                      src=self.primary.node_id,
                                      shard=self, epoch=self.epoch,
-                                     retry_initial=self.retry_initial,
-                                     retry_cap=self.retry_cap)
+                                     retry_initial=self.config.retry_initial,
+                                     retry_cap=self.config.retry_cap)
                      for replica in self.replicas]
             self.primary.db.wal_shipper = ShardReplication(links)
         else:
@@ -208,13 +205,10 @@ class Shard:
     def primary_reachable(self) -> bool:
         """True while clients (control plane) can reach the primary.
 
-        Always true without a fabric; with one, a partition between the
-        control plane and the primary parks new requests instead of
-        letting them execute on a primary whose answers could not have
-        crossed the cut.
+        A partition between the control plane and the primary parks new
+        requests instead of letting them execute on a primary whose
+        answers could not have crossed the cut.
         """
-        if self.fabric is None:
-            return True
         return self.fabric.reachable(CONTROL_PLANE, self.primary.node_id)
 
     def mark_primary_down(self) -> None:
@@ -227,9 +221,8 @@ class Shard:
         """
         if not self.primary_down.triggered:
             self.primary_down.succeed("down")
-        replication = self.primary.db.wal_shipper
-        if replication is not None:
-            replication.sever()
+        if self.replication is not None:
+            self.replication.sever()
 
     def kill_primary(self, survive_probability: float = 0.0,
                      rng: Any = None) -> None:
@@ -258,9 +251,8 @@ class Shard:
         primary, then retries there.  A shard with nobody left to
         promote fails the request with :class:`ShardDownError`.
 
-        Fabric mode adds three rules.  An unreachable primary parks the
-        request too (exponential backoff with seeded jitter, since a
-        partition can heal without any promotion to notify ``ready``).
+        The network adds three rules.  An unreachable primary parks the
+        request too (a heal notifies ``ready``, as a promotion does).
         An operation that completes under a *different* epoch than it
         was dispatched under is discarded and retried — its response
         could not have crossed the cut before the promotion, so
@@ -269,19 +261,12 @@ class Shard:
         client-visible failure: it was never acked, so it retries
         freshly on the new primary (park-don't-fail).
         """
-        backoff = self.retry_initial
         while True:
             while (self.state == SHARD_FAILING_OVER
                    or (self.state == SHARD_ACTIVE
                        and (not self.primary_alive
                             or not self.primary_reachable))):
-                if self.fabric is None:
-                    yield self.ready.wait()
-                else:
-                    pause = self.env.timeout(
-                        self.fabric.backoff(1, backoff, self.retry_cap))
-                    yield self.env.any_of([self.ready.wait(), pause])
-                    backoff = min(backoff * 2.0, self.retry_cap)
+                yield self.ready.wait()
             if self.state == SHARD_FAILED:
                 raise ShardDownError(
                     f"shard {self.shard_id} has no live primary")
@@ -328,10 +313,10 @@ class Shard:
             "failovers": self.failovers,
             "wal_tail_records_replayed": self.wal_tail_records_replayed,
             "last_failover_seconds": self.last_failover_seconds,
-            "replication_max_lag": (replication.max_lag
-                                    if replication else 0.0),
+            "replication_max_lag": replication.max_lag if replication else 0.0,
             "records_applied": (replication.records_applied
                                 if replication else 0),
+            "backlog": replication.backlog if replication else 0,
         }
 
 
@@ -396,33 +381,26 @@ class ClusterStore:
         self.config = config
         self.name = name
         self.health = _ClusterHealth(store=self)
-        #: The simulated network every inter-node message routes
-        #: through; None (the default) is the original perfect wire.
-        self.fabric: Optional[NetworkFabric] = (
-            NetworkFabric(env, config.net) if config.net is not None
-            else None)
+        #: The simulated network every inter-node message routes through.
+        self.fabric = NetworkFabric(env, config.net or PERFECT_WIRE)
         self.shards: List[Shard] = []
         for shard_id in range(config.num_shards):
             primary = self._new_node(f"{name}{shard_id}p", "primary")
             replicas = [self._new_node(f"{name}{shard_id}r{i}", "replica")
                         for i in range(config.replicas_per_shard)]
             self.shards.append(Shard(env, shard_id, primary, replicas,
-                                     config.replication_lag,
-                                     config.max_backlog,
-                                     fabric=self.fabric,
-                                     retry_initial=config.retry_initial,
-                                     retry_cap=config.retry_cap))
+                                     config, self.fabric))
         partitioner = make_partitioner(config.partitioner, config.num_shards)
         self.router = ShardRouter(self.shards, partitioner)
         self.failover = FailoverController(
-            env, self.shards, heartbeat_interval=config.heartbeat_interval,
-            fabric=self.fabric, grace_misses=config.grace_misses,
+            env, self.shards, self.fabric,
+            heartbeat_interval=config.heartbeat_interval,
+            grace_misses=config.grace_misses,
             probe_timeout=config.probe_timeout)
-        if self.fabric is not None:
-            # A heal can restore reachability without any promotion to
-            # notify ready-parked requests: wake them to re-check.
-            for shard in self.shards:
-                self.fabric.on_heal(shard.ready.notify_all)
+        # A heal can restore reachability without any promotion to
+        # notify ready-parked requests: wake them to re-check.
+        for shard in self.shards:
+            self.fabric.on_heal(shard.ready.notify_all)
 
     def _new_node(self, node_id: str, role: str) -> ClusterNode:
         device = BlockDevice(self.env, self.config.resolved_device())
@@ -446,7 +424,7 @@ class ClusterStore:
         """The current primary of each shard, in shard order."""
         return [shard.primary for shard in self.shards]
 
-    # -- nemesis surface (fabric mode) -----------------------------------
+    # -- nemesis surface ---------------------------------------------------
 
     def partition_primary(self, shard_id: int) -> ClusterNode:
         """Symmetrically cut one shard's primary off from everything.
@@ -455,9 +433,6 @@ class ClusterStore:
         is exactly the scenario epoch fencing exists for.  Returns the
         victim node so a nemesis can track it.
         """
-        if self.fabric is None:
-            raise ValueError("partition_primary requires a network fabric "
-                             "(ClusterConfig.net)")
         victim = self.shards[shard_id].primary
         others = [CONTROL_PLANE] + [node.node_id for node in self.nodes()
                                     if node is not victim]
@@ -466,8 +441,7 @@ class ClusterStore:
 
     def heal_network(self) -> None:
         """Remove every partition and wake parked requests."""
-        if self.fabric is not None:
-            self.fabric.heal()
+        self.fabric.heal()
 
     # -- operation surface (Server backend) ------------------------------
 
@@ -582,7 +556,7 @@ class ClusterStore:
     def describe(self) -> Dict[str, Any]:
         """Structured status of every shard plus cluster totals."""
         shards = [shard.describe() for shard in self.shards]
-        out = {
+        return {
             "num_shards": len(self.shards),
             "partitioner": self.router.partitioner.kind,
             "failovers": sum(s["failovers"] for s in shards),
@@ -595,7 +569,5 @@ class ClusterStore:
             "partition_promotions": sum(
                 s["partition_promotions"] for s in shards),
             "shards": shards,
+            "net": self.fabric.snapshot(),
         }
-        if self.fabric is not None:
-            out["net"] = self.fabric.snapshot()
-        return out

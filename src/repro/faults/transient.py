@@ -531,6 +531,7 @@ class NemesisConfig:
     seed: int = 41
     heartbeat_interval: float = 0.004
     grace_misses: int = 3
+    replication_lag: float = 0.002
     #: Fabric fault intensities (see :class:`repro.cluster.NetConfig`).
     net_delay: float = 0.0003
     net_jitter: float = 0.2
@@ -654,6 +655,7 @@ def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
         ClusterConfig(num_shards=config.num_shards,
                       replicas_per_shard=config.replicas_per_shard,
                       partitioner=config.partitioner,
+                      replication_lag=config.replication_lag,
                       heartbeat_interval=config.heartbeat_interval,
                       grace_misses=config.grace_misses,
                       scale=config.scale,
@@ -769,7 +771,7 @@ def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
     result.wal_tail_records_replayed = describe["wal_tail_records_replayed"]
     result.failed_shards = sum(
         1 for s in cluster.shards if s.state == "failed")
-    result.net = describe.get("net", {})
+    result.net = describe["net"]
     result.history_ops = len(recorder.ops)
 
     result.violations.extend(check_history(recorder.ops))

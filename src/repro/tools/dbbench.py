@@ -368,6 +368,7 @@ def run_cluster_nemesis(args: argparse.Namespace, out=print) -> List[dict]:
         replicas_per_shard=args.replicas, partitioner=args.partitioner,
         ops_per_client=max(10, min(args.num, 600) // defaults.num_clients),
         seed=args.seed,
+        replication_lag=args.replication_lag,
         partition_shard=args.partition,
         net_loss=(defaults.net_loss if args.net_loss is None
                   else args.net_loss),
@@ -485,6 +486,12 @@ def run_cluster_bench(args: argparse.Namespace, out=print) -> List[dict]:
         f"{replication['max_lag'] * 1000:.3f} ms, backlog "
         f"{replication['backlog']:.0f}, failovers "
         f"{replication['failovers']:.0f}")
+    net = snap["net"]
+    out(f"net: messages_accepted {net['messages_accepted']:.0f}  "
+        f"sends_refused {net['sends_refused']:.0f}  "
+        f"retransmits {net['retransmits']:.0f}  "
+        f"duplicates {net['duplicates']:.0f}  "
+        f"probes_lost {net['probes_lost']:.0f}")
     for shard in cluster.shards:
         status = shard.describe()
         out(f"shard {status['shard']}: state {status['state']}, primary "

@@ -14,6 +14,8 @@ from repro.cluster import (
     FencedError,
     NetConfig,
     NetworkFabric,
+    PERFECT_WIRE,
+    ReplicationLink,
     SHARD_ACTIVE,
 )
 from repro.faults import (
@@ -23,8 +25,9 @@ from repro.faults import (
     check_history,
     nemesis_chaos,
 )
-from repro.lsm import LSMEngine, Options
+from repro.lsm import LSMEngine, Options, WriteBatch
 from repro.sim import Environment
+from repro.storage import DeviceError
 
 KB = 1 << 10
 
@@ -36,12 +39,19 @@ def cluster_options(**overrides):
     return Options(**base)
 
 
+#: The two ends of the one wire: the fault-free configuration an
+#: unconfigured cluster runs on, and a lossy/duplicating/reordering one.
+WIRES = pytest.param(PERFECT_WIRE, id="perfect"), pytest.param(
+    NetConfig(loss=0.05, duplicate=0.1, reorder=0.0008, seed=13),
+    id="faulty")
+
+
 def make_net_cluster(num_shards=1, replicas=1, net=None, env=None,
-                     **config_overrides):
+                     lag=0.001, **config_overrides):
     env = env or Environment()
     config = ClusterConfig(num_shards=num_shards,
                            replicas_per_shard=replicas,
-                           replication_lag=0.001,
+                           replication_lag=lag,
                            heartbeat_interval=0.002,
                            page_cache_bytes=256 * KB,
                            net=net or NetConfig(),
@@ -143,10 +153,52 @@ class TestFabricReplication:
             primary_seq = shard.primary.db.versions.last_sequence
             for replica in shard.replicas:
                 assert replica.applied_primary_seq == primary_seq
-            assert shard.replication.outstanding == 0
+            assert shard.replication.backlog == 0
         snap = cluster.fabric.snapshot()
         assert snap["messages_accepted"] > 0
-        assert snap["duplicates"] > 0  # injected AND survived resequencing
+        # Every injected duplicate was delivered, and dropped by the
+        # replica as already applied.
+        assert snap["duplicates"] > 0
+        assert snap["duplicates"] == sum(
+            link.duplicates_dropped for shard in cluster.shards
+            for link in shard.replication.links)
+        cluster.close_sync()
+
+    @pytest.mark.parametrize("net", [
+        pytest.param(PERFECT_WIRE, id="perfect"),
+        # No loss: a lost probe pair must not promote mid-test.
+        pytest.param(NetConfig(duplicate=0.2, reorder=0.0008, seed=13),
+                     id="duplicating-reordering"),
+    ])
+    def test_replica_converges_across_a_sequence_gap(self, net):
+        # A group whose WAL barrier fails claims sequence numbers it
+        # never ships; the engine auto-resumes and later records must
+        # still reach the replica instead of waiting for the gap forever.
+        env, cluster = make_net_cluster(num_shards=1, replicas=1, net=net,
+                                        max_backlog=8)
+        shard = cluster.shards[0]
+        for i in range(5):
+            cluster.put_sync(b"pre%04d" % i, b"x" * 16)
+        fs = shard.primary.fs
+
+        def failing_fdatasync(handle):
+            del fs.fdatasync  # one failure, then the real method again
+            raise DeviceError("injected EIO")
+            yield  # pragma: no cover - makes this a generator
+
+        fs.fdatasync = failing_fdatasync
+        with pytest.raises(DeviceError):
+            cluster.put_sync(b"lost", b"x" * 16)
+        advance(env, 1.0)  # health auto-resume
+        puts = [env.process(cluster.put(b"post%04d" % i, b"x" * 16))
+                for i in range(30)]
+        advance(env, 1.0)
+        assert all(put.ok for put in puts) and shard.failovers == 0
+        primary_seq = shard.primary.db.versions.last_sequence
+        assert primary_seq > 5 + 30  # the failed group left a gap
+        assert shard.replicas[0].applied_primary_seq == primary_seq
+        assert shard.replication.backlog == 0
+        assert shard.replication.applied_through() == primary_seq
         cluster.close_sync()
 
     def test_fabric_run_is_deterministic(self):
@@ -165,26 +217,151 @@ class TestFabricReplication:
 
         assert run() == run()
 
-    def test_sever_drops_wire_in_flight_records(self):
-        # Large delay: the accepted record is still on the wire when the
-        # primary dies.  It must be dropped with the connection, not
-        # delivered late into the promoted replica set.
-        net = NetConfig(delay=0.05, jitter=0.0, seed=17)
+    @pytest.mark.parametrize("net, lag", [
+        pytest.param(PERFECT_WIRE, 0.05, id="perfect-wire-apply-lag"),
+        pytest.param(NetConfig(delay=0.05, jitter=0.0, seed=17), 0.001,
+                     id="slow-wire"),
+    ])
+    def test_sever_drops_wire_in_flight_records(self, net, lag):
+        # 50 ms to delivery either way: the accepted record is still on
+        # the wire when the primary dies.  It must be dropped with the
+        # connection (recovered only via WAL-tail replay), never
+        # delivered late into the promoted replica set or double-counted.
         # probe_timeout >> RTT: a slow wire is not a gray primary here.
         env, cluster = make_net_cluster(num_shards=1, replicas=1, net=net,
-                                        probe_timeout=0.5)
+                                        lag=lag, probe_timeout=0.5)
         shard = cluster.shards[0]
         cluster.put_sync(b"wire-key", b"v1")
         link = shard.replication.links[0]
-        assert link.outstanding > 0  # accepted, still in flight
-        shard.kill_primary()
-        advance(env, 0.5)
-        assert shard.state == SHARD_ACTIVE
+        advance(env, 0.01)
+        assert link.backlog > 0  # accepted, still in flight
         assert link.records_applied == 0
-        assert link.outstanding == 0
+        assert shard.replicas[0].applied_primary_seq == 0
+        shard.kill_primary()
+        advance(env, 0.5)  # past the delivery time AND the failover
+        assert shard.state == SHARD_ACTIVE
+        assert shard.failovers == 1
+        assert link.records_applied == 0
+        assert link.backlog == 0
         assert shard.wal_tail_records_replayed > 0
         assert cluster.get_sync(b"wire-key") == b"v1"
         cluster.close_sync()
+
+    def test_replication_lag_adds_to_a_configured_wire(self):
+        # The apply lag is part of the one delivery formula, not a
+        # property of the unconfigured cluster only.
+        net = NetConfig(delay=0.0, jitter=0.0)
+        env, cluster = make_net_cluster(num_shards=1, replicas=1, net=net,
+                                        lag=0.005)
+        for i in range(10):
+            cluster.put_sync(b"lag%04d" % i, b"x" * 16)
+        advance(env, 0.05)
+        replication = cluster.shards[0].replication
+        assert replication.records_applied > 0
+        assert replication.max_lag >= 0.005
+        cluster.close_sync()
+
+    def test_perfect_wire_never_draws_refuses_or_loses(self):
+        # An unconfigured cluster runs on PERFECT_WIRE: through a kill,
+        # a failover and its parked requests the fabric's RNG is never
+        # consulted.
+        env = Environment()
+        cluster = ClusterStore(env, LSMEngine, cluster_options(),
+                               ClusterConfig(num_shards=2,
+                                             replicas_per_shard=1,
+                                             heartbeat_interval=0.002,
+                                             page_cache_bytes=256 * KB))
+        assert cluster.fabric.config is PERFECT_WIRE
+        fresh = cluster.fabric.rng.getstate()
+        for i in range(40):
+            cluster.put_sync(b"pw%04d" % i, b"x" * 16)
+        cluster.shards[0].kill_primary()
+        parked = env.process(cluster.put(b"pw-parked", b"y"))
+        advance(env, 0.5)
+        assert parked.ok and cluster.shards[0].failovers == 1
+        snap = cluster.fabric.snapshot()
+        assert snap["messages_accepted"] > 0 and snap["probes"] > 0
+        for counter in ("sends_refused", "retransmits", "duplicates",
+                        "probes_lost"):
+            assert snap[counter] == 0
+        assert cluster.fabric.rng.getstate() == fresh
+        cluster.close_sync()
+
+    def test_apply_lag_does_not_leak_into_probe_rtt(self):
+        # 50 ms apply lag against a 2 ms heartbeat: replication is slow,
+        # the primary is not — no probe may time out, nothing promotes.
+        env, cluster = make_net_cluster(num_shards=1, replicas=1,
+                                        net=PERFECT_WIRE, lag=0.05)
+        for i in range(10):
+            cluster.put_sync(b"slow%04d" % i, b"x" * 16)
+        advance(env, 0.3)
+        shard = cluster.shards[0]
+        assert shard.failovers == 0 and shard.epoch == 1
+        assert cluster.fabric.counters["probes_lost"] == 0
+        assert shard.replication.max_lag >= 0.05
+        cluster.close_sync()
+
+
+class TestLinkFencing:
+    """A record still undelivered or unapplied when the shard moves to a
+    newer epoch is stale-primary traffic: it must be counted as fenced
+    and dropped, never applied to the (possibly promoted) replica
+    (SIM009) — on every wire."""
+
+    @staticmethod
+    def _harness(env, net):
+        class FakeShard:
+            epoch = 1
+            fenced_ops = 0
+
+            def note_fenced_ship(self, num_ops):
+                self.fenced_ops += num_ops
+
+        class FakeDB:
+            applied = 0
+
+            def write(self, batch):
+                self.applied += 1
+                return
+                yield  # pragma: no cover - makes write() a generator
+
+        class FakeReplica:
+            node_id = "r1"
+            applied_primary_seq = 0
+            db = FakeDB()
+
+        shard = FakeShard()
+        replica = FakeReplica()
+        link = ReplicationLink(env, 0, replica, NetworkFabric(env, net),
+                               lag=0.001, src="p1", shard=shard, epoch=1)
+        batch = WriteBatch()
+        batch.put(b"k", b"v")
+        record = batch.encode(1)
+        return shard, replica, link, record
+
+    @pytest.mark.parametrize("net", WIRES)
+    def test_stale_epoch_record_is_fenced_not_applied(self, net):
+        env = Environment()
+        shard, replica, link, record = self._harness(env, net)
+        env.run_until(env.process(link.ship(1, 1, record)))
+        carried = link.backlog  # 2 when the wire duplicated the record
+        shard.epoch = 2  # promotion happens while the record is in flight
+        advance(env, 0.05)
+        assert replica.db.applied == 0
+        assert shard.fenced_ops == carried >= 1
+        assert link.records_applied == 0
+        assert link.backlog == 0
+
+    @pytest.mark.parametrize("net", WIRES)
+    def test_current_epoch_record_still_applies(self, net):
+        env = Environment()
+        shard, replica, link, record = self._harness(env, net)
+        env.run_until(env.process(link.ship(1, 1, record)))
+        advance(env, 0.05)
+        assert replica.db.applied == 1
+        assert shard.fenced_ops == 0
+        assert link.records_applied == 1
+        assert link.backlog == 0
 
 
 class TestEpochFencing:
@@ -245,6 +422,26 @@ class TestEpochFencing:
         # park-don't-fail retries landed on the new primary.
         for j in range(3):
             assert cluster.get_sync(b"late%04d" % j) == b"l" * 16
+        cluster.close_sync()
+
+    def test_partition_promotion_drains_records_inside_the_apply_lag(self):
+        # Acked writes still inside a long apply lag when the primary is
+        # cut off were accepted, so they will be delivered: the drain
+        # must outwait replication_lag before the epoch bump fences them.
+        env, cluster = make_net_cluster(num_shards=1, replicas=1,
+                                        net=PERFECT_WIRE, lag=0.02,
+                                        grace_misses=2)
+        shard = cluster.shards[0]
+        for i in range(5):
+            cluster.put_sync(b"dr%04d" % i, b"d" * 16)
+        assert shard.replication.backlog == 5  # acked, none delivered
+        cluster.partition_primary(0)
+        advance(env, 0.3)
+        assert shard.partition_promotions == 1
+        assert shard.wal_tail_records_replayed == 0
+        cluster.heal_network()
+        for i in range(5):
+            assert cluster.get_sync(b"dr%04d" % i) == b"d" * 16
         cluster.close_sync()
 
     def test_fence_check_raises_typed_error(self):

@@ -275,6 +275,9 @@ class TestDeviceRetryAccounting:
         assert snap["health"]["eio_retries"] == 2
         assert snap["health"]["bg_error_count"] == 0
         assert snap["health"]["quarantined_tables"] == 0
+        # One engine's snapshot keeps the non-numeric diagnostics.
+        assert snap["health"]["reason"] is None
+        assert snap["health"]["errors_by_site"] == {}
         db.close_sync()
 
 
