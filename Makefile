@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: check test simcheck effects doccheck
+.PHONY: check test smoke simcheck effects doccheck
 
 ## All static gates (ruff + simcheck + doccheck) in one command.
 check:
@@ -12,6 +12,42 @@ check:
 ## The tier-1 test suite.
 test:
 	$(PY) -m pytest -x -q
+
+## The dbbench smokes CI runs, each spelled once.  Harness modes exit
+## non-zero on any violation; `twice` re-runs a deterministic mode and
+## cmp's the bytes; the greps pin what each run must have exercised.
+SMOKE_OUT := .smoke_out
+DBBENCH := $(PY) -m repro.tools.dbbench
+
+# $(call twice,NAME,ARGV): NAME.txt from one run must equal a second run.
+define twice
+$(DBBENCH) $(2) > $(SMOKE_OUT)/$(1).txt
+$(DBBENCH) $(2) | cmp - $(SMOKE_OUT)/$(1).txt
+endef
+
+smoke:
+	mkdir -p $(SMOKE_OUT)
+	$(DBBENCH) --engine bolt --num 120 --crash-sweep
+	$(DBBENCH) --engine bolt --tiered --num 160 --crash-sweep
+	$(DBBENCH) --chaos --num 300
+	$(DBBENCH) --engine bolt --num 300 --sanitize
+	$(call twice,server,--server --engine bolt --num 300 --clients 2 --arrival-rate 50000 --seed 11)
+	grep -E 'barriers_saved: [1-9][0-9]*$$' $(SMOKE_OUT)/server.txt
+	$(call twice,cluster-chaos,--cluster --chaos --num 400)
+	grep -E 'availability 1\.000000$$' $(SMOKE_OUT)/cluster-chaos.txt
+	grep -E '[1-9][0-9]* WAL tail records replayed' $(SMOKE_OUT)/cluster-chaos.txt
+	grep -Fx 'cluster chaos: PASS' $(SMOKE_OUT)/cluster-chaos.txt
+	$(call twice,nemesis,--cluster --nemesis)
+	grep -E 'fenced_writes [1-9][0-9]*' $(SMOKE_OUT)/nemesis.txt
+	grep -E 'availability 1\.000000$$' $(SMOKE_OUT)/nemesis.txt
+	grep -E 'history: [1-9][0-9]* ops checked, 0 violations' $(SMOKE_OUT)/nemesis.txt
+	grep -Fx 'nemesis: PASS' $(SMOKE_OUT)/nemesis.txt
+	$(call twice,cluster,--cluster --num 400 --shards 4 --replicas 1 --clients 2 --workload a)
+	grep -E 'replication: [1-9][0-9]* records applied' $(SMOKE_OUT)/cluster.txt
+	grep -E 'sends_refused 0 ' $(SMOKE_OUT)/cluster.txt
+	$(call twice,tiered,--engine bolt --tiered --num 10000)
+	grep -E 'tier demotions: +[1-9]' $(SMOKE_OUT)/tiered.txt
+	grep -E 'tier remote: +[1-9][0-9]* GETs' $(SMOKE_OUT)/tiered.txt
 
 ## The determinism/durability analyzer alone (baseline applied).
 ## Library and test code are separate projects on purpose — see

@@ -12,7 +12,6 @@ from .harness import (
     run_suite,
 )
 from .metrics import LatencyRecorder, PhaseResult, percentile
-from .parallel import parallel_map
 from .report import (aggregate_engine_stats, format_markdown_table,
                      format_table, unified_snapshot)
 from . import experiments
@@ -28,7 +27,6 @@ __all__ = [
     "run_suite",
     "run_crash_sweep",
     "LatencyRecorder",
-    "parallel_map",
     "PhaseResult",
     "percentile",
     "format_markdown_table",

@@ -493,13 +493,7 @@ class ClusterStore:
         shard = self.router.shard_for(key)
         if not shard.primary_alive or not shard.primary_reachable:
             return "open"
-        db = shard.primary.db
-        if db.health.read_only:
-            return "read_only"
-        if (db.options.enable_l0_stop
-                and db.versions.l0_unit_count() >= db.options.l0_stop_trigger):
-            return "shed_writes"
-        return "open"
+        return shard.primary.db.admission_state(key)
 
     # -- sync facades ----------------------------------------------------
 

@@ -27,7 +27,7 @@ the HyperLevelDB base, as the paper's two integrations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..engines.hyperleveldb import HyperLevelDBEngine, hyperleveldb_options
 from ..engines.leveldb import LevelDBEngine, leveldb_options
@@ -62,7 +62,6 @@ class BoLTMixin:
     def __init__(self, env: Environment, fs: SimFS, options: Options,
                  dbname: str = "db"):
         super().__init__(env, fs, options, dbname)
-        self.fd_cache: Optional[FileDescriptorCache] = None
         if options.enable_fd_cache:
             self.fd_cache = FileDescriptorCache(fs, options.fd_cache_size)
             self.table_cache.open_container = self.fd_cache.open
@@ -150,7 +149,6 @@ class BoLTMixin:
             live_containers[meta.container] = live_containers.get(
                 meta.container, 0) + 1
         tracer = self.env.tracer
-        punched_any = False
         for meta in metas:
             if (self.tiering is not None
                     and self.versions.current.is_remote(meta.container)):
@@ -173,20 +171,17 @@ class BoLTMixin:
                     yield from self.fs.unlink(meta.container)
                 else:
                     handle = yield from self._container_handle(meta.container)
+                    # §3.2: no fsync/fdatasync when punching holes — the
+                    # lazy metadata sync is deliberately free of barriers.
                     handle.punch_hole(meta.offset, meta.length)
                     if tracer.enabled:
                         tracer.count("bolt.tables_punched")
                         tracer.count("bolt.bytes_punched", meta.length)
-                    punched_any = True
             except FileSystemError:
                 # Concurrent cleanup batches may reference the same
                 # container; whoever loses the unlink race has nothing
                 # left to reclaim.
                 continue
-        if punched_any:
-            # §3.2: no fsync/fdatasync when punching holes — the lazy
-            # metadata sync is deliberately free of barriers.
-            pass
 
     def _container_handle(self, name: str):
         if self.fd_cache is not None:

@@ -228,7 +228,7 @@ class CrashChecker:
                              label: Dict[str, str]) -> List[Violation]:
         violations: List[Violation] = []
         version = db.versions.current
-        store = getattr(fs, "remote", None)
+        store = fs.remote
         for meta in version.live_numbers().values():
             if version.is_quarantined(meta.number):
                 # Quarantined tables are referenced on purpose (so
@@ -292,7 +292,7 @@ class CrashChecker:
         if not remote:
             return []
         violations: List[Violation] = []
-        store = getattr(fs, "remote", None)
+        store = fs.remote
         for container in sorted(remote):
             length, crc = remote[container]
             data = store.objects.get(container) if store is not None else None

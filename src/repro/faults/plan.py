@@ -287,7 +287,7 @@ class CrashInjector:
         from .checker import DurabilityOracle  # local: avoid import cycle
         oracle_state = (self.oracle.snapshot()
                         if isinstance(self.oracle, DurabilityOracle) else None)
-        remote = getattr(fs, "remote", None)
+        remote = fs.remote
         return CrashImage(
             site=site, index=index, time=fs.env.now, detail=dict(detail),
             epoch=fs.epoch,

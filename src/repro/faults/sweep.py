@@ -12,7 +12,7 @@ HyperLevelDB-lineage/FLSM variant) and BoLT.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.harness import EXTRA_SYSTEMS, SYSTEMS
@@ -58,16 +58,21 @@ class SweepConfig:
     tiered: bool = False
     plan: FaultPlan = field(default_factory=FaultPlan)
 
+    def header(self) -> str:
+        """The line a run of this config is announced with."""
+        return (f"crash sweep: engine {', '.join(self.engines)}, "
+                f"{self.num_ops} ops, models "
+                f"{', '.join(m.name for m in self.plan.models)}"
+                + (", tiered object storage on" if self.tiered else ""))
+
 
 def smoke_config(**overrides) -> SweepConfig:
     """A reduced sweep for CI: fewer images, two fault models."""
     from .plan import DEFAULT_MODELS
     plan = FaultPlan(max_images=12, max_per_site=2,
                      models=(DEFAULT_MODELS[0], DEFAULT_MODELS[2]))
-    config = SweepConfig(num_ops=120, plan=plan)
-    for name, value in overrides.items():
-        setattr(config, name, value)
-    return config
+    # replace() raises TypeError on a misspelt field name.
+    return replace(SweepConfig(num_ops=120, plan=plan), **overrides)
 
 
 @dataclass
@@ -120,6 +125,12 @@ class SweepReport:
                 lines.append(f"    {violation}")
         lines.append("crash sweep: " + ("PASS" if self.ok else "FAIL"))
         return lines
+
+    def rows(self) -> List[dict]:
+        """One machine-readable row per engine (what dbbench returns)."""
+        return [{"benchmark": "crash-sweep", "engine": r.engine,
+                 "images": r.images, "checks": r.checks,
+                 "violations": len(r.violations)} for r in self.results]
 
 
 def _system(engine_key: str):

@@ -5,7 +5,7 @@ contract after power loss; this module proves the availability contract
 during non-crash runtime faults — the territory of
 :mod:`repro.health`:
 
-* **transient EIO** at a configurable per-request rate, absorbed by the
+* **transient EIO** at a fixed per-request rate, absorbed by the
   device driver's in-slot retries and, when a request exhausts them, by
   the engine's :class:`~repro.health.ErrorManager` (pause + backoff +
   auto-resume);
@@ -22,7 +22,12 @@ every acknowledged write reads back its last acknowledged value, and no
 rejected write is ever visible.  A final crash + reopen then re-checks
 the durability contract on the post-chaos image.
 
-Reachable via ``python -m repro.tools.dbbench --chaos``.
+Every harness here (also :func:`cluster_chaos` and :func:`nemesis_chaos`)
+is one shape — a config with a ``header()``, a run function, a result
+with ``ok``, ``summary_lines()`` and ``rows()`` — which is all ``python
+-m repro.tools.dbbench --chaos`` / ``--cluster --chaos`` / ``--cluster
+--nemesis`` rely on.  A config holds only what callers set; the rest of
+each schedule is the named constants beside it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..health import ReadOnlyError
-from ..obs import Tracer
 from ..sim import Environment
 from ..storage import SATA_SSD, BlockDevice, PageCache, SimFS
 from .checker import DurabilityOracle
@@ -45,28 +49,106 @@ __all__ = ["ChaosConfig", "ChaosResult", "ChaosReport",
            "ClusterChaosConfig", "ClusterChaosResult", "cluster_chaos",
            "NemesisConfig", "NemesisResult", "nemesis_chaos"]
 
+# ---------------------------------------------------------------------------
+# shared: the stress store and the seeded, oracle-checked op mix
+# ---------------------------------------------------------------------------
+
+#: Structure-size divisor of every chaos store (the bench harness scale).
+STRESS_SCALE = 1024
+#: Per-machine page cache.  Deliberately tiny, like the memtable and
+#: block cache in :func:`_stress_options`: the workload must actually
+#: flush, compact and read from the device, so injected faults land in
+#: the retry/absorption machinery and in background paths, not only in
+#: the WAL.
+STRESS_PAGE_CACHE_BYTES = 16 << 10
+#: Key partitioning of the cluster harnesses (printed in their headers).
+PARTITIONER = "hash"
+
+
+def _stress_options(spec: Any) -> Any:
+    """``spec``'s options shrunk so a few hundred ops reach every path."""
+    return spec.options(STRESS_SCALE).copy(
+        wal_sync=True, memtable_size=4096, block_cache_bytes=4096)
+
+
+def _key(index: int) -> bytes:
+    return b"user%06d" % index
+
+
+def _mixed_op(store: Any, oracle: DurabilityOracle, rng: random.Random,
+              i: int, result: Any, keyspace: int, value_size: int,
+              rejections: Tuple[type, ...]
+              ) -> Optional[Tuple[bytes, bytes, Exception]]:
+    """Op ``i`` of the seeded 50/50 read/update mix, scored by the oracle.
+
+    Returns ``(key, value, error)`` when the store refused the write with
+    one of ``rejections``; whether that is expected is the caller's call.
+    """
+    result.ops += 1
+    key = _key(rng.randrange(keyspace))
+    if rng.random() < 0.5:
+        # YCSB-A style update; unique value so a rejected write can
+        # be told apart from any acknowledged one.
+        value = b"v%08d-" % i + b"x" * value_size
+        oracle.begin(key, value)
+        try:
+            store.put_sync(key, value)
+        except rejections as exc:
+            result.writes_rejected += 1
+            # Rejected before the WAL: guaranteed to never surface,
+            # so it is not a legitimate pending value either.
+            pending = oracle.pending.get(key)
+            if pending is not None:
+                pending.remove(value)
+                if not pending:
+                    del oracle.pending[key]
+            return key, value, exc
+        result.writes_acked += 1
+        oracle.acked(key, value)
+        return None
+    result.reads += 1
+    try:
+        got = store.get_sync(key)
+    except Exception as exc:  # noqa: BLE001 - reads must not fail
+        result.violations.append(
+            f"[read-failed] op {i} key={key!r}: {exc!r}")
+        return None
+    if got not in oracle.snapshot().allowed(key):
+        result.violations.append(
+            f"[stale-read] op {i} key={key!r}: got {got!r}")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# single-engine chaos: transient EIO + one disk-full episode
+# ---------------------------------------------------------------------------
+
+CHAOS_KEYSPACE = 64
+CHAOS_VALUE_SIZE = 64
+#: Per-request probability a device attempt fails with EIO.
+EIO_FAULT_RATE = 0.05
+#: Cap on injected EIO faults (keeps runs bounded).
+MAX_EIO_FAULTS = 200
+#: Fractions of the run at which the disk fills / capacity is restored.
+DISK_FULL_AT = 0.5
+DISK_FULL_UNTIL = 0.75
+#: Extra allocatable bytes left when the disk "fills" — small enough
+#: that the WAL exhausts it within the episode's write stream.
+DISK_FULL_SLACK = 2048
+
 
 @dataclass
 class ChaosConfig:
-    """Sizing and fault intensity of a chaos run (CI-smoke defaults)."""
+    """Sizing of a chaos run over :data:`~.sweep.DEFAULT_ENGINES`."""
 
-    engines: Tuple[str, ...] = DEFAULT_ENGINES
     num_ops: int = 400
-    keyspace: int = 64
-    value_size: int = 64
-    scale: int = 1024
     seed: int = 11
-    #: Per-request probability a device attempt fails with EIO.
-    fault_rate: float = 0.05
-    #: Cap on injected EIO faults (keeps runs bounded).
-    max_eio_faults: int = 200
-    #: Fraction of the run at which the disk fills (0 disables).
-    disk_full_at: float = 0.5
-    #: Fraction of the run at which capacity is restored.
-    disk_full_until: float = 0.75
-    #: Extra allocatable bytes left when the disk "fills" — small enough
-    #: that the WAL exhausts it within the episode's write stream.
-    disk_full_slack: int = 2048
+
+    def header(self) -> str:
+        """The line a run of this config is announced with."""
+        return (f"chaos: engines {', '.join(DEFAULT_ENGINES)}, "
+                f"{self.num_ops} ops, EIO rate {EIO_FAULT_RATE}, disk full "
+                f"at {DISK_FULL_AT:.0%} of the run")
 
 
 @dataclass
@@ -83,7 +165,6 @@ class ChaosResult:
     eio_retries: int = 0
     bg_errors: int = 0
     resume_attempts: int = 0
-    time_in_degraded: float = 0.0
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -122,6 +203,13 @@ class ChaosReport:
         lines.append("chaos: " + ("PASS" if self.ok else "FAIL"))
         return lines
 
+    def rows(self) -> List[dict]:
+        """One machine-readable row per engine (what dbbench returns)."""
+        return [{"benchmark": "chaos", "engine": r.engine, "ops": r.ops,
+                 "rejected": r.writes_rejected, "eio_retries": r.eio_retries,
+                 "resumes": r.resume_attempts,
+                 "violations": len(r.violations)} for r in self.results]
+
 
 def _sleep(env: Environment, delay: float) -> Generator[Any, Any, None]:
     yield env.timeout(delay)
@@ -130,79 +218,40 @@ def _sleep(env: Environment, delay: float) -> Generator[Any, Any, None]:
 def chaos_engine(engine_key: str, config: ChaosConfig) -> ChaosResult:
     """Run one engine through the transient-fault chaos schedule."""
     spec = _system(engine_key)
-    tracer = Tracer()
-    env = Environment(tracer=tracer)
-    device = BlockDevice(env, SATA_SSD.scaled(config.scale))
-    # Deliberately tiny caches and memtable: the workload must actually
-    # flush, compact and read from the device, so the EIO hook exercises
-    # the retry/absorption machinery and the disk-full episode lands in
-    # background paths too, not only the WAL.
-    fs = SimFS(env, device, PageCache(16 << 10))
-    options = spec.options(config.scale).copy(
-        wal_sync=True, memtable_size=4096, block_cache_bytes=4096)
+    env = Environment()
+    device = BlockDevice(env, SATA_SSD.scaled(STRESS_SCALE))
+    fs = SimFS(env, device, PageCache(STRESS_PAGE_CACHE_BYTES))
+    options = _stress_options(spec)
     result = ChaosResult(engine=engine_key)
 
     db = spec.engine_cls.open_sync(env, fs, options, "db")
     # Arm EIO injection only after open: recovery-path availability is
     # the crash sweep's subject, steady-state availability is ours.
-    eio = TransientEIO(
-        config.fault_rate,
+    device.fault_hook = TransientEIO(
+        EIO_FAULT_RATE,
         random.Random(config.seed ^ zlib.crc32(engine_key.encode())),
-        max_failures=config.max_eio_faults)
-    device.fault_hook = eio
+        max_failures=MAX_EIO_FAULTS)
 
     oracle = DurabilityOracle()
     rejected: List[Tuple[bytes, bytes]] = []
     rng = random.Random(config.seed)
-    full_at = (int(config.num_ops * config.disk_full_at)
-               if config.disk_full_at else None)
-    full_until = int(config.num_ops * config.disk_full_until)
+    full_at = int(config.num_ops * DISK_FULL_AT)
+    full_until = int(config.num_ops * DISK_FULL_UNTIL)
 
     for i in range(config.num_ops):
-        if full_at is not None and i == full_at:
-            fs.set_capacity(fs.total_allocated_bytes()
-                            + config.disk_full_slack)
-        if full_at is not None and i == full_until:
+        if i == full_at:
+            fs.set_capacity(fs.total_allocated_bytes() + DISK_FULL_SLACK)
+        if i == full_until:
             fs.set_capacity(None)
             db.health.poke()
         if db.health.read_only:
             result.entered_read_only = True
-
-        result.ops += 1
-        key = b"user%06d" % rng.randrange(config.keyspace)
-        if rng.random() < 0.5:
-            # YCSB-A style update; unique value so a rejected write can
-            # be told apart from any acknowledged one.
-            value = b"v%08d-" % i + b"x" * config.value_size
-            oracle.begin(key, value)
-            try:
-                db.put_sync(key, value)
-            except ReadOnlyError:
-                result.entered_read_only = True
-                result.writes_rejected += 1
-                rejected.append((key, value))
-                # Rejected before the WAL: guaranteed to never surface,
-                # so it is not a legitimate pending value either.
-                pending = oracle.pending.get(key)
-                if pending is not None:
-                    pending.remove(value)
-                    if not pending:
-                        del oracle.pending[key]
-            else:
-                result.writes_acked += 1
-                oracle.acked(key, value)
-        else:
-            result.reads += 1
-            try:
-                got = db.get_sync(key)
-            except Exception as exc:  # noqa: BLE001 - reads must not fail
-                result.violations.append(
-                    f"[read-failed] op {i} key={key!r}: {exc!r}")
-                continue
-            allowed = oracle.snapshot().allowed(key)
-            if got not in allowed:
-                result.violations.append(
-                    f"[stale-read] op {i} key={key!r}: got {got!r}")
+        refused = _mixed_op(db, oracle, rng, i, result, CHAOS_KEYSPACE,
+                            CHAOS_VALUE_SIZE, (ReadOnlyError,))
+        if refused is not None:
+            key, value, _error = refused
+            result.entered_read_only = True
+            rejected.append((key, value))
 
     # Settle: capacity is unbounded again, cleanup/auto-resume must
     # bring the store back to healthy on their own clock.
@@ -248,7 +297,7 @@ def chaos_engine(engine_key: str, config: ChaosConfig) -> ChaosResult:
             if got not in state.allowed(key):
                 result.violations.append(
                     f"[post-crash-durability] key={key!r}: read {got!r}")
-        for row_key, _row_value in db2.scan_sync(b"", config.keyspace + 64):
+        for row_key, _row_value in db2.scan_sync(b"", CHAOS_KEYSPACE + 64):
             if row_key not in state.keys():
                 result.violations.append(
                     f"[phantom-key] {row_key!r} after reopen")
@@ -257,8 +306,7 @@ def chaos_engine(engine_key: str, config: ChaosConfig) -> ChaosResult:
     result.eio_retries = device.stats.num_eio_retries
     result.bg_errors = db.health.bg_error_count
     result.resume_attempts = db.health.resume_attempts
-    result.time_in_degraded = db.health.current_degraded_time()
-    if full_at is not None and not result.entered_read_only:
+    if not result.entered_read_only:
         result.violations.append(
             "[no-degradation] disk-full episode never entered read-only "
             "(slack too large for this workload?)")
@@ -266,53 +314,38 @@ def chaos_engine(engine_key: str, config: ChaosConfig) -> ChaosResult:
 
 
 def chaos_sweep(config: Optional[ChaosConfig] = None) -> ChaosReport:
-    """Run :func:`chaos_engine` for every engine in the config."""
+    """Run :func:`chaos_engine` for every engine family."""
     config = config or ChaosConfig()
-    return ChaosReport([chaos_engine(key, config) for key in config.engines])
+    return ChaosReport([chaos_engine(key, config) for key in DEFAULT_ENGINES])
 
 
 # ---------------------------------------------------------------------------
-# cluster chaos: kill a whole shard mid-run
+# shared by the cluster harnesses: config, result, build, kill, verdict
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class ClusterChaosConfig:
-    """Sizing of a cluster kill-whole-shard chaos run (CI defaults)."""
+class ClusterRunConfig:
+    """What both cluster harnesses let a caller size."""
 
     engine: str = "bolt"
     num_shards: int = 4
     replicas_per_shard: int = 1
-    partitioner: str = "hash"
-    num_ops: int = 600
-    keyspace: int = 96
-    value_size: int = 48
-    scale: int = 1024
     seed: int = 23
     replication_lag: float = 0.002
-    heartbeat_interval: float = 0.005
-    #: Fraction of the run at which one shard's primary node is killed
-    #: (engine death + power loss on its device + connections dropped).
-    kill_at: float = 0.5
-    #: Which shard dies; None draws one from the run seed.
-    kill_shard: Optional[int] = None
-    #: Acked writes aimed at the victim shard right before the kill —
-    #: their records are still in the replication backlog when the
-    #: primary dies, so failover *must* recover them from the WAL tail.
-    kill_burst: int = 8
-    #: Asserted ceiling on observed ship→apply replication lag.
-    max_lag_bound: float = 0.25
+
+    def topology(self) -> str:
+        """The ``engine, N shards x M replicas (…)`` header fragment."""
+        return (f"engine {self.engine}, {self.num_shards} shards x "
+                f"{self.replicas_per_shard} replicas ({PARTITIONER})")
 
 
 @dataclass
-class ClusterChaosResult:
-    """Outcome of one cluster chaos run; the oracle check is *exact*.
+class ClusterRunResult:
+    """What every cluster harness run reports, and how it is scored.
 
-    Every request is scored: reads must return an
-    oracle-allowed value even while the killed shard fails over (they
-    park and retry on the promoted replica), and every acked write must
-    read back after the failover — the §6 clause "an acked write
-    survives single-shard failover".
+    Subclasses add their own counters plus ``benchmark`` (the row name),
+    ``verdict`` (the PASS/FAIL line's name) and ``_report_lines()``.
     """
 
     engine: str
@@ -320,12 +353,10 @@ class ClusterChaosResult:
     ops: int = 0
     reads: int = 0
     writes_acked: int = 0
-    writes_rejected: int = 0
     killed_shard: int = -1
     failovers: int = 0
     failed_shards: int = 0
     wal_tail_records_replayed: int = 0
-    max_replication_lag: float = 0.0
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -336,24 +367,137 @@ class ClusterChaosResult:
 
     @property
     def ok(self) -> bool:
-        """True when the run upheld the §6 contract end to end."""
+        """True when the run upheld its contract end to end."""
         return not self.violations
 
     def summary_lines(self) -> List[str]:
         """Human-readable summary (what ``dbbench --cluster`` prints)."""
-        lines = [
-            (f"cluster[{self.engine} x{self.shards}]: {self.ops:5d} ops "
-             f"({self.reads} reads, {self.writes_acked} acked, "
-             f"{self.writes_rejected} rejected), "
-             f"killed shard {self.killed_shard}, "
-             f"{self.failovers} failovers, "
-             f"{self.wal_tail_records_replayed} WAL tail records replayed, "
-             f"max replication lag {self.max_replication_lag * 1000:.3f} ms, "
-             f"availability {self.availability:.6f}")]
+        lines = self._report_lines()
         for violation in self.violations[:10]:
             lines.append(f"    {violation}")
-        lines.append("cluster chaos: " + ("PASS" if self.ok else "FAIL"))
+        lines.append(f"{self.verdict}: " + ("PASS" if self.ok else "FAIL"))
         return lines
+
+    def rows(self) -> List[dict]:
+        """The run as one machine-readable row (what dbbench returns)."""
+        return [{"benchmark": self.benchmark, "engine": self.engine,
+                 "shards": self.shards, "ops": self.ops,
+                 "availability": round(self.availability, 6),
+                 "failovers": self.failovers,
+                 "wal_tail_records_replayed": self.wal_tail_records_replayed,
+                 "violations": len(self.violations)}]
+
+
+def _stress_cluster(spec: Any, config: ClusterRunConfig,
+                    heartbeat_interval: float, **knobs: Any) -> Any:
+    """An N-shard store of stress-sized machines on a fresh clock."""
+    # Imported here: repro.cluster sits above the fault layer, and this
+    # keeps the module dependency graph acyclic for everything that
+    # imports transient chaos without a cluster.
+    from ..cluster import ClusterConfig, ClusterStore
+    return ClusterStore(
+        Environment(), spec.engine_cls, _stress_options(spec),
+        ClusterConfig(num_shards=config.num_shards,
+                      replicas_per_shard=config.replicas_per_shard,
+                      partitioner=PARTITIONER,
+                      replication_lag=config.replication_lag,
+                      heartbeat_interval=heartbeat_interval,
+                      scale=STRESS_SCALE,
+                      page_cache_bytes=STRESS_PAGE_CACHE_BYTES, **knobs))
+
+
+def _owned_writes(cluster: Any, shard_id: int, keyspace: int, count: int,
+                  tag: bytes, value_size: int) -> List[Tuple[bytes, bytes]]:
+    """``count`` tagged writes to keys ``shard_id`` owns.
+
+    Aimed at a victim right before its primary is cut off or killed:
+    acked with their records still in the replication backlog, the only
+    copy a replica can recover them from is the dead node's WAL tail —
+    so failover *must* replay it.
+    """
+    victim = cluster.shards[shard_id]
+    keys = [k for k in map(_key, range(keyspace))
+            if cluster.router.shard_for(k) is victim]
+    return [(key, tag % j + b"x" * value_size)
+            for j, key in enumerate(keys[:count])]
+
+
+def _failover_verdict(cluster: Any, result: ClusterRunResult,
+                      burst_acked: bool) -> Dict[str, Any]:
+    """Fill the failover counters, check what a kill owes; returns the
+    store's ``describe()`` status for the caller's own counters."""
+    status = cluster.describe()
+    result.failovers = status["failovers"]
+    result.failed_shards = sum(
+        1 for s in cluster.shards if s.state == "failed")
+    result.wal_tail_records_replayed = status["wal_tail_records_replayed"]
+    if burst_acked and result.wal_tail_records_replayed < 1:
+        result.violations.append(
+            "[no-tail-replay] pre-kill burst was acked but failover "
+            "replayed no WAL tail records")
+    if result.failed_shards:
+        result.violations.append(
+            f"[shard-lost] {result.failed_shards} shard(s) ended with no "
+            f"primary")
+    return status
+
+
+# ---------------------------------------------------------------------------
+# cluster chaos: kill a whole shard mid-run
+# ---------------------------------------------------------------------------
+
+CLUSTER_KEYSPACE = 96
+CLUSTER_VALUE_SIZE = 48
+CLUSTER_HEARTBEAT = 0.005
+#: Fraction of the run at which one shard's primary node is killed
+#: (engine death + power loss on its device + connections dropped).
+#: The victim is the owner of a seeded key draw.
+KILL_AT = 0.5
+#: Acked writes aimed at the victim shard right before the kill.
+KILL_BURST = 8
+#: Asserted ceiling on observed ship→apply replication lag.
+MAX_LAG_BOUND = 0.25
+
+
+@dataclass
+class ClusterChaosConfig(ClusterRunConfig):
+    """Sizing of a cluster kill-whole-shard chaos run (CI defaults)."""
+
+    num_ops: int = 600
+
+    def header(self) -> str:
+        """The line a run of this config is announced with."""
+        return (f"cluster chaos: {self.topology()}, {self.num_ops} ops, "
+                f"kill at {KILL_AT:.0%} of the run, replication lag "
+                f"{self.replication_lag * 1000:g} ms")
+
+
+@dataclass
+class ClusterChaosResult(ClusterRunResult):
+    """Outcome of one cluster chaos run; the oracle check is *exact*.
+
+    Every request is scored: reads must return an
+    oracle-allowed value even while the killed shard fails over (they
+    park and retry on the promoted replica), and every acked write must
+    read back after the failover — the §6 clause "an acked write
+    survives single-shard failover".
+    """
+
+    writes_rejected: int = 0
+    max_replication_lag: float = 0.0
+    benchmark = "cluster-chaos"
+    verdict = "cluster chaos"
+
+    def _report_lines(self) -> List[str]:
+        return [
+            f"cluster[{self.engine} x{self.shards}]: {self.ops:5d} ops "
+            f"({self.reads} reads, {self.writes_acked} acked, "
+            f"{self.writes_rejected} rejected), "
+            f"killed shard {self.killed_shard}, "
+            f"{self.failovers} failovers, "
+            f"{self.wal_tail_records_replayed} WAL tail records replayed, "
+            f"max replication lag {self.max_replication_lag * 1000:.3f} ms, "
+            f"availability {self.availability:.6f}"]
 
 
 def cluster_chaos(config: Optional[ClusterChaosConfig] = None
@@ -370,95 +514,47 @@ def cluster_chaos(config: Optional[ClusterChaosConfig] = None
     acked write to read back and every read to see an allowed value —
     zero violations, not "mostly available".
     """
-    # Imported here: repro.cluster sits above the fault layer, and this
-    # keeps the module dependency graph acyclic for everything that
-    # imports transient chaos without a cluster.
-    from ..cluster import ClusterConfig, ClusterStore, ShardDownError
+    from ..cluster import ShardDownError
 
     config = config or ClusterChaosConfig()
-    spec = _system(config.engine)
-    env = Environment()
-    options = spec.options(config.scale).copy(
-        wal_sync=True, memtable_size=4096, block_cache_bytes=4096)
-    cluster = ClusterStore(
-        env, spec.engine_cls, options,
-        ClusterConfig(num_shards=config.num_shards,
-                      replicas_per_shard=config.replicas_per_shard,
-                      partitioner=config.partitioner,
-                      replication_lag=config.replication_lag,
-                      heartbeat_interval=config.heartbeat_interval,
-                      scale=config.scale,
-                      page_cache_bytes=16 << 10))
+    cluster = _stress_cluster(_system(config.engine), config,
+                              CLUSTER_HEARTBEAT)
     result = ClusterChaosResult(engine=config.engine,
                                 shards=config.num_shards)
 
     oracle = DurabilityOracle()
     rng = random.Random(config.seed)
-    kill_index = int(config.num_ops * config.kill_at)
+    kill_index = int(config.num_ops * KILL_AT)
     killed = False
-    burst_written = False
+    burst_acked = False
 
     for i in range(config.num_ops):
         if not killed and i >= kill_index:
-            if config.kill_shard is not None:
-                shard_id = config.kill_shard
-            else:
-                # Kill the owner of a seeded key draw: guaranteed to be
-                # a shard that actually serves traffic (under range
-                # partitioning some shards may own none of the
-                # keyspace).
-                shard_id = cluster.router.partitioner.shard_of(
-                    b"user%06d" % rng.randrange(config.keyspace))
+            # Kill the owner of a seeded key draw: guaranteed to be a
+            # shard that actually serves traffic (under range
+            # partitioning some shards may own none of the keyspace).
+            shard_id = cluster.router.partitioner.shard_of(
+                _key(rng.randrange(CLUSTER_KEYSPACE)))
             result.killed_shard = shard_id
-            victim = cluster.shards[shard_id]
-            # Acked burst straight into the victim, then kill with the
-            # records still in the replication backlog: the only copy a
-            # replica can recover them from is the dead node's WAL tail.
-            burst_keys = [k for k in
-                          (b"user%06d" % n for n in range(config.keyspace))
-                          if cluster.router.shard_for(k) is victim]
-            burst_written = bool(burst_keys[:config.kill_burst])
-            for j, key in enumerate(burst_keys[:config.kill_burst]):
-                value = b"burst%04d-" % j + b"x" * config.value_size
+            for key, value in _owned_writes(
+                    cluster, shard_id, CLUSTER_KEYSPACE, KILL_BURST,
+                    b"burst%04d-", CLUSTER_VALUE_SIZE):
                 oracle.begin(key, value)
                 cluster.put_sync(key, value)
                 oracle.acked(key, value)
                 result.writes_acked += 1
                 result.ops += 1
-            victim.kill_primary()
+                burst_acked = True
+            cluster.shards[shard_id].kill_primary()
             killed = True
 
-        result.ops += 1
-        key = b"user%06d" % rng.randrange(config.keyspace)
-        if rng.random() < 0.5:
-            value = b"v%08d-" % i + b"x" * config.value_size
-            oracle.begin(key, value)
-            try:
-                cluster.put_sync(key, value)
-            except (ReadOnlyError, ShardDownError) as exc:
-                result.writes_rejected += 1
-                result.violations.append(
-                    f"[write-rejected] op {i} key={key!r}: {exc!r}")
-                pending = oracle.pending.get(key)
-                if pending is not None:
-                    pending.remove(value)
-                    if not pending:
-                        del oracle.pending[key]
-            else:
-                result.writes_acked += 1
-                oracle.acked(key, value)
-        else:
-            result.reads += 1
-            try:
-                got = cluster.get_sync(key)
-            except Exception as exc:  # noqa: BLE001 - reads must not fail
-                result.violations.append(
-                    f"[read-failed] op {i} key={key!r}: {exc!r}")
-                continue
-            allowed = oracle.snapshot().allowed(key)
-            if got not in allowed:
-                result.violations.append(
-                    f"[stale-read] op {i} key={key!r}: got {got!r}")
+        refused = _mixed_op(cluster, oracle, rng, i, result,
+                            CLUSTER_KEYSPACE, CLUSTER_VALUE_SIZE,
+                            (ReadOnlyError, ShardDownError))
+        if refused is not None:
+            key, _value, exc = refused
+            result.violations.append(
+                f"[write-rejected] op {i} key={key!r}: {exc!r}")
 
     # Final exact check: every acked write must read back an allowed
     # value from the post-failover cluster, and no phantom keys appear.
@@ -468,33 +564,21 @@ def cluster_chaos(config: Optional[ClusterChaosConfig] = None
         if got not in state.allowed(key):
             result.violations.append(
                 f"[failover-durability] key={key!r}: read {got!r}")
-    for row_key, _row_value in cluster.scan_sync(b"", config.keyspace + 64):
+    for row_key, _row_value in cluster.scan_sync(b"", CLUSTER_KEYSPACE + 64):
         if row_key not in state.keys():
             result.violations.append(f"[phantom-key] {row_key!r}")
 
-    describe = cluster.describe()
-    result.failovers = describe["failovers"]
-    result.failed_shards = sum(
-        1 for s in cluster.shards if s.state == "failed")
-    result.wal_tail_records_replayed = describe["wal_tail_records_replayed"]
-    result.max_replication_lag = describe["max_replication_lag"]
+    status = _failover_verdict(cluster, result,
+                               burst_acked=killed and burst_acked)
+    result.max_replication_lag = status["max_replication_lag"]
     if killed and result.failovers < 1:
         result.violations.append(
             "[no-failover] primary killed but no replica was promoted")
-    if (killed and burst_written
-            and result.wal_tail_records_replayed < 1):
-        result.violations.append(
-            "[no-tail-replay] pre-kill burst was acked but failover "
-            "replayed no WAL tail records")
-    if result.failed_shards:
-        result.violations.append(
-            f"[shard-lost] {result.failed_shards} shard(s) ended with no "
-            f"primary")
-    if result.max_replication_lag > config.max_lag_bound:
+    if result.max_replication_lag > MAX_LAG_BOUND:
         result.violations.append(
             f"[lag-bound] observed replication lag "
             f"{result.max_replication_lag:.6f}s exceeds configured bound "
-            f"{config.max_lag_bound:.6f}s")
+            f"{MAX_LAG_BOUND:.6f}s")
     cluster.close_sync()
     return result
 
@@ -503,12 +587,42 @@ def cluster_chaos(config: Optional[ClusterChaosConfig] = None
 # nemesis chaos: partitions + fencing + kill, checked against the history
 # ---------------------------------------------------------------------------
 
+NEMESIS_CLIENTS = 4
+NEMESIS_KEYSPACE = 64
+NEMESIS_VALUE_SIZE = 32
+NEMESIS_HEARTBEAT = 0.004
+#: Consecutive probe misses before the failure detector promotes.
+GRACE_MISSES = 3
+#: Fabric fault intensities beside the configurable delay and loss (see
+#: :class:`repro.cluster.NetConfig`).
+NET_JITTER = 0.2
+NET_DUPLICATE = 0.02
+NET_REORDER = 0.0005
+#: Virtual time the partition begins, and how long it lasts.
+PARTITION_AT = 0.05
+PARTITION_DURATION = 0.2
+#: Replication links are cut this long before full isolation: the
+#: realistic staggered onset, and what guarantees in-flight writes
+#: are mid-ship (backing off) when the cut completes — they will be
+#: fenced at promotion no matter the device's micro-timing.
+PARTITION_ONSET = 0.004
+#: Virtual time a different shard's primary (a seeded pick) is killed
+#: outright.
+NEMESIS_KILL_AT = 0.4
+#: Acked writes aimed at the kill victim right before the kill, so
+#: WAL-tail salvage is provably exercised (as in cluster_chaos).
+NEMESIS_KILL_BURST = 4
+#: Mean think time between one client's operations.
+THINK_TIME = 0.0015
+#: Quiet period after the schedule before the final read-back.
+SETTLE = 0.1
+
 
 @dataclass
-class NemesisConfig:
+class NemesisConfig(ClusterRunConfig):
     """One seeded nemesis schedule over a fabric-backed cluster.
 
-    The schedule is: run concurrent seeded clients; at ``partition_at``
+    The schedule is: run concurrent seeded clients; at ``PARTITION_AT``
     cut the victim primary's replication links (in-flight writes start
     backing off), shortly after isolate it completely; the failure
     detector misses its grace window and promotes a replica **with an
@@ -519,83 +633,42 @@ class NemesisConfig:
     :func:`repro.faults.history.check_history`.
     """
 
-    engine: str = "bolt"
     num_shards: int = 3
-    replicas_per_shard: int = 1
-    partitioner: str = "hash"
-    num_clients: int = 4
-    ops_per_client: int = 150
-    keyspace: int = 64
-    value_size: int = 32
-    scale: int = 1024
     seed: int = 41
-    heartbeat_interval: float = 0.004
-    grace_misses: int = 3
-    replication_lag: float = 0.002
-    #: Fabric fault intensities (see :class:`repro.cluster.NetConfig`).
+    ops_per_client: int = 150
+    #: One-way fabric delay and per-message loss probability.
     net_delay: float = 0.0003
-    net_jitter: float = 0.2
     net_loss: float = 0.02
-    net_duplicate: float = 0.02
-    net_reorder: float = 0.0005
-    #: Virtual time the partition begins.
-    partition_at: float = 0.05
-    #: Replication links are cut this long before full isolation: the
-    #: realistic staggered onset, and what guarantees in-flight writes
-    #: are mid-ship (backing off) when the cut completes — they will be
-    #: fenced at promotion no matter the device's micro-timing.
-    partition_onset: float = 0.004
-    partition_duration: float = 0.2
-    #: Victim shard; None draws the owner of a seeded key.
+    #: Shard whose primary is partitioned; None draws the owner of a
+    #: seeded key.
     partition_shard: Optional[int] = None
-    #: Virtual time a different shard's primary is killed outright.
-    kill_at: float = 0.4
-    kill_shard: Optional[int] = None
-    #: Acked writes aimed at the kill victim right before the kill, so
-    #: WAL-tail salvage is provably exercised (as in cluster_chaos).
-    kill_burst: int = 4
-    #: Mean think time between one client's operations.
-    think_time: float = 0.0015
-    #: Quiet period after the schedule before the final read-back.
-    settle: float = 0.1
+
+    def header(self) -> str:
+        """The line a run of this config is announced with."""
+        return (f"nemesis: {self.topology()}, {NEMESIS_CLIENTS} clients x "
+                f"{self.ops_per_client} ops, net delay "
+                f"{self.net_delay * 1000:g} ms, loss {self.net_loss:g}, "
+                f"partition at {PARTITION_AT * 1000:g} ms for "
+                f"{PARTITION_DURATION * 1000:g} ms, kill at "
+                f"{NEMESIS_KILL_AT * 1000:g} ms")
 
 
 @dataclass
-class NemesisResult:
+class NemesisResult(ClusterRunResult):
     """Outcome of one nemesis run; checked against the history."""
 
-    engine: str
-    shards: int = 0
-    ops: int = 0
-    reads: int = 0
-    writes_acked: int = 0
     failed_ops: int = 0
     partitioned_shard: int = -1
-    killed_shard: int = -1
-    failovers: int = 0
     partition_promotions: int = 0
     fenced_writes: int = 0
     fenced_ships: int = 0
-    wal_tail_records_replayed: int = 0
-    failed_shards: int = 0
     history_ops: int = 0
     net: Dict[str, int] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
+    benchmark = "cluster-nemesis"
+    verdict = "nemesis"
 
-    @property
-    def availability(self) -> float:
-        """Fraction of client requests that completed successfully."""
-        served = self.reads + self.writes_acked
-        return served / self.ops if self.ops else 0.0
-
-    @property
-    def ok(self) -> bool:
-        """True when fencing engaged and the history checker is clean."""
-        return not self.violations
-
-    def summary_lines(self) -> List[str]:
-        """Human-readable summary (what ``dbbench --nemesis`` prints)."""
-        lines = [
+    def _report_lines(self) -> List[str]:
+        return [
             (f"nemesis[{self.engine} x{self.shards}]: {self.ops:5d} ops "
              f"({self.reads} reads, {self.writes_acked} acked, "
              f"{self.failed_ops} failed), "
@@ -618,10 +691,15 @@ class NemesisResult:
             (f"history: {self.history_ops} ops checked, "
              f"{len(self.violations)} violations"),
         ]
-        for violation in self.violations[:10]:
-            lines.append(f"    {violation}")
-        lines.append("nemesis: " + ("PASS" if self.ok else "FAIL"))
-        return lines
+
+    def rows(self) -> List[dict]:
+        """The shared row plus the fencing and history counters."""
+        rows = super().rows()
+        rows[0].update(partition_promotions=self.partition_promotions,
+                       fenced_writes=self.fenced_writes,
+                       fenced_ships=self.fenced_ships,
+                       history_ops=self.history_ops)
+        return rows
 
 
 def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
@@ -635,89 +713,63 @@ def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
     while availability stays 1.0 outside the detection+promotion
     window (parked ops complete; none fail).
     """
-    # Imported here: repro.cluster sits above the fault layer (see
-    # cluster_chaos for the same pattern).
-    from ..cluster import (ClusterConfig, ClusterStore, NetConfig,
-                           ShardDownError)
+    from ..cluster import NetConfig, ShardDownError
     from .history import HistoryRecorder, check_history
 
     config = config or NemesisConfig()
-    spec = _system(config.engine)
-    env = Environment()
-    options = spec.options(config.scale).copy(
-        wal_sync=True, memtable_size=4096, block_cache_bytes=4096)
-    net = NetConfig(delay=config.net_delay, jitter=config.net_jitter,
-                    loss=config.net_loss, duplicate=config.net_duplicate,
-                    reorder=config.net_reorder,
-                    seed=config.seed * 7919 + 13)
-    cluster = ClusterStore(
-        env, spec.engine_cls, options,
-        ClusterConfig(num_shards=config.num_shards,
-                      replicas_per_shard=config.replicas_per_shard,
-                      partitioner=config.partitioner,
-                      replication_lag=config.replication_lag,
-                      heartbeat_interval=config.heartbeat_interval,
-                      grace_misses=config.grace_misses,
-                      scale=config.scale,
-                      net=net,
-                      page_cache_bytes=16 << 10))
+    net = NetConfig(delay=config.net_delay, jitter=NET_JITTER,
+                    loss=config.net_loss, duplicate=NET_DUPLICATE,
+                    reorder=NET_REORDER, seed=config.seed * 7919 + 13)
+    cluster = _stress_cluster(_system(config.engine), config,
+                              NEMESIS_HEARTBEAT, grace_misses=GRACE_MISSES,
+                              net=net)
+    env = cluster.env
     result = NemesisResult(engine=config.engine, shards=config.num_shards)
     recorder = HistoryRecorder(env)
     written: set = set()
 
-    def do_write(client_id: int, key: bytes, value: bytes):
-        op = recorder.invoke(client_id, "w", key, value)
+    def perform(client_id: int, key: bytes, value: Optional[bytes] = None):
+        """One recorded client op: a write of ``value``, else a read."""
+        is_read = value is None
+        op = recorder.invoke(client_id, "r" if is_read else "w", key, value)
         result.ops += 1
+        got = None
         try:
-            yield from cluster.put(key, value)
+            if is_read:
+                got = yield from cluster.get(key)
+            else:
+                yield from cluster.put(key, value)
         except (ReadOnlyError, ShardDownError) as exc:
             recorder.fail(op, repr(exc))
             result.failed_ops += 1
-            return False
-        recorder.ok(op)
-        written.add(key)
-        result.writes_acked += 1
-        return True
-
-    def do_read(client_id: int, key: bytes):
-        op = recorder.invoke(client_id, "r", key)
-        result.ops += 1
-        try:
-            got = yield from cluster.get(key)
-        except (ReadOnlyError, ShardDownError) as exc:
-            recorder.fail(op, repr(exc))
-            result.failed_ops += 1
-            return None
+            return
         recorder.ok(op, got)
-        result.reads += 1
-        return got
+        if is_read:
+            result.reads += 1
+        else:
+            written.add(key)
+            result.writes_acked += 1
 
     def client(client_id: int):
         rng = random.Random(config.seed * 1009 + client_id)
         for j in range(config.ops_per_client):
-            yield env.timeout(config.think_time * (0.5 + rng.random()))
-            key = b"user%06d" % rng.randrange(config.keyspace)
+            yield env.timeout(THINK_TIME * (0.5 + rng.random()))
+            key = _key(rng.randrange(NEMESIS_KEYSPACE))
             if rng.random() < 0.5:
                 value = (b"c%02d-%05d-" % (client_id, j)
-                         + b"x" * config.value_size)
-                yield from do_write(client_id, key, value)
+                         + b"x" * NEMESIS_VALUE_SIZE)
+                yield from perform(client_id, key, value)
             else:
-                yield from do_read(client_id, key)
-
-    def shard_keys(shard_id: int, count: int) -> List[bytes]:
-        victim = cluster.shards[shard_id]
-        keys = [k for k in (b"user%06d" % n for n in range(config.keyspace))
-                if cluster.router.shard_for(k) is victim]
-        return keys[:count]
+                yield from perform(client_id, key)
 
     def nemesis():
         rng = random.Random(config.seed * 31 + 7)
-        yield env.timeout(config.partition_at)
+        yield env.timeout(PARTITION_AT)
         if config.partition_shard is not None:
             pshard = config.partition_shard
         else:
             pshard = cluster.router.partitioner.shard_of(
-                b"user%06d" % rng.randrange(config.keyspace))
+                _key(rng.randrange(NEMESIS_KEYSPACE)))
         result.partitioned_shard = pshard
         victim = cluster.shards[pshard].primary
         # Stage 1: the partition onset cuts the replication edges
@@ -727,54 +779,48 @@ def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
         cluster.fabric.partition(
             [victim.node_id],
             [r.node_id for r in cluster.shards[pshard].replicas])
-        for idx, key in enumerate(shard_keys(pshard, 4)):
-            value = b"inflight%02d-" % idx + b"x" * config.value_size
-            env.process(do_write(100 + idx, key, value),
+        for idx, (key, value) in enumerate(_owned_writes(
+                cluster, pshard, NEMESIS_KEYSPACE, 4, b"inflight%02d-",
+                NEMESIS_VALUE_SIZE)):
+            env.process(perform(100 + idx, key, value),
                         name=f"nemesis-inflight{idx}")
-        yield env.timeout(config.partition_onset)
+        yield env.timeout(PARTITION_ONSET)
         # Stage 2: full isolation — control plane included.  The
         # failure detector now misses its grace window and promotes.
         cluster.partition_primary(pshard)
-        yield env.timeout(config.partition_duration)
+        yield env.timeout(PARTITION_DURATION)
         cluster.heal_network()
         # Phase 2: kill a different shard's primary outright.
-        yield env.timeout(max(0.0, config.kill_at - env.now))
-        if config.kill_shard is not None:
-            kshard = config.kill_shard
-        else:
-            candidates = [s for s in range(config.num_shards) if s != pshard]
-            kshard = candidates[rng.randrange(len(candidates))]
+        yield env.timeout(max(0.0, NEMESIS_KILL_AT - env.now))
+        candidates = [s for s in range(config.num_shards) if s != pshard]
+        kshard = candidates[rng.randrange(len(candidates))]
         result.killed_shard = kshard
-        for idx, key in enumerate(shard_keys(kshard, config.kill_burst)):
-            value = b"killburst%02d-" % idx + b"x" * config.value_size
-            yield from do_write(200 + idx, key, value)
+        for idx, (key, value) in enumerate(_owned_writes(
+                cluster, kshard, NEMESIS_KEYSPACE, NEMESIS_KILL_BURST,
+                b"killburst%02d-", NEMESIS_VALUE_SIZE)):
+            yield from perform(200 + idx, key, value)
         cluster.shards[kshard].kill_primary()
 
     def drive():
         procs = [env.process(client(c), name=f"nemesis-client{c}")
-                 for c in range(config.num_clients)]
+                 for c in range(NEMESIS_CLIENTS)]
         procs.append(env.process(nemesis(), name="nemesis"))
         yield env.all_of(procs)
-        yield env.timeout(config.settle)
+        yield env.timeout(SETTLE)
         # Final read-back: every written key is read once more so lost
         # acked writes cannot hide from the history checker.
         for key in sorted(written):
-            yield from do_read(-1, key)
+            yield from perform(-1, key)
 
     env.run_until(env.process(drive(), name="nemesis-drive"))
 
-    describe = cluster.describe()
-    result.failovers = describe["failovers"]
-    result.partition_promotions = describe["partition_promotions"]
-    result.fenced_writes = describe["fenced_writes"]
-    result.fenced_ships = describe["fenced_ships"]
-    result.wal_tail_records_replayed = describe["wal_tail_records_replayed"]
-    result.failed_shards = sum(
-        1 for s in cluster.shards if s.state == "failed")
-    result.net = describe["net"]
-    result.history_ops = len(recorder.ops)
-
     result.violations.extend(check_history(recorder.ops))
+    status = _failover_verdict(cluster, result, burst_acked=True)
+    result.partition_promotions = status["partition_promotions"]
+    result.fenced_writes = status["fenced_writes"]
+    result.fenced_ships = status["fenced_ships"]
+    result.net = status["net"]
+    result.history_ops = len(recorder.ops)
     if result.partition_promotions < 1:
         result.violations.append(
             "[no-fenced-promotion] the partitioned primary was never "
@@ -787,14 +833,6 @@ def nemesis_chaos(config: Optional[NemesisConfig] = None) -> NemesisResult:
         result.violations.append(
             f"[missing-failover] expected >=2 failovers "
             f"(fence + kill), saw {result.failovers}")
-    if result.wal_tail_records_replayed < 1:
-        result.violations.append(
-            "[no-tail-replay] kill burst was acked but failover replayed "
-            "no WAL tail records")
-    if result.failed_shards:
-        result.violations.append(
-            f"[shard-lost] {result.failed_shards} shard(s) ended with no "
-            f"primary")
     if result.failed_ops:
         result.violations.append(
             f"[unavailable] {result.failed_ops} client ops failed — "

@@ -113,7 +113,7 @@ class ErrorManager:
         self.space_check = space_check
         self.on_pause = on_pause
         self.on_resume = on_resume
-        self._rng = random.Random(getattr(options, "seed", 0) ^ 0x5EEDBEEF)
+        self._rng = random.Random(options.seed ^ 0x5EEDBEEF)
 
         #: True while background work is suspended.
         self.paused = False

@@ -115,7 +115,7 @@ class Scrubber:
         engine = self.engine
         self.tables_checked += 1
         container = meta.container
-        tiering = getattr(engine, "tiering", None)
+        tiering = engine.tiering
         try:
             if (tiering is not None
                     and engine.versions.current.is_remote(container)

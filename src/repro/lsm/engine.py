@@ -226,6 +226,9 @@ class LSMEngine:
         self.versions = VersionSet(env, fs, options, dbname)
         self.table_cache = TableCache(fs, options)
         self.block_cache = BlockCache(options.block_cache_bytes)
+        #: Compaction-file descriptor cache (§3.1), installed by the
+        #: BoLT engines when ``options.enable_fd_cache``; None elsewhere.
+        self.fd_cache: Optional[Any] = None
 
         self._memtable = MemTable(seed=options.seed)
         self._imm: Optional[MemTable] = None
@@ -739,6 +742,26 @@ class LSMEngine:
         yield self._mutex.acquire()
 
     # -- snapshots ---------------------------------------------------------
+
+    def admission_state(self, key: Optional[bytes] = None) -> str:
+        """The admission state machine's current node (docs/SERVING.md).
+
+        ``read_only``  — health degradation: writes fail fast, typed.
+        ``shed_writes`` — the engine sits at the L0Stop governor; under
+        ``POLICY_REJECT`` new writes are shed before they queue.
+        ``open``       — normal admission (queue-full policy applies).
+
+        ``key`` is ignored — one engine has one state; it is accepted so
+        engines and per-key backends (the cluster store) answer the
+        serving layer through the same call.
+        """
+        if self.health.read_only:
+            return "read_only"
+        options = self.options
+        if (options.enable_l0_stop
+                and self.versions.l0_unit_count() >= options.l0_stop_trigger):
+            return "shed_writes"
+        return "open"
 
     def snapshot(self) -> "Snapshot":
         """Pin the current state for repeatable reads.

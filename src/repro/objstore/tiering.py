@@ -158,9 +158,8 @@ class TieringPolicy:
                     engine.versions.current.live_numbers().items()):
                 if meta.container == container:
                     engine.table_cache.evict(number)
-            fd_cache = getattr(engine, "fd_cache", None)
-            if fd_cache is not None:
-                yield from fd_cache.evict(container)
+            if engine.fd_cache is not None:
+                yield from engine.fd_cache.evict(container)
             if engine.fs.exists(container):
                 try:
                     yield from engine.fs.unlink(container)
@@ -264,7 +263,7 @@ def attach_tiering(engine: Any) -> TieringPolicy:
     through the LSST cache.
     """
     options = engine.options
-    store = getattr(engine.fs, "remote", None)
+    store = engine.fs.remote
     if store is None:
         store = ObjectStore(
             engine.env,

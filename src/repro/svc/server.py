@@ -177,26 +177,11 @@ class Server:
     def admission_state(self, key: Any = None) -> str:
         """The admission state machine's current node (docs diagram).
 
-        ``read_only``  — health degradation: writes fail fast, typed.
-        ``shed_writes`` — the engine sits at the L0Stop governor; under
-        ``POLICY_REJECT`` new writes are shed before they queue.
-        ``open``       — normal admission (queue-full policy applies).
-
-        A backend that defines its own ``admission_state`` (the cluster
-        store: admission is per *shard*, so per key) is delegated to;
-        the engine fallback below ignores ``key`` — one engine has one
-        state.
+        The backend answers: one engine has one state
+        (:meth:`repro.lsm.LSMEngine.admission_state`), the cluster store
+        admits per *shard*, so per key.
         """
-        backend_state = getattr(self.db, "admission_state", None)
-        if backend_state is not None:
-            return backend_state(key)
-        if self.db.health.read_only:
-            return "read_only"
-        options = self.db.options
-        if (options.enable_l0_stop
-                and self.db.versions.l0_unit_count() >= options.l0_stop_trigger):
-            return "shed_writes"
-        return "open"
+        return self.db.admission_state(key)
 
     def _resolved(self, request: Request, status: str,
                   error: str = "") -> Event:

@@ -17,26 +17,49 @@ Benchmarks, as in the original tool:
 * ``deleterandom`` random deletes
 * ``compact``      force a full quiesce (flush + drain compactions)
 * ``stats``        print the engine/fs/device counters
+
+The mode switches (``--server``, ``--cluster``, ``--chaos``, ...) run
+something else instead; :data:`MODES` lists what selects each mode, the
+flags it reads (any other flag set is an error) and what runs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
-from typing import Any, Generator, List, Optional
+from typing import (Any, Callable, Generator, List, NamedTuple, Optional,
+                    Tuple)
 
-from ..bench import BenchConfig, SYSTEMS, new_stack, unified_snapshot
+from ..bench import (BenchConfig, SYSTEMS, new_stack, open_engine,
+                     unified_snapshot)
 from ..bench.histogram import LatencyHistogram
 from ..bench.metrics import LatencyRecorder
+from ..faults import (ChaosConfig, ClusterChaosConfig, NemesisConfig,
+                      SweepConfig, chaos_sweep, cluster_chaos, crash_sweep,
+                      nemesis_chaos)
+from ..faults.transient import NEMESIS_CLIENTS
+from ..cluster import ClusterConfig, ClusterStore
 from ..obs import Tracer, phase_summary, write_chrome_trace
-from ..sim import Event
+from ..sim import Environment, Event
+from ..svc import POLICY_REJECT, Server
+from ..svc.loadgen import run_open_loop
+from ..ycsb.distributions import build_key
+from ..ycsb.workload import WORKLOADS
 
-__all__ = ["main", "run_benchmarks", "run_crash_sweep", "run_chaos",
-           "run_cluster_bench", "run_cluster_chaos", "run_cluster_nemesis",
-           "run_tier_report"]
+__all__ = ["main", "run_benchmarks"]
 
 BENCHMARKS = ("fillseq", "fillrandom", "overwrite", "readrandom",
               "readmissing", "readseq", "deleterandom", "compact", "stats")
+
+# The serving shape of --server / --cluster: parameters of svc.Server
+# and svc.loadgen.run_open_loop that the CLI pins rather than exposes.
+#: Server worker slots and admission queue depth.
+WORKERS = 4
+QUEUE_DEPTH = 64
+#: Queue-full policy: shed with a typed rejection, don't block.
+ADMISSION = POLICY_REJECT
+#: Arrival process of the open-loop clients.
+ARRIVAL = "poisson"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -89,17 +112,11 @@ def _parser() -> argparse.ArgumentParser:
                              "non-zero on any durability violation")
     parser.add_argument("--chaos", action="store_true",
                         help="instead of benchmarking, run the transient-"
-                             "fault chaos schedule (EIO at --fault-rate plus "
-                             "one disk-full episode) for every engine family "
+                             "fault chaos schedule (transient EIO plus one "
+                             "disk-full episode) for every engine family "
                              "and exit non-zero if any store drops a read, "
                              "loses an acked write, or fails to re-enter the "
                              "healthy state")
-    parser.add_argument("--fault-rate", type=float, default=0.05,
-                        help="per-request transient-EIO probability for "
-                             "--chaos (default 0.05)")
-    parser.add_argument("--disk-full-at", type=float, default=0.5,
-                        help="fraction of the --chaos run at which the disk "
-                             "fills (0 disables the episode; default 0.5)")
     parser.add_argument("--server", action="store_true",
                         help="instead of the closed-loop benchmarks, run the "
                              "repro.svc serving layer: preload --num records, "
@@ -109,27 +126,10 @@ def _parser() -> argparse.ArgumentParser:
                              "counters")
     parser.add_argument("--clients", type=int, default=2,
                         help="open-loop clients for --server (default 2)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="server worker slots for --server (default 4)")
     parser.add_argument("--arrival-rate", type=float, default=2000.0,
                         help="per-client intended arrivals/sec (default 2000)")
-    parser.add_argument("--arrival", default="poisson",
-                        choices=("poisson", "bursty"),
-                        help="arrival process for --server (default poisson)")
-    parser.add_argument("--burst", type=float, default=0.01,
-                        help="bursty mode: on-window seconds (default 0.01)")
-    parser.add_argument("--idle", type=float, default=0.04,
-                        help="bursty mode: off-window seconds (default 0.04)")
-    parser.add_argument("--queue-depth", type=int, default=64,
-                        help="server admission queue depth (default 64)")
-    parser.add_argument("--admission", default="reject",
-                        choices=("reject", "block"),
-                        help="queue-full policy for --server (default reject)")
     parser.add_argument("--workload", default="a",
                         help="YCSB workload for --server (default a)")
-    parser.add_argument("--no-wal-sync", action="store_true",
-                        help="--server: skip the per-group WAL barrier "
-                             "(records still merge)")
     parser.add_argument("--cluster", action="store_true",
                         help="run against a repro.cluster sharded store "
                              "(N primaries, each with replicas and WAL "
@@ -143,9 +143,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--replication-lag", type=float, default=0.002,
                         help="--cluster: ship->apply delay per WAL record "
                              "in seconds (default 0.002)")
-    parser.add_argument("--partitioner", default="hash",
-                        choices=("hash", "range"),
-                        help="--cluster: key partitioning (default hash)")
     parser.add_argument("--nemesis", action="store_true",
                         help="--cluster: run the network nemesis schedule "
                              "(partition a primary over the simulated "
@@ -158,305 +155,145 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="SHARD",
                         help="--nemesis: shard whose primary gets "
                              "partitioned (default: seeded pick)")
-    parser.add_argument("--net-loss", type=float, default=None,
+    parser.add_argument("--net-loss", type=float,
+                        default=NemesisConfig.net_loss,
                         help="--nemesis: per-message loss probability on "
                              "the fabric (default 0.02)")
-    parser.add_argument("--net-delay", type=float, default=None,
+    parser.add_argument("--net-delay", type=float,
+                        default=NemesisConfig.net_delay,
                         help="--nemesis: one-way fabric delay in seconds "
                              "(default 0.0003)")
     return parser
 
 
-def _tiered_options(options: Any, args: argparse.Namespace,
-                    cache_mb: Optional[float] = None) -> Any:
-    """Turn on tiered object storage with the CLI's remote knobs.
-
-    ``--cache-mb`` is an *actual* byte budget, not a pre-scale one:
-    the cache holds demoted data bytes, and data does not shrink with
-    ``--scale`` the way structure sizes do.
-    """
-    if not getattr(options, "use_compaction_file", False):
-        raise SystemExit(
-            f"--tiered demotes whole compaction files; engine "
-            f"{args.engine!r} does not write them (pick a "
-            f"compaction-file engine such as bolt)")
-    budget = args.cache_mb if cache_mb is None else cache_mb
-    return options.copy(
-        tiering_enabled=True, tier_cold_level=1,
-        tier_cache_bytes=max(1, int(budget * (1 << 20))),
-        tier_remote_latency=args.remote_latency,
-        tier_remote_bandwidth=args.remote_bandwidth)
+Out = Callable[[str], None]
 
 
-def _print_tier_stats(tiering: Any, out) -> dict:
-    """Print the tier section after a tiered run; returns the snapshot."""
-    snap = tiering.snapshot()
-    out(f"tier demotions:   {snap['demotions']} "
-        f"({snap['demoted_bytes']} bytes), releases {snap['releases']}, "
-        f"remote containers {snap['remote_containers']}")
-    out(f"tier cache:       hit rate {snap['cache_hit_rate']:.4f} "
-        f"({snap['cache_hits']} hits / {snap['cache_misses']} misses), "
-        f"{snap['cache_evictions']} evictions, "
-        f"miss p999 {snap['cache_miss_p999_ms']:.3f} ms")
-    out(f"tier remote:      {snap['remote_gets']} GETs / "
-        f"{snap['remote_puts']} PUTs, {snap['remote_bytes_out']} bytes "
-        f"fetched, ${snap['remote_dollars_spent']:.9f} spent "
-        f"(${snap['dollars_per_gb']:.6f}/GB)")
-    return snap
-
-
-def run_chaos(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--chaos``: transient-fault runs across all engines."""
-    from ..faults import ChaosConfig, chaos_sweep
-    config = ChaosConfig(num_ops=min(args.num, 600), seed=args.seed,
-                         fault_rate=args.fault_rate,
-                         disk_full_at=args.disk_full_at)
-    out(f"chaos: engines {', '.join(config.engines)}, {config.num_ops} ops, "
-        f"EIO rate {config.fault_rate}, disk full at "
-        f"{config.disk_full_at:.0%} of the run")
-    report = chaos_sweep(config)
-    for line in report.summary_lines():
-        out(line)
-    rows = [{"benchmark": "chaos", "engine": r.engine, "ops": r.ops,
-             "rejected": r.writes_rejected, "eio_retries": r.eio_retries,
-             "resumes": r.resume_attempts,
-             "violations": len(r.violations)} for r in report.results]
-    if not report.ok:
-        raise SystemExit(1)
-    return rows
-
-
-def run_crash_sweep(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--crash-sweep``: sweep crash points for one engine."""
-    from ..faults import SweepConfig, crash_sweep
-    tiered = getattr(args, "tiered", False)
-    config = SweepConfig(engines=(args.engine,),
-                         num_ops=min(args.num, 400), seed=args.seed,
-                         tiered=tiered)
-    out(f"crash sweep: engine {args.engine}, {config.num_ops} ops, "
-        f"models {', '.join(m.name for m in config.plan.models)}"
-        + (", tiered object storage on" if tiered else ""))
-    report = crash_sweep(config)
-    for line in report.summary_lines():
-        out(line)
-    rows = [{"benchmark": "crash-sweep", "engine": r.engine,
-             "images": r.images, "checks": r.checks,
-             "violations": len(r.violations)} for r in report.results]
-    if not report.ok:
-        raise SystemExit(1)
-    return rows
-
-
-def run_server_bench(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--server``: open-loop clients against the serving layer.
-
-    Preloads ``--num`` records, then splits ``--num`` requests of the
-    chosen workload across ``--clients`` open-loop clients.  Output is a
-    pure function of the arguments (virtual clock + seeded RNGs), so CI
-    can diff two runs byte-for-byte.
-    """
-    from ..svc import Server
-    from ..svc.loadgen import run_open_loop
-    from ..ycsb.distributions import build_key
-    from ..ycsb.workload import WORKLOADS
-    spec = WORKLOADS.get(args.workload)
-    if spec is None or spec.is_load:
-        raise SystemExit(f"unknown --workload {args.workload!r} "
-                         f"(choose a run phase: a, b, c, d, e, f)")
+def _open_stack(args: argparse.Namespace, options: Any,
+                tracer: Optional[Tracer] = None, sanitize: bool = False):
+    """One machine sized for ``args`` with ``--engine`` open on it."""
     config = BenchConfig(scale=args.scale, record_count=args.num,
                          value_size=args.value_size, seed=args.seed)
-    sanitize = getattr(args, "sanitize", False)
-    stack = new_stack(config, sanitize=sanitize)
-    system = SYSTEMS[args.engine]
-    options = system.options(config.scale).copy(
-        wal_sync=not args.no_wal_sync)
-    db = system.engine_cls.open_sync(stack.env, stack.fs, options, "db")
-    value = b"p" * args.value_size
-    for i in range(args.num):
-        db.put_sync(build_key(i), value)
-    server = Server(stack.env, db, num_workers=args.workers,
-                    queue_depth=args.queue_depth, policy=args.admission)
-    per_client = max(1, args.num // args.clients)
-    out(f"server: engine {system.label}, workload {args.workload}, "
-        f"{args.clients} clients x {per_client} requests, "
-        f"{args.arrival} arrivals at {args.arrival_rate:g}/s/client, "
-        f"{args.workers} workers, queue {args.queue_depth} "
-        f"({args.admission}), wal_sync={not args.no_wal_sync}")
-    report = run_open_loop(
-        stack.env, server, spec, num_clients=args.clients,
-        requests_per_client=per_client, rate=args.arrival_rate,
-        record_count=args.num, value_size=args.value_size, seed=args.seed,
-        arrival=args.arrival, burst_seconds=args.burst,
-        idle_seconds=args.idle)
-    server.close_sync()
-    rows: List[dict] = []
-    for summary in report.summary_rows():
-        row = {
-            "benchmark": "server",
-            "client": summary["client"],
-            "requests": summary["submitted"],
-            "ok": summary["ok"],
-            "rejected": summary["rejected"],
-            "read_only": summary["read_only"],
-            "p50_ms": round(summary["p50"] * 1e3, 4),
-            "p99_ms": round(summary["p99"] * 1e3, 4),
-            "p999_ms": round(summary["p999"] * 1e3, 4),
-        }
-        rows.append(row)
-        out(f"client {row['client']}: {row['requests']:5d} requests, "
-            f"{row['ok']:5d} ok, {row['rejected']:4d} rejected, "
-            f"{row['read_only']:3d} read-only; p50 {row['p50_ms']} ms, "
-            f"p99 {row['p99_ms']} ms, p999 {row['p999_ms']} ms")
-    totals = report.totals()
-    stats = db.stats
-    out(f"totals: {totals['ok']}/{totals['submitted']} ok; merged "
-        f"p99 {round(totals['p99'] * 1e3, 4)} ms, "
-        f"p999 {round(totals['p999'] * 1e3, 4)} ms")
-    out(f"group_commits: {stats.group_commits}  "
-        f"grouped_writes: {stats.grouped_writes}")
-    out(f"barriers_saved: {stats.barriers_saved}")
-    out(f"peak queue depth: {server.stats.peak_queue_depth}  "
-        f"shed writes: {server.stats.shed_writes}")
-    rows.append({"benchmark": "server-totals",
-                 "ok": totals["ok"], "submitted": totals["submitted"],
-                 "group_commits": stats.group_commits,
-                 "grouped_writes": stats.grouped_writes,
-                 "barriers_saved": stats.barriers_saved})
-    db.close_sync()
-    if sanitize:
-        reports = stack.env.sanitizer.reports
-        if reports:
-            for report in reports:
-                out(f"sanitizer: {report.render()}")
+    stack = new_stack(config, tracer=tracer, sanitize=sanitize)
+    return stack, open_engine(stack, SYSTEMS[args.engine], config, options)
+
+
+def _sanitizer_epilogue(env: Environment, out: Out) -> None:
+    """Print the ``--sanitize`` verdict; exit 1 on any report."""
+    reports = env.sanitizer.reports
+    if reports:
+        for report in reports:
+            out(f"sanitizer: {report.render()}")
+        raise SystemExit(1)
+    out("sanitizer: clean (no lock-order cycles, no data races)")
+
+
+# -- the repro.faults harnesses: config -> run -> result ------------------
+
+
+def _harness(build: Callable[[argparse.Namespace], Tuple[Any, Callable]]):
+    """Adapt a :mod:`repro.faults` harness to a mode: ``build(args)``
+    gives its config and run function; exit 1 unless the result is ok."""
+    def run(args: argparse.Namespace, out: Out) -> List[dict]:
+        config, harness = build(args)
+        out(config.header())
+        result = harness(config)
+        for line in result.summary_lines():
+            out(line)
+        rows = result.rows()
+        if not result.ok:
             raise SystemExit(1)
-        out("sanitizer: clean (no lock-order cycles, no data races)")
-    return rows
+        return rows
+    return run
 
 
-def run_cluster_chaos(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--cluster --chaos``: kill-whole-shard availability run."""
-    from ..faults import ClusterChaosConfig, cluster_chaos
-    config = ClusterChaosConfig(
+def _crash_sweep(args: argparse.Namespace):
+    """``--crash-sweep``: sweep crash points for one engine."""
+    return SweepConfig(engines=(args.engine,), num_ops=min(args.num, 400),
+                       seed=args.seed, tiered=args.tiered), crash_sweep
+
+
+def _chaos(args: argparse.Namespace):
+    """``--chaos``: transient-fault runs across all engine families."""
+    return ChaosConfig(num_ops=min(args.num, 600), seed=args.seed), chaos_sweep
+
+
+def _cluster_chaos(args: argparse.Namespace):
+    """``--cluster --chaos``: kill-whole-shard availability run."""
+    return ClusterChaosConfig(
         engine=args.engine, num_shards=args.shards,
-        replicas_per_shard=args.replicas, partitioner=args.partitioner,
-        num_ops=min(args.num, 600), seed=args.seed,
-        replication_lag=args.replication_lag)
-    out(f"cluster chaos: engine {args.engine}, {config.num_shards} shards "
-        f"x {config.replicas_per_shard} replicas ({config.partitioner}), "
-        f"{config.num_ops} ops, kill at {config.kill_at:.0%} of the run, "
-        f"replication lag {config.replication_lag * 1000:g} ms")
-    result = cluster_chaos(config)
-    for line in result.summary_lines():
-        out(line)
-    rows = [{"benchmark": "cluster-chaos", "engine": result.engine,
-             "shards": result.shards, "ops": result.ops,
-             "availability": round(result.availability, 6),
-             "failovers": result.failovers,
-             "wal_tail_records_replayed": result.wal_tail_records_replayed,
-             "violations": len(result.violations)}]
-    if not result.ok:
-        raise SystemExit(1)
-    return rows
+        replicas_per_shard=args.replicas, num_ops=min(args.num, 600),
+        seed=args.seed, replication_lag=args.replication_lag), cluster_chaos
 
 
-def run_cluster_nemesis(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--cluster --nemesis``: partition/fence/heal/kill run."""
-    from ..faults import NemesisConfig, nemesis_chaos
-    defaults = NemesisConfig()
-    config = NemesisConfig(
+def _nemesis(args: argparse.Namespace):
+    """``--cluster --nemesis``: partition/fence/heal/kill run."""
+    return NemesisConfig(
         engine=args.engine, num_shards=args.shards,
-        replicas_per_shard=args.replicas, partitioner=args.partitioner,
-        ops_per_client=max(10, min(args.num, 600) // defaults.num_clients),
-        seed=args.seed,
-        replication_lag=args.replication_lag,
-        partition_shard=args.partition,
-        net_loss=(defaults.net_loss if args.net_loss is None
-                  else args.net_loss),
-        net_delay=(defaults.net_delay if args.net_delay is None
-                   else args.net_delay))
-    out(f"nemesis: engine {args.engine}, {config.num_shards} shards x "
-        f"{config.replicas_per_shard} replicas ({config.partitioner}), "
-        f"{config.num_clients} clients x {config.ops_per_client} ops, "
-        f"net delay {config.net_delay * 1000:g} ms, "
-        f"loss {config.net_loss:g}, partition at "
-        f"{config.partition_at * 1000:g} ms for "
-        f"{config.partition_duration * 1000:g} ms, kill at "
-        f"{config.kill_at * 1000:g} ms")
-    result = nemesis_chaos(config)
-    for line in result.summary_lines():
-        out(line)
-    rows = [{"benchmark": "cluster-nemesis", "engine": result.engine,
-             "shards": result.shards, "ops": result.ops,
-             "availability": round(result.availability, 6),
-             "failovers": result.failovers,
-             "partition_promotions": result.partition_promotions,
-             "fenced_writes": result.fenced_writes,
-             "fenced_ships": result.fenced_ships,
-             "wal_tail_records_replayed": result.wal_tail_records_replayed,
-             "history_ops": result.history_ops,
-             "violations": len(result.violations)}]
-    if not result.ok:
-        raise SystemExit(1)
-    return rows
+        replicas_per_shard=args.replicas,
+        ops_per_client=max(10, min(args.num, 600) // NEMESIS_CLIENTS),
+        seed=args.seed, replication_lag=args.replication_lag,
+        partition_shard=args.partition, net_loss=args.net_loss,
+        net_delay=args.net_delay), nemesis_chaos
 
 
-def run_cluster_bench(args: argparse.Namespace, out=print) -> List[dict]:
-    """Handle ``--cluster``: open-loop clients against a sharded store.
+# -- serving: open-loop clients against one engine or a cluster -----------
 
-    Builds an N-shard :class:`~repro.cluster.ClusterStore` (every node a
-    complete simulated machine), preloads ``--num`` records through the
-    router, then fronts the cluster with the same :class:`repro.svc`
-    server + open-loop loadgen used for one engine — the backend swap is
-    invisible to the clients.  Output is deterministic for fixed
-    arguments, so CI diffs two runs byte-for-byte.
+
+def _run_serving(args: argparse.Namespace, out: Out) -> List[dict]:
+    """Handle ``--server`` and ``--cluster``: open-loop serving run.
+
+    Builds the backend — one engine, or an N-shard
+    :class:`~repro.cluster.ClusterStore` (every node a complete simulated
+    machine) — preloads ``--num`` records, then splits ``--num`` requests
+    of the chosen workload across ``--clients`` open-loop clients behind
+    a :class:`repro.svc.Server`; the backend swap is invisible to them.
+    Output is a pure function of the arguments (virtual clock + seeded
+    RNGs), so CI can diff two runs byte-for-byte.
     """
-    from ..cluster import ClusterConfig, ClusterStore
-    from ..sim import Environment
-    from ..svc import Server
-    from ..svc.loadgen import run_open_loop
-    from ..ycsb.distributions import build_key
-    from ..ycsb.workload import WORKLOADS
-    if args.no_wal_sync:
-        raise SystemExit("--cluster requires the WAL barrier; the acked-"
-                         "write-survives-failover contract needs wal_sync "
-                         "(drop --no-wal-sync)")
     spec = WORKLOADS.get(args.workload)
     if spec is None or spec.is_load:
         raise SystemExit(f"unknown --workload {args.workload!r} "
                          f"(choose a run phase: a, b, c, d, e, f)")
-    sanitize = getattr(args, "sanitize", False)
-    env = Environment(sanitize=sanitize)
     system = SYSTEMS[args.engine]
+    # The per-group WAL barrier is what the serving numbers measure, and
+    # the cluster's acked-write-survives-failover contract needs it.
     options = system.options(args.scale).copy(wal_sync=True)
-    config = ClusterConfig(
-        num_shards=args.shards, replicas_per_shard=args.replicas,
-        partitioner=args.partitioner, replication_lag=args.replication_lag,
-        scale=args.scale)
-    cluster = ClusterStore(env, system.engine_cls, options, config)
+    if args.cluster:
+        mode, stack, suffix = "cluster", None, ""
+        env = Environment(sanitize=args.sanitize)
+        config = ClusterConfig(
+            num_shards=args.shards, replicas_per_shard=args.replicas,
+            replication_lag=args.replication_lag, scale=args.scale)
+        backend = ClusterStore(env, system.engine_cls, options, config)
+        topology = (f"{args.shards} shards x {args.replicas} replicas "
+                    f"({config.partitioner}), replication lag "
+                    f"{args.replication_lag * 1000:g} ms, ")
+    else:
+        mode, topology, suffix = "server", "", ", wal_sync=True"
+        stack, backend = _open_stack(args, options, sanitize=args.sanitize)
+        env = stack.env
     value = b"p" * args.value_size
     for i in range(args.num):
-        cluster.put_sync(build_key(i), value)
-    server = Server(env, cluster, num_workers=args.workers,
-                    queue_depth=args.queue_depth, policy=args.admission)
+        backend.put_sync(build_key(i), value)
+    server = Server(env, backend, num_workers=WORKERS,
+                    queue_depth=QUEUE_DEPTH, policy=ADMISSION)
     per_client = max(1, args.num // args.clients)
-    out(f"cluster: engine {system.label}, {args.shards} shards x "
-        f"{args.replicas} replicas ({args.partitioner}), replication lag "
-        f"{args.replication_lag * 1000:g} ms, workload {args.workload}, "
+    out(f"{mode}: engine {system.label}, {topology}"
+        f"workload {args.workload}, "
         f"{args.clients} clients x {per_client} requests, "
-        f"{args.arrival} arrivals at {args.arrival_rate:g}/s/client, "
-        f"{args.workers} workers, queue {args.queue_depth} "
-        f"({args.admission})")
+        f"{ARRIVAL} arrivals at {args.arrival_rate:g}/s/client, "
+        f"{WORKERS} workers, queue {QUEUE_DEPTH} ({ADMISSION}){suffix}")
     report = run_open_loop(
         env, server, spec, num_clients=args.clients,
         requests_per_client=per_client, rate=args.arrival_rate,
         record_count=args.num, value_size=args.value_size, seed=args.seed,
-        arrival=args.arrival, burst_seconds=args.burst,
-        idle_seconds=args.idle)
+        arrival=ARRIVAL)
     server.close_sync()
     rows: List[dict] = []
     for summary in report.summary_rows():
         row = {
-            "benchmark": "cluster",
+            "benchmark": mode,
             "client": summary["client"],
             "requests": summary["submitted"],
             "ok": summary["ok"],
@@ -472,14 +309,33 @@ def run_cluster_bench(args: argparse.Namespace, out=print) -> List[dict]:
             f"{row['read_only']:3d} read-only; p50 {row['p50_ms']} ms, "
             f"p99 {row['p99_ms']} ms, p999 {row['p999_ms']} ms")
     totals = report.totals()
-    snap = unified_snapshot(None, db=cluster, server=server)
+    snap = unified_snapshot(stack, db=backend, server=server)
+    engine = snap["engine"]
     out(f"totals: {totals['ok']}/{totals['submitted']} ok; merged "
         f"p99 {round(totals['p99'] * 1e3, 4)} ms, "
         f"p999 {round(totals['p999'] * 1e3, 4)} ms")
-    engine = snap["engine"]
-    out(f"group_commits: {engine['group_commits']:.0f}  "
-        f"grouped_writes: {engine['grouped_writes']:.0f}  "
-        f"barriers_saved: {engine['barriers_saved']:.0f}")
+    out(f"group_commits: {engine['group_commits']}  "
+        f"grouped_writes: {engine['grouped_writes']}")
+    out(f"barriers_saved: {engine['barriers_saved']}")
+    out(f"peak queue depth: {snap['svc']['peak_queue_depth']}  "
+        f"shed writes: {snap['svc']['shed_writes']}")
+    totals_row = {"benchmark": f"{mode}-totals",
+                  "ok": totals["ok"], "submitted": totals["submitted"],
+                  "group_commits": engine["group_commits"]}
+    if args.cluster:
+        totals_row.update(_print_cluster_sections(snap, backend, out))
+    else:
+        totals_row.update(grouped_writes=engine["grouped_writes"],
+                          barriers_saved=engine["barriers_saved"])
+    rows.append(totals_row)
+    backend.close_sync()
+    if args.sanitize:
+        _sanitizer_epilogue(env, out)
+    return rows
+
+
+def _print_cluster_sections(snap: dict, cluster: Any, out: Out) -> dict:
+    """The cluster-only lines of a serving run; returns their row keys."""
     replication = snap["replication"]
     out(f"replication: {replication['records_applied']:.0f} records "
         f"applied on {replication['replicas']:.0f} replicas, max lag "
@@ -499,24 +355,53 @@ def run_cluster_bench(args: argparse.Namespace, out=print) -> List[dict]:
             f"{','.join(status['replicas']) or '-'}, "
             f"{status['records_applied']} records applied, max lag "
             f"{status['replication_max_lag'] * 1000:.3f} ms")
-    rows.append({"benchmark": "cluster-totals",
-                 "ok": totals["ok"], "submitted": totals["submitted"],
-                 "group_commits": engine["group_commits"],
-                 "records_applied": replication["records_applied"],
-                 "max_lag_ms": round(replication["max_lag"] * 1e3, 4),
-                 "failovers": replication["failovers"]})
-    cluster.close_sync()
-    if sanitize:
-        reports = env.sanitizer.reports
-        if reports:
-            for report in reports:
-                out(f"sanitizer: {report.render()}")
-            raise SystemExit(1)
-        out("sanitizer: clean (no lock-order cycles, no data races)")
-    return rows
+    return {"records_applied": replication["records_applied"],
+            "max_lag_ms": round(replication["max_lag"] * 1e3, 4),
+            "failovers": replication["failovers"]}
 
 
-def run_tier_report(args: argparse.Namespace, out=print) -> List[dict]:
+# -- tiered object storage -------------------------------------------------
+
+
+def _tiered_options(options: Any, args: argparse.Namespace,
+                    cache_mb: Optional[float] = None) -> Any:
+    """Turn on tiered object storage with the CLI's remote knobs.
+
+    ``--cache-mb`` is an *actual* byte budget, not a pre-scale one:
+    the cache holds demoted data bytes, and data does not shrink with
+    ``--scale`` the way structure sizes do.
+    """
+    if not options.use_compaction_file:
+        raise SystemExit(
+            f"--tiered demotes whole compaction files; engine "
+            f"{args.engine!r} does not write them (pick a "
+            f"compaction-file engine such as bolt)")
+    budget = args.cache_mb if cache_mb is None else cache_mb
+    return options.copy(
+        tiering_enabled=True, tier_cold_level=1,
+        tier_cache_bytes=max(1, int(budget * (1 << 20))),
+        tier_remote_latency=args.remote_latency,
+        tier_remote_bandwidth=args.remote_bandwidth)
+
+
+def _print_tier_stats(tiering: Any, out: Out) -> dict:
+    """Print the tier section after a tiered run; returns the snapshot."""
+    snap = tiering.snapshot()
+    out(f"tier demotions:   {snap['demotions']} "
+        f"({snap['demoted_bytes']} bytes), releases {snap['releases']}, "
+        f"remote containers {snap['remote_containers']}")
+    out(f"tier cache:       hit rate {snap['cache_hit_rate']:.4f} "
+        f"({snap['cache_hits']} hits / {snap['cache_misses']} misses), "
+        f"{snap['cache_evictions']} evictions, "
+        f"miss p999 {snap['cache_miss_p999_ms']:.3f} ms")
+    out(f"tier remote:      {snap['remote_gets']} GETs / "
+        f"{snap['remote_puts']} PUTs, {snap['remote_bytes_out']} bytes "
+        f"fetched, ${snap['remote_dollars_spent']:.9f} spent "
+        f"(${snap['dollars_per_gb']:.6f}/GB)")
+    return snap
+
+
+def _run_tier_report(args: argparse.Namespace, out: Out) -> List[dict]:
     """Handle ``--tier-report``: the $/GB vs read-p99 trade-off frontier.
 
     Runs the same fill + quiesce + random-read workload at three LSST
@@ -536,12 +421,8 @@ def run_tier_report(args: argparse.Namespace, out=print) -> List[dict]:
         f"{', '.join('%g MB' % b for b in budgets)}")
     rows: List[dict] = []
     for cache_mb in budgets:
-        config = BenchConfig(scale=args.scale, record_count=args.num,
-                             value_size=args.value_size, seed=args.seed)
-        stack = new_stack(config)
-        options = _tiered_options(system.options(config.scale), args,
-                                  cache_mb=cache_mb)
-        db = system.engine_cls.open_sync(stack.env, stack.fs, options, "db")
+        stack, db = _open_stack(args, _tiered_options(
+            system.options(args.scale), args, cache_mb=cache_mb))
         value = b"v" * args.value_size
         keys = [b"%016d" % i for i in range(args.num)]
         rng = random.Random(args.seed)
@@ -580,34 +461,18 @@ def run_tier_report(args: argparse.Namespace, out=print) -> List[dict]:
     return rows
 
 
-def run_benchmarks(args: argparse.Namespace,
-                   out=print) -> List[dict]:
+# -- the default mode: LevelDB's db_bench benchmark list -------------------
+
+
+def _run_db_bench(args: argparse.Namespace, out: Out) -> List[dict]:
     """Run the requested benchmark list; returns one row per benchmark."""
-    if getattr(args, "cluster", False):
-        if getattr(args, "nemesis", False):
-            return run_cluster_nemesis(args, out)
-        if getattr(args, "chaos", False):
-            return run_cluster_chaos(args, out)
-        return run_cluster_bench(args, out)
-    if getattr(args, "crash_sweep", False):
-        return run_crash_sweep(args, out)
-    if getattr(args, "chaos", False):
-        return run_chaos(args, out)
-    if getattr(args, "tier_report", False):
-        return run_tier_report(args, out)
-    if getattr(args, "server", False):
-        return run_server_bench(args, out)
-    config = BenchConfig(scale=args.scale, record_count=args.num,
-                         value_size=args.value_size, seed=args.seed)
-    trace_path = getattr(args, "trace", None)
-    tracer = Tracer() if trace_path else None
-    sanitize = getattr(args, "sanitize", False)
-    stack = new_stack(config, tracer=tracer, sanitize=sanitize)
+    tracer = Tracer() if args.trace else None
     system = SYSTEMS[args.engine]
-    options = system.options(config.scale)
-    if getattr(args, "tiered", False):
+    options = system.options(args.scale)
+    if args.tiered:
         options = _tiered_options(options, args)
-    db = system.engine_cls.open_sync(stack.env, stack.fs, options, "db")
+    stack, db = _open_stack(args, options, tracer=tracer,
+                            sanitize=args.sanitize)
     rng = random.Random(args.seed)
     value = b"v" * args.value_size
     written_keys: List[bytes] = []
@@ -642,7 +507,7 @@ def run_benchmarks(args: argparse.Namespace,
         rows.append(row)
         out(f"{name:12s} : {micros:10.3f} micros/op; "
             f"{row['kops_per_s']:9.2f} Kops/s; p99 {row['p99_us']} us")
-        if getattr(args, "histogram", False) and count:
+        if args.histogram and count:
             out(histogram.render())
 
     def bench(name: str) -> Generator[Event, Any, None]:
@@ -686,9 +551,6 @@ def run_benchmarks(args: argparse.Namespace,
             rows.append({"benchmark": "stats",
                          "fsync": snap["fs"]["num_barrier_calls"],
                          "mb_written": snap["device"]["bytes_written"] / 1e6})
-        else:
-            raise SystemExit(f"unknown benchmark {name!r} "
-                             f"(choose from {', '.join(BENCHMARKS)})")
 
     requested = [name.strip() for name in args.benchmarks.split(",") if name.strip()]
     for name in requested:
@@ -704,12 +566,11 @@ def run_benchmarks(args: argparse.Namespace,
     out(f"engine: {system.label}  num: {args.num}  "
         f"value: {args.value_size} B  scale: 1/{args.scale}")
     stack.env.run_until(stack.env.process(driver()))
-    tiering = getattr(db, "tiering", None)
-    if tiering is not None:
+    if db.tiering is not None:
         # Quiesce first so in-flight compactions/demotions settle and
         # the tier counters are stable run-to-run (CI diffs the output).
         stack.env.run_until(stack.env.process(db.wait_idle()))
-        snap = _print_tier_stats(tiering, out)
+        snap = _print_tier_stats(db.tiering, out)
         rows.append({"benchmark": "tier-stats",
                      "demotions": snap["demotions"],
                      "cache_hit_rate": snap["cache_hit_rate"],
@@ -717,23 +578,76 @@ def run_benchmarks(args: argparse.Namespace,
                      "dollars_per_gb": snap["dollars_per_gb"]})
     db.close_sync()
     if tracer is not None:
-        write_chrome_trace(tracer, trace_path)
+        write_chrome_trace(tracer, args.trace)
         out(phase_summary(tracer))
-        out(f"trace written to {trace_path} (load in https://ui.perfetto.dev)")
-    if sanitize:
-        reports = stack.env.sanitizer.reports
-        if reports:
-            for report in reports:
-                out(f"sanitizer: {report.render()}")
-            raise SystemExit(1)
-        out("sanitizer: clean (no lock-order cycles, no data races)")
+        out(f"trace written to {args.trace} (load in https://ui.perfetto.dev)")
+    if args.sanitize:
+        _sanitizer_epilogue(stack.env, out)
     return rows
 
 
+# -- mode table --------------------------------------------------------------
+
+
+class Mode(NamedTuple):
+    """One dbbench mode, by argparse ``dest`` names."""
+
+    #: The ``store_true`` switches that select the mode (all required).
+    switches: Tuple[str, ...]
+    #: Every other flag the mode reads.
+    reads: Tuple[str, ...]
+    run: Callable[[argparse.Namespace, Out], List[dict]]
+
+
+_SIZING = ("engine", "num", "seed")
+_STACK = _SIZING + ("value_size", "scale")
+_SERVING = _STACK + ("sanitize", "clients", "arrival_rate", "workload")
+_TOPOLOGY = ("shards", "replicas", "replication_lag")
+_TIER_KNOBS = ("cache_mb", "remote_latency", "remote_bandwidth")
+
+#: First match wins: two-switch modes first, the db_bench default last.
+MODES = (
+    Mode(("cluster", "nemesis"),
+         _SIZING + _TOPOLOGY + ("partition", "net_loss", "net_delay"),
+         _harness(_nemesis)),
+    Mode(("cluster", "chaos"), _SIZING + _TOPOLOGY, _harness(_cluster_chaos)),
+    Mode(("cluster",), _SERVING + _TOPOLOGY, _run_serving),
+    Mode(("crash_sweep",), _SIZING + ("tiered",), _harness(_crash_sweep)),
+    Mode(("chaos",), ("num", "seed"), _harness(_chaos)),
+    Mode(("tier_report",), _STACK + _TIER_KNOBS, _run_tier_report),
+    Mode(("server",), _SERVING, _run_serving),
+    Mode((), _STACK + _TIER_KNOBS + (
+        "benchmarks", "histogram", "trace", "sanitize", "tiered"),
+         _run_db_bench),
+)
+
+
+def _flags(dests: Tuple[str, ...]) -> str:
+    return " ".join("--" + dest.replace("_", "-") for dest in dests)
+
+
+def _mode_for(args: argparse.Namespace) -> Mode:
+    """Select the mode; reject any flag set that the mode never reads."""
+    parser = _parser()
+    values = vars(args)
+    mode = next(m for m in MODES if all(values[s] for s in m.switches))
+    for dest, value in values.items():
+        if (value != parser.get_default(dest)
+                and dest not in mode.switches + mode.reads):
+            parser.error(f"{_flags((dest,))} is not read by the "
+                         f"{_flags(mode.switches) or 'db_bench'} mode "
+                         f"(it reads: {_flags(mode.reads)})")
+    return mode
+
+
+def run_benchmarks(args: argparse.Namespace, out: Out = print) -> List[dict]:
+    """Run the mode ``args`` selects; returns its machine-readable rows."""
+    return _mode_for(args).run(args, out)
+
+
 def main(argv: Optional[List[str]] = None) -> List[dict]:
-    """CLI entry point: parse ``argv`` and run the benchmarks."""
-    args = _parser().parse_args(argv)
-    return run_benchmarks(args)
+    """CLI entry point: parse ``argv`` and run the selected mode."""
+    return run_benchmarks(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from repro.bench import (
     format_table,
     new_stack,
     open_engine,
-    parallel_map,
     percentile,
     run_suite,
 )
@@ -148,38 +147,3 @@ class TestHarness:
                             ("load_a", "delete", "load_e"))
         # Load E starts from an empty tree: same op count, fresh stack.
         assert results["load_e"].operations == 500
-
-
-def _square(x):
-    """Module-level so the process pool can pickle it."""
-    return x * x
-
-
-def _tiny_fsync_count(system_name):
-    """One tiny deterministic run, reduced to a picklable scalar."""
-    results = run_suite(SYSTEMS[system_name],
-                        BenchConfig(record_count=400, ops_per_phase=100),
-                        ("load_a", "a"))
-    return results["a"].fsync_calls
-
-
-class TestParallelMap:
-    def test_serial_fallback_matches_inputs_order(self):
-        out = parallel_map(_square, [(i,) for i in range(10)], processes=1)
-        assert out == [i * i for i in range(10)]
-
-    def test_pool_results_identical_to_serial(self):
-        args = [(i,) for i in range(8)]
-        serial = parallel_map(_square, args, processes=1)
-        pooled = parallel_map(_square, args, processes=2)
-        assert pooled == serial
-
-    def test_simulation_results_merge_deterministically(self):
-        names = ["bolt", "leveldb", "bolt"]
-        args = [(n,) for n in names]
-        serial = parallel_map(_tiny_fsync_count, args, processes=1)
-        pooled = parallel_map(_tiny_fsync_count, args, processes=2)
-        assert pooled == serial
-        # identical configs must give identical counters, whichever
-        # worker ran them
-        assert serial[0] == serial[2]

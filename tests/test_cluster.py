@@ -463,32 +463,6 @@ class TestAvailabilityOracle:
         assert result.ops >= 240  # the pre-kill burst adds acked writes
 
 
-class TestClusterBenchDeterminism:
-    def _run_cli(self, argv):
-        from repro.tools.dbbench import _parser, run_benchmarks
-        lines = []
-        run_benchmarks(_parser().parse_args(argv), out=lines.append)
-        return lines
-
-    def test_cluster_bench_twice_identical(self):
-        argv = ["--cluster", "--num", "120", "--shards", "2",
-                "--clients", "2", "--workload", "b", "--scale", "1024"]
-        first = self._run_cli(argv)
-        assert first == self._run_cli(argv)
-        # An unconfigured cluster runs on the perfect wire: every ship
-        # is accepted first time, nothing is lost or duplicated.
-        net = [line for line in first if line.startswith("net: ")]
-        assert len(net) == 1
-        assert net[0].endswith("sends_refused 0  retransmits 0  "
-                               "duplicates 0  probes_lost 0")
-
-    def test_cluster_chaos_cli_twice_identical(self):
-        argv = ["--cluster", "--chaos", "--num", "160"]
-        first = self._run_cli(argv)
-        assert first == self._run_cli(argv)
-        assert first[-1] == "cluster chaos: PASS"
-
-
 class TestSnapshotAggregation:
     def test_aggregate_engine_stats_sums_counters(self):
         _env, cluster = make_cluster(num_shards=2, replicas=0)

@@ -581,16 +581,3 @@ class TestNemesis:
         config = NemesisConfig(ops_per_client=80, seed=19)
         assert nemesis_chaos(config).summary_lines() == \
             nemesis_chaos(config).summary_lines()
-
-    def test_nemesis_cli_twice_identical(self):
-        from repro.tools.dbbench import _parser, run_benchmarks
-        argv = ["--cluster", "--nemesis", "--num", "320"]
-
-        def run_cli():
-            lines = []
-            run_benchmarks(_parser().parse_args(argv), out=lines.append)
-            return lines
-
-        first = run_cli()
-        assert first == run_cli()
-        assert first[-1] == "nemesis: PASS"

@@ -364,6 +364,14 @@ class TestSweep:
         assert lines[-1] == "crash sweep: PASS"
         assert any("leveldb" in line for line in lines)
 
+    def test_misspelt_sweep_override_raises(self):
+        """Overrides are dataclass fields; a typo must not be swallowed."""
+        from repro.bench import run_crash_sweep
+        with pytest.raises(TypeError, match="num_opz"):
+            run_crash_sweep(smoke=True, num_opz=5)
+        with pytest.raises(TypeError, match="num_opz"):
+            run_crash_sweep(num_opz=5)
+
     def test_sweep_engine_resolves_extra_systems(self):
         plan = FaultPlan(max_images=4, max_per_site=1,
                          models=(FaultModel("all-lost", 0.0),))

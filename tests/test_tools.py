@@ -16,6 +16,7 @@ from repro.tools import (
     dump_wal,
     repair_database,
 )
+from repro.tools.dbbench import _parser, run_benchmarks
 from repro.tools.dbbench import main as dbbench_main
 from repro.tools.repair import scan_container_for_tables
 
@@ -75,6 +76,71 @@ class TestDbBench:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             dbbench_main(["--benchmarks", "flymetothemoon"])
+
+    # Every mode, at the smallest size that exercises it; the verdict
+    # is the line a passing run of a harness mode must end with.
+    @pytest.mark.parametrize("argv,verdict", [
+        pytest.param(["--num", "300", "--scale", "1024"], None,
+                     id="db_bench"),
+        pytest.param(["--server", "--num", "200", "--scale", "1024"], None,
+                     id="server"),
+        pytest.param(["--cluster", "--num", "120", "--shards", "2",
+                      "--clients", "2", "--workload", "b", "--scale", "1024"],
+                     None, id="cluster"),
+        pytest.param(["--cluster", "--chaos", "--num", "160"],
+                     "cluster chaos: PASS", id="cluster-chaos"),
+        pytest.param(["--cluster", "--nemesis", "--num", "320"],
+                     "nemesis: PASS", id="cluster-nemesis"),
+        pytest.param(["--chaos", "--num", "120"], "chaos: PASS", id="chaos"),
+        pytest.param(["--crash-sweep", "--num", "40"], "crash sweep: PASS",
+                     id="crash-sweep"),
+        pytest.param(["--tiered", "--num", "1500", "--scale", "1024"], None,
+                     id="tiered"),
+        pytest.param(["--tiered", "--crash-sweep", "--num", "80"],
+                     "crash sweep: PASS", id="tiered-crash-sweep"),
+        pytest.param(["--tier-report", "--num", "1500", "--scale", "1024"],
+                     None, id="tier-report"),
+    ])
+    def test_every_mode_is_deterministic(self, argv, verdict):
+        """One protocol for every mode: print lines, return rows, and do
+        both identically when run again (CI cmp's the same outputs)."""
+        def run_cli():
+            lines = []
+            rows = run_benchmarks(_parser().parse_args(argv),
+                                  out=lines.append)
+            return lines, rows
+
+        lines, rows = run_cli()
+        assert (lines, rows) == run_cli()
+        assert lines and rows
+        assert all("benchmark" in row for row in rows)
+        if verdict is not None:
+            assert lines[-1] == verdict
+        if argv[:2] == ["--cluster", "--num"]:
+            # An unconfigured cluster runs on the perfect wire: every
+            # ship is accepted first time, nothing is lost or duplicated.
+            net = [line for line in lines if line.startswith("net: ")]
+            assert len(net) == 1
+            assert net[0].endswith("sends_refused 0  retransmits 0  "
+                                   "duplicates 0  probes_lost 0")
+
+    @pytest.mark.parametrize("argv,flag,mode", [
+        (["--nemesis"], "--nemesis", "db_bench"),
+        (["--server", "--tiered"], "--tiered", "--server"),
+        (["--cluster", "--trace", "t.json"], "--trace", "--cluster"),
+        (["--chaos", "--sanitize"], "--sanitize", "--chaos"),
+        (["--tier-report", "--sanitize"], "--sanitize", "--tier-report"),
+        (["--cluster", "--nemesis", "--chaos"], "--chaos",
+         "--cluster --nemesis"),
+    ])
+    def test_flag_the_mode_does_not_read_is_an_error(self, argv, flag, mode,
+                                                     capsys):
+        """A flag the selected mode would ignore exits 2, naming both."""
+        with pytest.raises(SystemExit) as exit_info:
+            dbbench_main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} is not read by the {mode} mode" in \
+            capsys.readouterr().err
 
 
 class TestDump:
