@@ -34,7 +34,7 @@ from ..engines.leveldb import LevelDBEngine, leveldb_options
 from ..engines.rocksdb import RocksDBEngine, rocksdb_options
 from ..lsm import Options
 from ..lsm.engine import Compaction, Event, OutputSink
-from ..lsm.version import FileMetaData, Version
+from ..lsm.version import FileMetaData, Version, split_by_overlap
 from ..storage import FileSystemError, SimFS
 from ..sim import Environment
 from .compaction_file import CompactionFileSink
@@ -90,8 +90,8 @@ class BoLTMixin:
         if opts.enable_settled_compaction:
             # §3.4: victims need not be contiguous — order candidates by
             # ascending next-level overlap so zero-overlap tables settle.
-            ordered = sorted(candidates, key=lambda f: (
-                self._overlap_bytes(version, level, f), f.number))
+            ordered = sorted(candidates, key=lambda f: (version.overlap_bytes(
+                level + 1, f.smallest, f.largest), f.number))
         else:
             # §3.3: contiguous run after the round-robin pointer.
             pointer = self.versions.compact_pointers.get(level)
@@ -112,30 +112,19 @@ class BoLTMixin:
                 break
         return victims
 
-    def _overlap_bytes(self, version: Version, level: int,
-                       meta: FileMetaData) -> int:
-        if level + 1 >= version.num_levels:
-            return 0
-        return sum(f.length for f in version.overlapping_files(
-            level + 1, meta.smallest, meta.largest))
-
     def _split_settled(self, compaction: Compaction
                        ) -> Tuple[List[FileMetaData], List[FileMetaData]]:
         if not self.options.enable_settled_compaction:
             return super()._split_settled(compaction)
-        settled: List[FileMetaData] = []
-        merge: List[FileMetaData] = []
-        for victim in compaction.victims:
-            overlaps_next = any(victim.overlaps(o.smallest, o.largest)
-                                for o in compaction.overlaps)
-            if not overlaps_next and compaction.level == 0:
-                # Level-0 victims may share keys; a victim can only
-                # settle if it overlaps no *other* victim, or a newer
-                # version of one of its keys could end up below it.
-                overlaps_next = any(
-                    victim.overlaps(other.smallest, other.largest)
-                    for other in compaction.victims if other is not victim)
-            (merge if overlaps_next else settled).append(victim)
+        merge, settled = split_by_overlap(compaction.victims, compaction.overlaps)
+        if settled and compaction.level == 0:
+            # Level-0 victims may share keys; a victim can only settle
+            # if it overlaps no *other* victim, or a newer version of
+            # one of its keys could end up below it.
+            settled = [v for v in settled if not any(
+                v.overlaps(other.smallest, other.largest)
+                for other in compaction.victims if other is not v)]
+            merge = [v for v in compaction.victims if v not in settled]
         return settled, merge
 
     # -- §3.2: hole punching instead of unlink ---------------------------------

@@ -28,13 +28,6 @@ __all__ = ["HyperLevelDBEngine", "hyperleveldb_options"]
 MB = 1 << 20
 
 
-def _overlap_bytes(version: Version, level: int, meta: FileMetaData) -> int:
-    if level + 1 >= version.num_levels:
-        return 0
-    return sum(f.length for f in version.overlapping_files(
-        level + 1, meta.smallest, meta.largest))
-
-
 class HyperLevelDBEngine(LSMEngine):
     """HyperLevelDB: parallel writers, lazy governors, min-overlap picks."""
 
@@ -47,8 +40,8 @@ class HyperLevelDBEngine(LSMEngine):
                       if f.number not in self._busy_tables]
         if not candidates:
             return []
-        best = min(candidates,
-                   key=lambda f: (_overlap_bytes(version, level, f), f.number))
+        best = min(candidates, key=lambda f: (version.overlap_bytes(
+            level + 1, f.smallest, f.largest), f.number))
         return [best]
 
 

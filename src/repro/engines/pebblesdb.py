@@ -6,7 +6,8 @@ only that guard's tables and appends the partitioned outputs to the next
 level's guards **without merging the tables already there** — this is
 what buys its write throughput ("PebblesDB does not perform compactions
 even if there are overlapping SSTables at the same level", §4.3.1) and
-what costs its reads (every table in the matching guard must be probed).
+what costs its reads (``Version.tables_for_key`` probes every table
+overlapping the key, newest first).
 
 Guard keys are accumulated from compaction output boundaries, giving the
 deterministic equivalent of PebblesDB's probabilistic guard sampling:
@@ -65,20 +66,6 @@ class PebblesDBEngine(LSMEngine):
         return buckets
 
     # -- read path -----------------------------------------------------------
-
-    def _tables_for_key(self, version: Version, level: int,
-                        key: bytes) -> List[FileMetaData]:
-        """Probe every overlapping table in the key's guard, newest first
-        (tables within a guard overlap — the FLSM read penalty)."""
-        if level == 0:
-            return version.tables_for_key(0, key)
-        # All overlapping tables in the level must be probed: tables of
-        # the key's guard overlap each other, and guard refinement over
-        # time means an older table may span several current guards.
-        hits = [meta for meta in version.files[level]
-                if meta.smallest <= key <= meta.largest]
-        hits.sort(key=lambda f: f.number, reverse=True)
-        return hits
 
     def _scan_level_sets(self, version: Version, level: int,
                          start_key: bytes) -> List[List[FileMetaData]]:
@@ -205,8 +192,7 @@ class PebblesDBEngine(LSMEngine):
         if compaction.in_place:
             resident = self._other_tables_overlap(version, compaction, lo, hi)
         else:
-            resident = any(f.overlaps(lo, hi)
-                           for f in version.files[target_level])
+            resident = bool(version.overlapping_files(target_level, lo, hi))
         drop = self._is_base_level(version, target_level, lo, hi) and not resident
         merged = collapse_versions(merge_streams(streams), drop,
                                    snapshots=self.live_snapshot_sequences())

@@ -73,10 +73,9 @@ class LRUCache:
             self._charge -= old_charge
         self._entries[key] = (value, charge)
         self._charge += charge
-        limit = self.capacity if self.by_bytes else self.capacity
         while self._entries and (
-                (self.by_bytes and self._charge > limit)
-                or (not self.by_bytes and len(self._entries) > limit)):
+                (self.by_bytes and self._charge > self.capacity)
+                or (not self.by_bytes and len(self._entries) > self.capacity)):
             _k, (_v, ch) = self._entries.popitem(last=False)
             self._charge -= ch
             self.evictions += 1

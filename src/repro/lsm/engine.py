@@ -31,7 +31,7 @@ from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
 from .sstable import SSTableBuilder
-from .version import FileMetaData, Version, key_range
+from .version import FileMetaData, Version, key_range, split_by_overlap
 from .wal import LogWriter, WriteBatch, read_log_records
 
 __all__ = ["LSMEngine", "EngineStats", "Compaction", "OutputSink",
@@ -848,7 +848,7 @@ class LSMEngine:
         probes = 0
         try:
             for level in range(version.num_levels):
-                for meta in self._tables_for_key(version, level, key):
+                for meta in version.tables_for_key(level, key):
                     probes += 1
                     self.stats.tables_probed += 1
                     if meta.number in self._quarantined:
@@ -881,11 +881,6 @@ class LSMEngine:
         finally:
             self._inflight_reads -= 1
             self._maybe_run_deferred_cleanup()
-
-    def _tables_for_key(self, version: Version, level: int,
-                        key: bytes) -> List[FileMetaData]:
-        """Hook: probe order of tables at ``level`` for ``key``."""
-        return version.tables_for_key(level, key)
 
     def _scan_level_sets(self, version: Version, level: int,
                          start_key: bytes) -> List[List[FileMetaData]]:
@@ -1155,15 +1150,14 @@ class LSMEngine:
         is_seek = False
         if self._file_to_compact is not None:
             level, meta = self._file_to_compact
-            if meta.number in self._busy_tables or not any(
-                    f.number == meta.number for f in version.files[level]):
-                self._file_to_compact = None
-                return self._pick_compaction()
             self._file_to_compact = None
+            # A busy or already-compacted victim is stale: score path instead.
+            is_seek = (meta.number not in self._busy_tables
+                       and version.has_file(level, meta.number))
+        if is_seek:
             if level + 1 >= version.num_levels:
                 return None
             victims = [meta]
-            is_seek = True
         else:
             level, score = self.versions.pick_compaction_level()
             if score < 1.0 or level < 0 or level + 1 >= version.num_levels:
@@ -1243,11 +1237,7 @@ class LSMEngine:
         # may span next-level files that overlap no merge victim at all;
         # those stay untouched.  Output tables are cut at their smallest
         # keys so the level's disjointness survives.
-        merge_overlaps = [o for o in compaction.overlaps
-                          if any(o.overlaps(v.smallest, v.largest)
-                                 for v in merge_victims)]
-        untouched = [o for o in compaction.overlaps
-                     if o not in merge_overlaps]
+        merge_overlaps, untouched = split_by_overlap(compaction.overlaps, merge_victims)
 
         edit = VersionEdit()
         output_metas: List[FileMetaData] = []

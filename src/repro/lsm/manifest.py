@@ -250,10 +250,9 @@ class VersionSet:
         compaction files (flush units) — otherwise a single flush would
         instantly trip L0SlowDown/L0Stop.
         """
-        files = self.current.files[0]
         if self.options.use_compaction_file:
-            return len({meta.container for meta in files})
-        return len(files)
+            return self.current.container_count(0)
+        return self.current.num_files(0)
 
     def level_score(self, level: int) -> float:
         """> 1.0 means the level needs compaction (LevelDB's scoring)."""

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["FileMetaData", "Version"]
+
+_NUMBER = attrgetter("number")
 
 
 @dataclass(eq=False)
@@ -53,17 +57,50 @@ def key_range(files: Sequence[FileMetaData]) -> Tuple[bytes, bytes]:
     return smallest, largest
 
 
-class Version:
-    """An immutable snapshot of the table tree.
+def split_by_overlap(items: Sequence[FileMetaData],
+                     others: Sequence[FileMetaData]
+                     ) -> Tuple[List[FileMetaData], List[FileMetaData]]:
+    """Split ``items`` into (overlapping any of ``others``, the rest),
+    each half in ``items`` order; neither side need be sorted or disjoint.
 
-    Level 0 tables may overlap and are ordered newest-first for reads;
-    levels >= 1 hold disjoint user-key ranges sorted by smallest key.
+    ``others`` is indexed once the way :class:`Version` indexes a level:
+    O(O + V log O) key comparisons where a pairwise scan pays O(V * O).
+    """
+    others = sorted(others, key=attrgetter("smallest"))
+    starts = [o.smallest for o in others]
+    reach = list(accumulate((o.largest for o in others), max))
+    hit: List[FileMetaData] = []
+    miss: List[FileMetaData] = []
+    for item in items:
+        upto = bisect.bisect_right(starts, item.largest)
+        (hit if upto and reach[upto - 1] >= item.smallest else miss).append(item)
+    return hit, miss
+
+
+class Version:
+    """An immutable snapshot of the table tree, and the index over it.
+
+    Level 0 tables may overlap and are ordered by number; levels >= 1
+    are sorted by smallest key and, except in PebblesDB, disjoint.
+    Beside each level >= 1 sit its ``smallest`` keys and the running
+    maximum of ``largest`` (``reach``: non-decreasing even where tables
+    overlap, and ``reach[i] < key`` says no table up to ``i`` extends to
+    ``key``).  A range ``[lo, hi]`` is then one slice — bisect ``reach``
+    for ``lo``, ``smallest`` for ``hi`` — holding every overlapping
+    table; filtering it by ``largest >= lo`` is exact on overlapping
+    levels too, so there is one code path and a query is O(log n + k).
     """
 
     def __init__(self, num_levels: int):
         self.files: List[List[FileMetaData]] = [[] for _ in range(num_levels)]
-        #: Per-level lazy cache of ``[f.largest for f in files[level]]``.
-        self._largest_cache: List[Optional[List[bytes]]] = [None] * num_levels
+        #: Per level >= 1, parallel to ``files[level]`` and kept in step
+        #: by add/remove: each table's ``smallest``, and the running
+        #: maximum of ``largest``.  Per level, ``number -> metadata``.
+        self._smallest: List[List[bytes]] = [[] for _ in range(num_levels)]
+        self._reach: List[List[bytes]] = [[] for _ in range(num_levels)]
+        self._by_number: List[Dict[int, FileMetaData]] = [{} for _ in self.files]
+        #: Per-level distinct-container count, None until next asked.
+        self._containers: List[Optional[int]] = [None] * num_levels
         #: Per-level byte totals, maintained incrementally — compaction
         #: scoring reads these on every write, so summing the level's
         #: file list each time is quadratic in practice.
@@ -88,6 +125,10 @@ class Version:
         """An independent copy of this version's per-level file lists."""
         version = Version(self.num_levels)
         version.files = [list(level) for level in self.files]
+        version._smallest = [list(keys) for keys in self._smallest]
+        version._by_number = [dict(index) for index in self._by_number]
+        version._reach = [list(reach) for reach in self._reach]
+        version._containers = list(self._containers)
         version._level_bytes = list(self._level_bytes)
         version.quarantined = set(self.quarantined)
         version.remote_containers = dict(self.remote_containers)
@@ -104,6 +145,16 @@ class Version:
     def num_files(self, level: int) -> int:
         """Number of tables at ``level``."""
         return len(self.files[level])
+
+    def has_file(self, level: int, number: int) -> bool:
+        """True if table ``number`` is at ``level``."""
+        return number in self._by_number[level]
+
+    def container_count(self, level: int) -> int:
+        """Number of distinct containers holding ``level``'s tables."""
+        if self._containers[level] is None:
+            self._containers[level] = len({f.container for f in self.files[level]})
+        return self._containers[level]
 
     def level_bytes(self, level: int) -> int:
         """Total table bytes at ``level``."""
@@ -131,69 +182,79 @@ class Version:
 
     # -- placement ---------------------------------------------------------
 
+    def _restore_reach(self, level: int, index: int) -> None:
+        """Recompute the running maximum from ``index`` on, stopping where
+        it rejoins the stored values — one step on, on a disjoint level."""
+        files, reach = self.files[level], self._reach[level]
+        for i in range(index, len(files)):
+            top = files[i].largest
+            if i and reach[i - 1] > top:
+                top = reach[i - 1]
+            if i > index and reach[i] == top:
+                break
+            reach[i] = top
+
     def add_file(self, level: int, meta: FileMetaData) -> None:
         """Insert ``meta`` at ``level``, keeping the level sorted."""
         files = self.files[level]
-        self._largest_cache[level] = None
+        self._containers[level] = None
         self._level_bytes[level] += meta.length
+        self._by_number[level][meta.number] = meta
         if level == 0:
             files.append(meta)
-            files.sort(key=lambda f: f.number)
+            files.sort(key=_NUMBER)
         else:
-            # Manual bisect on the smallest key: O(log n) compares
-            # without materializing a key list per insert.
-            lo, hi = 0, len(files)
-            smallest = meta.smallest
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if files[mid].smallest < smallest:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            files.insert(lo, meta)
+            keys = self._smallest[level]
+            index = bisect.bisect_left(keys, meta.smallest)
+            keys.insert(index, meta.smallest)
+            files.insert(index, meta)
+            self._reach[level].insert(index, meta.largest)
+            self._restore_reach(level, index)
 
     def remove_file(self, level: int, number: int) -> bool:
         """Remove table ``number`` from ``level``; True if it was present."""
+        meta = self._by_number[level].pop(number, None)
+        if meta is None:
+            return False
         files = self.files[level]
-        for index, meta in enumerate(files):
-            if meta.number == number:
-                del files[index]
-                self._largest_cache[level] = None
-                self._level_bytes[level] -= meta.length
-                return True
-        return False
+        self._containers[level] = None
+        self._level_bytes[level] -= meta.length
+        if level == 0:
+            files.remove(meta)
+        else:
+            keys = self._smallest[level]
+            index = bisect.bisect_left(keys, meta.smallest)
+            while files[index] is not meta:  # equal smallest keys
+                index += 1
+            del keys[index], files[index], self._reach[level][index]
+            self._restore_reach(level, index)
+        return True
 
     # -- lookups ------------------------------------------------------------
 
+    def _slice(self, level: int, smallest: Optional[bytes],
+               largest: Optional[bytes]) -> List[FileMetaData]:
+        """The run of ``level`` (>= 1) holding every table that overlaps
+        the range (and, if tables overlap, some ending before it)."""
+        reach = self._reach[level]
+        lo = 0 if smallest is None else bisect.bisect_left(reach, smallest)
+        hi = (len(reach) if largest is None
+              else bisect.bisect_right(self._smallest[level], largest, lo))
+        return self.files[level][lo:hi]
+
     def tables_for_key(self, level: int, user_key: bytes) -> List[FileMetaData]:
-        """Tables that may hold ``user_key``, in probe order.
+        """Tables that may hold ``user_key``, newest first.
 
-        Level 0 returns every overlapping table, newest first (§2.1:
-        L0 tables overlap and must all be consulted); deeper levels
-        return at most one table via binary search.
+        Level 0 tables overlap and must all be consulted (§2.1); so must
+        the tables of a PebblesDB guard.  A disjoint level yields at
+        most one table.
         """
-        files = self.files[level]
-        if level == 0:
-            hits = [f for f in files if f.smallest <= user_key <= f.largest]
-            hits.sort(key=lambda f: f.number, reverse=True)
-            return hits
-        index = bisect.bisect_left(self._largest_keys(level), user_key)
-        if index < len(files) and files[index].smallest <= user_key:
-            return [files[index]]
-        return []
-
-    def _largest_keys(self, level: int) -> List[bytes]:
-        """Cached parallel array of each table's largest key at ``level``.
-
-        Rebuilt lazily after :meth:`add_file`/:meth:`remove_file`
-        invalidate it; read paths bisect this array instead of
-        materializing it per lookup.
-        """
-        cached = self._largest_cache[level]
-        if cached is None:
-            cached = [f.largest for f in self.files[level]]
-            self._largest_cache[level] = cached
-        return cached
+        files = self.files[level] if level == 0 else self._slice(
+            level, user_key, user_key)
+        hits = [f for f in files if f.smallest <= user_key <= f.largest]
+        if len(hits) > 1:
+            hits.sort(key=_NUMBER, reverse=True)
+        return hits
 
     def overlapping_files(self, level: int, smallest: Optional[bytes],
                           largest: Optional[bytes]) -> List[FileMetaData]:
@@ -203,8 +264,8 @@ class Version:
         an overlapping L0 table may widen the range and pull in more L0
         tables.
         """
-        files = self.files[level]
         if level == 0:
+            files = self.files[0]
             result: List[FileMetaData] = []
             taken: set = set()  # ids, so probes never pay a field compare
             lo, hi = smallest, largest
@@ -226,19 +287,20 @@ class Version:
                     if hi is None or meta.largest > hi:
                         hi = meta.largest
                         changed = True
-            result.sort(key=lambda f: f.number)
+            result.sort(key=_NUMBER)
             return result
-        # Levels >= 1: a plain scan with the range checks inlined.  (No
-        # bisect here: PebblesDB levels hold overlapping tables, so the
-        # "overlap set is one contiguous slice" shortcut would be wrong.)
-        if smallest is None and largest is None:
-            return list(files)
+        run = self._slice(level, smallest, largest)
         if smallest is None:
-            return [f for f in files if f.smallest <= largest]
-        if largest is None:
-            return [f for f in files if f.largest >= smallest]
-        return [f for f in files
-                if f.largest >= smallest and f.smallest <= largest]
+            return run
+        return [f for f in run if f.largest >= smallest]
+
+    def overlap_bytes(self, level: int, smallest: Optional[bytes],
+                      largest: Optional[bytes]) -> int:
+        """Table bytes at ``level`` overlapping the range; 0 past the
+        last level."""
+        if level >= len(self.files):
+            return 0
+        return sum(f.length for f in self.overlapping_files(level, smallest, largest))
 
     def check_invariants(self) -> None:
         """Assert levels >= 1 are sorted and disjoint (test helper)."""

@@ -4,8 +4,8 @@ Where :mod:`repro.tools.dbbench` reports **virtual** time (the modelled
 device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
-encode/decode, skiplist insert/seek, histogram recording, and an
-end-to-end YCSB-A suite slice — so a regression in any of them shows up
+encode/decode, skiplist insert/seek, histogram recording, the Version
+index, and an end-to-end YCSB-A suite slice — so a regression shows up
 as a number, not as a mysteriously slower CI run.
 
 Usage::
@@ -170,6 +170,48 @@ def bench_objstore_cache() -> Tuple[float, str]:
         "miss_p999_ms": cache.snapshot()["miss_p999_ms"],
     })
     return elapsed, digest
+
+
+@_benchmark
+def bench_version() -> Tuple[float, str]:
+    """Version index: the add / remove / overlap / classify mix of a BoLT
+    fill's settled group compactions, on a 4.5k-table tree."""
+    import random
+    from itertools import count
+
+    from ..lsm.version import FileMetaData, Version, key_range, split_by_overlap
+    rng = random.Random(13)
+    numbers = count(1)
+
+    def table(lo: int, width: int) -> FileMetaData:
+        """A fresh table over the ``width`` keys starting at ``lo``."""
+        return FileMetaData(next(numbers), "v.cf", 0, 1000 + lo % 97,
+                            b"user%012d" % lo, b"user%012d" % (lo + width))
+
+    version = Version(3)
+    for i in range(4096):  # level 2 disjoint with gaps; level 1 overlapping
+        version.add_file(2, table(i * 100, 60))
+    answers: List[Any] = []
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    for step in range(60):
+        version = version.clone()
+        for _ in range(24 if step else 512):
+            version.add_file(1, table(rng.randrange(400_000), rng.randrange(300)))
+        victims = sorted(version.files[1], key=lambda f: (version.overlap_bytes(
+            2, f.smallest, f.largest), f.number))[:24]
+        overlaps = version.overlapping_files(2, *key_range(victims))
+        merge, settled = split_by_overlap(victims, overlaps)
+        rewritten, untouched = split_by_overlap(overlaps, merge)
+        for level, metas in ((1, victims), (2, rewritten)):
+            for meta in metas:
+                version.remove_file(level, meta.number)
+        for meta in settled + [table(int(m.smallest[4:]), 60) for m in rewritten]:
+            version.add_file(2, meta)  # settled: promoted as is; the rest re-cut
+        answers.append([[f.number for f in group] for group in
+                        (victims, settled, rewritten, untouched)])
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    answers.append([[f.number for f in level] for level in version.files])
+    return elapsed, _fingerprint(answers)
 
 
 @_benchmark

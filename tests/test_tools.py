@@ -324,7 +324,8 @@ class TestPerfBench:
     def test_benchmarks_registered(self):
         from repro.tools.perfbench import BENCHMARKS
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
-                                   "histogram", "objstore_cache", "ycsb_a"}
+                                   "histogram", "objstore_cache", "version",
+                                   "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""

@@ -1,9 +1,16 @@
 """Unit tests for Version bookkeeping and MANIFEST machinery."""
 
+import itertools
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bolt_engine import BoLTMixin
 from repro.lsm import FileMetaData, Options, Version, VersionEdit, VersionSet
+from repro.lsm.engine import Compaction
+from repro.lsm.version import split_by_overlap
 
 
 def meta(number, smallest, largest, length=1000, container=None, offset=0):
@@ -109,6 +116,197 @@ class TestVersion:
         clone.remove_file(1, 1)
         assert v.num_files(1) == 1
         assert clone.num_files(1) == 0
+
+
+# -- the Version index against a brute-force reference ------------------------
+
+class BruteVersion:
+    """The linear-scan reference: what the index must agree with."""
+
+    def __init__(self, levels):
+        self.files = [list(level) for level in levels]
+
+    def add(self, level, table):
+        files = self.files[level]
+        if level == 0:
+            files.append(table)
+            files.sort(key=lambda f: f.number)
+            return
+        index = next((i for i, f in enumerate(files)
+                      if f.smallest >= table.smallest), len(files))
+        files.insert(index, table)
+
+    def remove(self, level, number):
+        for table in self.files[level]:
+            if table.number == number:
+                self.files[level].remove(table)
+                return True
+        return False
+
+    def overlapping(self, level, lo, hi):
+        return [f for f in self.files[level] if f.overlaps(lo, hi)]
+
+    def tables_for_key(self, level, key):
+        return sorted((f for f in self.files[level]
+                       if f.smallest <= key <= f.largest),
+                      key=lambda f: f.number, reverse=True)
+
+
+def brute_split(items, others):
+    hit = [i for i in items
+           if any(i.overlaps(o.smallest, o.largest) for o in others)]
+    return hit, [i for i in items if i not in hit]
+
+
+def assert_matches(version, brute, queries):
+    """Every table-set answer of ``version`` equals the reference's."""
+    assert version.files == brute.files
+    for level, files in enumerate(brute.files):
+        if level:  # the index arrays are exact, never merely safe
+            assert version._smallest[level] == [f.smallest for f in files]
+            assert version._reach[level] == list(
+                itertools.accumulate((f.largest for f in files), max))
+        assert version.level_bytes(level) == sum(f.length for f in files)
+        assert version.container_count(level) == \
+            len({f.container for f in files})
+        for number in range(1, 16):
+            assert version.has_file(level, number) == \
+                any(f.number == number for f in files)
+        for lo, hi in queries:
+            if lo is not None:
+                assert version.tables_for_key(level, lo) == \
+                    brute.tables_for_key(level, lo)
+            if lo is not None and hi is not None and lo > hi:
+                continue
+            if level:  # level 0 expands transitively; its code is LevelDB's
+                expected = brute.overlapping(level, lo, hi)
+                assert version.overlapping_files(level, lo, hi) == expected
+                assert version.overlap_bytes(level, lo, hi) == \
+                    sum(f.length for f in expected)
+    assert version.overlap_bytes(len(brute.files), None, None) == 0
+    for items, others in ((1, 2), (2, 1), (2, 0)):
+        assert split_by_overlap(brute.files[items], brute.files[others]) == \
+            brute_split(brute.files[items], brute.files[others])
+
+
+# Keys from an 8-letter alphabet, so equal and touching bounds are common
+# and every (lo, hi) pair, open ends included, can be asked.
+_KEYS = [b"k%d" % i for i in range(8)]
+_KEY = st.sampled_from(_KEYS)
+_BOUND = st.sampled_from([None] + _KEYS)
+_EVERY_QUERY = [(lo, hi) for lo in [None] + _KEYS for hi in [None] + _KEYS]
+_STEP = st.tuples(st.sampled_from(["add", "add", "add", "remove", "clone"]),
+                  st.sampled_from([0, 1, 1, 2, 2]), st.integers(1, 15), _KEY, _KEY,
+                  _BOUND, _BOUND)
+
+
+class TestVersionIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans(), st.lists(_STEP, min_size=12, max_size=40))
+    def test_index_answers_match_brute_force(self, disjoint, steps):
+        """Interleaved add/remove/clone with one query after every step,
+        so each lazy array is built, invalidated and shared through
+        clones, then every possible query on the final version and on
+        each version a clone left behind.  ``disjoint`` keeps levels >= 1
+        LevelDB-shaped; otherwise they overlap as PebblesDB's do."""
+        version, brute = Version(3), BruteVersion([[], [], []])
+        frozen = []
+        for op, level, number, k1, k2, lo, hi in steps:
+            if op == "add":
+                table = meta(number, min(k1, k2), max(k1, k2),
+                             length=100 + number, container=f"c{number % 3}")
+                taken = any(version.has_file(lv, number) for lv in range(3))
+                clash = disjoint and level and brute.overlapping(
+                    level, table.smallest, table.largest)
+                if not taken and not clash:
+                    version.add_file(level, table)
+                    brute.add(level, table)
+            elif op == "remove":
+                present = [f.number for f in brute.files[level]]
+                if present and number % 4:  # mostly a hit, sometimes a miss
+                    number = present[number % len(present)]
+                assert version.remove_file(level, number) == \
+                    brute.remove(level, number)
+            else:
+                frozen.append((version, BruteVersion(brute.files)))
+                version = version.clone()
+            assert_matches(version, brute, [(lo, hi)])
+        for old, snapshot in frozen + [(version, brute)]:
+            assert_matches(old, snapshot, _EVERY_QUERY)
+
+    def test_overlapping_level_needs_the_running_maximum(self):
+        """A wide early table hides behind narrower later ones: bisecting
+        ``largest`` itself (not its running maximum) would miss it."""
+        v = Version(3)
+        v.add_file(1, meta(1, b"a", b"z"))
+        v.add_file(1, meta(2, b"b", b"c"))
+        v.add_file(1, meta(3, b"d", b"e"))
+        assert [f.number for f in v.overlapping_files(1, b"m", b"n")] == [1]
+        assert [f.number for f in v.tables_for_key(1, b"d")] == [3, 1]
+
+    def test_remove_among_equal_smallest_keys(self):
+        v = Version(3)
+        for number, largest in ((1, b"c"), (2, b"b"), (3, b"d")):
+            v.add_file(1, meta(number, b"a", largest))
+        assert [f.number for f in v.files[1]] == [3, 2, 1]
+        assert v.remove_file(1, 1)
+        assert [f.number for f in v.files[1]] == [3, 2]
+
+
+class CountingKey(bytes):
+    """A key that counts every ordering comparison made on it."""
+
+    compares = 0
+
+    def _counted(name):
+        def compare(self, other):
+            CountingKey.compares += 1
+            return getattr(bytes, name)(self, other)
+        return compare
+
+    __lt__, __le__ = _counted("__lt__"), _counted("__le__")
+    __gt__, __ge__ = _counted("__gt__"), _counted("__ge__")
+
+
+def counted_tables(count, first_number=1, stride=10, width=4):
+    return [meta(first_number + i, CountingKey(b"%08d" % (i * stride)),
+                 CountingKey(b"%08d" % (i * stride + width)))
+            for i in range(count)]
+
+
+class TestVersionComplexity:
+    """Key-comparison counts: deterministic, no clock."""
+
+    def test_overlapping_files_is_logarithmic(self):
+        n = 4096
+        v = Version(3)
+        for table in counted_tables(n):
+            v.add_file(1, table)
+        lo, hi = CountingKey(b"%08d" % 20001), CountingKey(b"%08d" % 20025)
+        v.overlapping_files(1, lo, hi)  # builds the level's running maximum
+        CountingKey.compares = 0
+        hits = v.overlapping_files(1, lo, hi)
+        assert [f.number for f in hits] == [2001, 2002, 2003]
+        assert CountingKey.compares <= 4 * math.log2(n)
+
+    def test_classifying_victims_is_not_quadratic(self):
+        """256 victims against 1024 next-level tables: one indexing pass
+        over the overlaps, one bisect per victim — not 256 x 1024."""
+        overlaps = counted_tables(1024, stride=10, width=4)
+        victims = counted_tables(256, first_number=5000, stride=40, width=6)
+        settled_shape = SimpleNamespace(
+            options=SimpleNamespace(enable_settled_compaction=True))
+        budget = 2 * len(overlaps) + len(victims) * (math.log2(len(overlaps)) + 3)
+        CountingKey.compares = 0
+        settled, merge = BoLTMixin._split_settled(
+            settled_shape, Compaction(1, victims, overlaps))
+        assert CountingKey.compares <= budget
+        assert (merge, settled) == brute_split(victims, overlaps)
+        CountingKey.compares = 0
+        halves = split_by_overlap(overlaps, victims)
+        assert CountingKey.compares <= \
+            2 * len(victims) + len(overlaps) * (math.log2(len(victims)) + 3)
+        assert halves == brute_split(overlaps, victims)
 
 
 class TestVersionEdit:
