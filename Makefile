@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: check test smoke simcheck effects doccheck
+.PHONY: check test smoke ledger-smoke simcheck effects doccheck
 
 ## All static gates (ruff + simcheck + doccheck) in one command.
 check:
@@ -48,6 +48,11 @@ smoke:
 	$(call twice,tiered,--engine bolt --tiered --num 10000)
 	grep -E 'tier demotions: +[1-9]' $(SMOKE_OUT)/tiered.txt
 	grep -E 'tier remote: +[1-9][0-9]* GETs' $(SMOKE_OUT)/tiered.txt
+
+## The perf ledger's self-test at smoke scale (benchmarks/ledger is
+## outside pytest's testpaths, so `make test` does not reach it; ~15 s).
+ledger-smoke:
+	$(PY) -m pytest benchmarks/ledger -q
 
 ## The determinism/durability analyzer alone (baseline applied).
 ## Library and test code are separate projects on purpose — see

@@ -1353,30 +1353,36 @@ class LSMEngine:
         opts = self.options
         if max_table_bytes == -1:
             max_table_bytes = opts.sstable_size
+        table_format = opts.table_format
+        bloom_bits = opts.bloom_bits_per_key
+        new_file_number = self.versions.new_file_number
+        num_cuts = len(cut_keys) if cut_keys is not None else 0
         metas: List[FileMetaData] = []
         builder: Optional[SSTableBuilder] = None
         number = 0
         container = ""
         cut_index = 0
+        # No yield between a builder's first add and its finish: the
+        # builder's single append relies on it (see SSTableBuilder).
         for user_key, seq, value_type, value in entries:
-            if cut_keys is not None and builder is not None:
-                while cut_index < len(cut_keys) and cut_keys[cut_index] <= builder.current_user_key:
-                    cut_index += 1
-                if cut_index < len(cut_keys) and user_key >= cut_keys[cut_index]:
+            # A table is only ever cut between two user keys.
+            if builder is not None and user_key != builder.current_user_key:
+                cut = False
+                if num_cuts:
+                    last_key = builder.current_user_key
+                    while cut_index < num_cuts and cut_keys[cut_index] <= last_key:
+                        cut_index += 1
+                    cut = cut_index < num_cuts and user_key >= cut_keys[cut_index]
+                if cut or (max_table_bytes is not None
+                           and builder.estimated_size >= max_table_bytes):
                     metas.append(self._finish_builder(builder, number, container))
                     builder = None
-            if (builder is not None and max_table_bytes is not None
-                    and builder.estimated_size >= max_table_bytes
-                    and user_key != builder.current_user_key):
-                metas.append(self._finish_builder(builder, number, container))
-                builder = None
             if builder is None:
-                number = self.versions.new_file_number()
+                number = new_file_number()
                 handle, container = yield from sink.next_handle(number)
-                builder = SSTableBuilder(handle, opts.table_format,
-                                         opts.bloom_bits_per_key, meter)
+                builder = SSTableBuilder(handle, table_format, bloom_bits, meter)
             builder.add(user_key, seq, value_type, value)
-        if builder is not None and builder.num_entries:
+        if builder is not None:
             metas.append(self._finish_builder(builder, number, container))
         yield from sink.seal()
         for meta in metas:

@@ -1,10 +1,13 @@
 """Merging helpers for compaction and range scans.
 
 Entry streams are lists of ``(user_key, seq, value_type, value)`` in
-internal-key order.  :func:`merge_streams` k-way merges them with a
-newest-first tie-break on user keys, and :func:`collapse_versions`
-keeps only the newest visible version of each user key, optionally
-dropping tombstones (safe only at the bottom of the tree).
+internal-key order.  :func:`merge_streams` merges them eagerly for
+compaction, with a newest-first tie-break on user keys, and
+:func:`collapse_versions` keeps only the newest visible version of
+each user key, optionally dropping tombstones (safe only at the bottom
+of the tree).  :func:`merge_scan` merges lazily instead: a range scan
+stops after ``count`` results, and its memtable stream can be far
+longer than that.
 """
 
 from __future__ import annotations
@@ -25,9 +28,20 @@ def _internal_order(entry: Entry) -> Tuple[bytes, int]:
     return (user_key, MAX_SEQUENCE - seq)
 
 
-def merge_streams(streams: Iterable[Iterable[Entry]]) -> Iterator[Entry]:
-    """K-way merge of sorted entry streams in internal-key order."""
-    return heapq.merge(*streams, key=_internal_order)
+def merge_streams(streams: Iterable[Iterable[Entry]]) -> List[Entry]:
+    """Merge sorted entry streams into one list in internal-key order.
+
+    For compaction, which consumes every entry.  Concatenate, then one
+    stable sort: Timsort finds the already-sorted runs and gallops
+    through them in C, and stability resolves equal internal keys to
+    the earlier stream, as a heap merge keyed on ``(key, stream index)``
+    would.
+    """
+    merged: List[Entry] = []
+    for stream in streams:
+        merged.extend(stream)
+    merged.sort(key=_internal_order)
+    return merged
 
 
 def collapse_versions(entries: Iterable[Entry], drop_tombstones: bool,
@@ -47,28 +61,34 @@ def collapse_versions(entries: Iterable[Entry], drop_tombstones: bool,
     older than it (the deletion must keep shadowing what that snapshot
     can still see).
     """
+    last_key = None  # never equal to a user key (bytes)
+    if not snapshots:
+        # Every version of a key shares the one snapshot interval.
+        for entry in entries:
+            user_key = entry[0]
+            if user_key == last_key:
+                continue
+            last_key = user_key
+            if drop_tombstones and entry[2] == VALUE_TYPE_DELETION:
+                continue
+            yield entry
+        return
+
     snapshots = sorted(snapshots)
-    oldest_snapshot = snapshots[0] if snapshots else None
-
-    def bucket(seq: int) -> int:
-        # Two versions in the same bucket are separated by no snapshot,
-        # so the older one is invisible to every reader.
-        """The snapshot interval ``seq`` falls into."""
-        return bisect.bisect_left(snapshots, seq)
-
-    last_key: bytes = None  # type: ignore[assignment]
+    oldest_snapshot = snapshots[0]
     last_bucket = -1
-    first = True
     for entry in entries:
         user_key, seq, value_type, _value = entry
-        if not first and user_key == last_key:
-            if not snapshots or bucket(seq) == last_bucket:
-                continue  # shadowed within the same snapshot interval
-        first = False
+        # Two versions in the same bucket (snapshot interval) are
+        # separated by no snapshot, so the older one is invisible to
+        # every reader.
+        bucket = bisect.bisect_left(snapshots, seq)
+        if user_key == last_key and bucket == last_bucket:
+            continue
         last_key = user_key
-        last_bucket = bucket(seq)
+        last_bucket = bucket
         if (drop_tombstones and value_type == VALUE_TYPE_DELETION
-                and (oldest_snapshot is None or seq <= oldest_snapshot)):
+                and seq <= oldest_snapshot):
             continue
         yield entry
 
@@ -78,14 +98,17 @@ def merge_scan(streams: Iterable[Iterable[Entry]], start_key: bytes,
     """Range scan: first ``count`` live user keys at/after ``start_key``.
 
     Entries newer than ``snapshot_seq`` are invisible; tombstones hide
-    older versions of their key.
+    older versions of their key.  The merge is a lazy heap merge, not
+    :func:`merge_streams`: the loop stops after ``count`` results, so
+    the cost follows the entries consumed, not the length of the
+    longest stream (the whole memtable tail past ``start_key``).
     """
     results: List[Tuple[bytes, bytes]] = []
     if count <= 0:
         return results
     last_key: bytes = None  # type: ignore[assignment]
     first = True
-    for user_key, seq, value_type, value in merge_streams(streams):
+    for user_key, seq, value_type, value in heapq.merge(*streams, key=_internal_order):
         if user_key < start_key or seq > snapshot_seq:
             continue
         if not first and user_key == last_key:

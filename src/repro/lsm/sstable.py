@@ -26,10 +26,8 @@ from .codec import (
     VALUE_TYPE_DELETION,
     crc32,
     decode_fixed32,
-    decode_fixed64,
     decode_varint,
     encode_fixed32,
-    encode_fixed64,
     encode_varint,
 )
 from .bloom import BloomFilter
@@ -40,7 +38,9 @@ __all__ = ["SSTableBuilder", "SSTableReader", "TableInfo", "DataBlock",
            "FOOTER_SIZE", "verify_table_bytes"]
 
 _MAGIC = 0xB0171E5B0171E5B0 & 0xFFFFFFFFFFFFFFFF
-FOOTER_SIZE = 8 * 6 + 4
+#: Footer body: index off/len, bloom off/len, entry count, magic.
+_FOOTER = struct.Struct("<6Q")
+FOOTER_SIZE = _FOOTER.size + 4  # body || crc32
 
 #: (user_key, sequence, value_type, value)
 Entry = Tuple[bytes, int, int, bytes]
@@ -50,10 +50,27 @@ _SEQ = struct.Struct("<Q")
 #: (byte-identical to the two fixed32 writes it replaces).
 _TRAILER = struct.Struct("<II")
 
-#: ``(klen, vlen, value_type, per_record_overhead) -> (header_prefix, pad)``.
-#: Entry headers repeat massively within a workload (fixed key/value
-#: sizes), so the varint/type prefix and the zero pad are built once.
-_HEADER_CACHE: Dict[Tuple[int, int, int, int], Tuple[bytes, bytes]] = {}
+#: ``(klen, vlen, value_type, per_record_overhead) -> (header_prefix, pad,
+#: encoded entry size)``.  Entry headers repeat massively within a
+#: workload (fixed key/value sizes), so the varint/type prefix and the
+#: zero pad are built once.  Bounded by a wholesale clear, as
+#: ``bloom._HASH_CACHE`` is: a variable-value-size workload would
+#: otherwise grow it forever, and the values are pure functions of the
+#: key, so dropping them cannot change results.
+_HEADER_CACHE: Dict[Tuple[int, int, int, int], Tuple[bytes, bytes, int]] = {}
+_HEADER_CACHE_LIMIT = 1 << 16
+
+
+def _entry_header(cache_key: Tuple[int, int, int, int]) -> Tuple[bytes, bytes, int]:
+    """Build and cache the header for one ``_HEADER_CACHE`` key."""
+    klen, vlen, value_type, overhead = cache_key
+    prefix = encode_varint(klen) + encode_varint(vlen) + bytes([value_type])
+    pad = max(0, overhead - (len(prefix) + 8))
+    cached = (prefix, b"\x00" * pad, len(prefix) + 8 + klen + vlen + pad)
+    if len(_HEADER_CACHE) >= _HEADER_CACHE_LIMIT:
+        _HEADER_CACHE.clear()
+    _HEADER_CACHE[cache_key] = cached
+    return cached
 
 
 @dataclass(frozen=True)
@@ -69,20 +86,13 @@ class TableInfo:
     bloom_size: int
 
 
-def _encode_entry(fmt: TableFormat, user_key: bytes, seq: int,
-                  value_type: int, value: bytes) -> bytes:
-    cache_key = (len(user_key), len(value), value_type, fmt.per_record_overhead)
-    cached = _HEADER_CACHE.get(cache_key)
-    if cached is None:
-        prefix = (encode_varint(len(user_key)) + encode_varint(len(value))
-                  + bytes([value_type]))
-        pad = fmt.per_record_overhead - (len(prefix) + 8)
-        if pad < 0:
-            pad = 0
-        cached = (prefix, b"\x00" * pad)
-        _HEADER_CACHE[cache_key] = cached
-    prefix, pad_bytes = cached
-    return prefix + _SEQ.pack(seq) + user_key + value + pad_bytes
+def _entry_parts(overhead: int, user_key: bytes, seq: int, value_type: int,
+                 value: bytes) -> Tuple[Tuple[bytes, ...], int]:
+    """One encoded entry as its pieces in file order, and their total
+    size — the one place the entry layout is written down."""
+    cache_key = (len(user_key), len(value), value_type, overhead)
+    prefix, pad, size = _HEADER_CACHE.get(cache_key) or _entry_header(cache_key)
+    return (prefix, _SEQ.pack(seq), user_key, value, pad), size
 
 
 def _decode_entries(fmt: TableFormat, data: bytes) -> List[Entry]:
@@ -151,6 +161,20 @@ def _decode_entries(fmt: TableFormat, data: bytes) -> List[Entry]:
     return entries
 
 
+def _decode_block(fmt: TableFormat, raw: bytes) -> List[Entry]:
+    """CRC-check an encoded data block and return its entries."""
+    if len(raw) < 8:
+        raise CorruptionError("block too short")
+    payload = raw[:-8]
+    count, stored_crc = _TRAILER.unpack_from(raw, len(raw) - 8)
+    if crc32(payload) != stored_crc:
+        raise CorruptionError("block checksum mismatch")
+    entries = _decode_entries(fmt, payload)
+    if len(entries) != count:
+        raise CorruptionError("block entry count mismatch")
+    return entries
+
+
 class DataBlock:
     """A decoded data block: entries plus a parallel key array for bisect."""
 
@@ -164,16 +188,7 @@ class DataBlock:
     @classmethod
     def decode(cls, fmt: TableFormat, raw: bytes) -> "DataBlock":
         """Parse and CRC-check an encoded block."""
-        if len(raw) < 8:
-            raise CorruptionError("block too short")
-        payload = raw[:-8]
-        count, stored_crc = _TRAILER.unpack_from(raw, len(raw) - 8)
-        if crc32(payload) != stored_crc:
-            raise CorruptionError("block checksum mismatch")
-        entries = _decode_entries(fmt, payload)
-        if len(entries) != count:
-            raise CorruptionError("block entry count mismatch")
-        return cls(entries, len(raw))
+        return cls(_decode_block(fmt, raw), len(raw))
 
     def lookup(self, user_key: bytes, snapshot_seq: int) -> Tuple[str, Optional[bytes]]:
         """Newest visible version of ``user_key`` within this block."""
@@ -193,44 +208,63 @@ def _encode_block(payload: bytes, count: int) -> bytes:
 
 
 class SSTableBuilder:
-    """Streams sorted entries into ``handle`` starting at its current end.
+    """Collects sorted entries and writes them to ``handle`` as one table.
 
-    The builder only buffers one data block at a time; completed blocks
-    are appended immediately (buffered in the page cache — durability is
-    the caller's fsync).  Entries must arrive in internal-key order.
+    The whole table is buffered — ``add`` only encodes, a full data
+    block closes with one join and one CRC — and ``finish`` hands
+    blocks, index, bloom filter and footer to the file in a single
+    append (into the page cache; durability is the caller's fsync).
+    So the builder holds the encoded table, and twice that for the
+    moment ``finish`` joins it: ``sstable_size`` where the caller cuts
+    tables, a whole memtable for a stock L0 flush or repair's salvage,
+    which build one table however large.  A failed append
+    (``DiskFullError``) leaves *none* of the table in the file: SimFS
+    appends are all-or-nothing.
+
+    The meter is charged here, not by the append, with the sequence a
+    block-at-a-time writer would produce — each record's codec charge,
+    then its block's byte charge; index, bloom and footer bytes after
+    the append.  The accumulator is a float, so the order of charges is
+    part of the simulation's result.  One append is equivalent to one
+    per section only while nothing else runs between the first ``add``
+    and ``finish`` (no barrier, no other writer to the file): callers
+    must not yield in between.  Entries must arrive in internal-key
+    order.
     """
 
     def __init__(self, handle: FileHandle, fmt: TableFormat,
                  bloom_bits_per_key: int = 10,
-                 meter: Optional[CpuMeter] = None,
-                 expected_keys: int = 1024):
+                 meter: Optional[CpuMeter] = None):
         self.handle = handle
         self.fmt = fmt
         self.meter = meter
         self.base_offset = handle.size
-        self._block = bytearray()
+        self._overhead = fmt.per_record_overhead
+        self._block_size = fmt.block_size
+        self._parts: List[bytes] = []  # encoded pieces of the open block
+        self._block_bytes = 0
         self._block_count = 0
+        self._blocks: List[bytes] = []  # closed blocks, CRC trailer included
         self._index: List[Tuple[bytes, int, int]] = []  # (last_key, off, len)
-        self._written = 0
-        self._num_entries = 0
+        self._written = 0  # bytes in closed blocks
+        self._closed_entries = 0
         self._smallest: Optional[bytes] = None
-        self._largest: Optional[bytes] = None
         self._last_key: Optional[bytes] = None
-        self._keys: List[bytes] = []
+        self._keys: List[bytes] = []  # distinct user keys, for the bloom filter
         self._bloom_bits = bloom_bits_per_key
         self.finished = False
 
     @property
     def num_entries(self) -> int:
         """Number of entries added so far."""
-        return self._num_entries
+        return self._closed_entries + self._block_count
 
     @property
     def estimated_size(self) -> int:
         """Bytes this table will occupy, including index/bloom estimate."""
         overhead = (len(self._index) + 1) * 40 + len(self._keys) * (
             self._bloom_bits // 8 + 1) + FOOTER_SIZE
-        return self._written + len(self._block) + overhead
+        return self._written + self._block_bytes + overhead
 
     @property
     def current_user_key(self) -> Optional[bytes]:
@@ -241,75 +275,79 @@ class SSTableBuilder:
         """Append one entry; user keys must arrive in sorted order."""
         if self.finished:
             raise RuntimeError("builder already finished")
-        if self._largest is not None and user_key < self._largest:
-            raise ValueError("keys added out of order")
-        encoded = _encode_entry(self.fmt, user_key, seq, value_type, value)
-        self._block.extend(encoded)
-        self._block_count += 1
-        self._num_entries += 1
-        if self._smallest is None:
-            self._smallest = user_key
-        self._largest = user_key
-        self._last_key = user_key
-        if user_key != (self._keys[-1] if self._keys else None):
+        last_key = self._last_key
+        if user_key != last_key:
+            if last_key is None:
+                self._smallest = user_key
+            elif user_key < last_key:
+                raise ValueError("keys added out of order")
+            self._last_key = user_key
             self._keys.append(user_key)
-        if self.meter is not None:
-            self.meter.charge(self.meter.model.codec_per_record)
-        if len(self._block) >= self.fmt.block_size:
-            self._flush_block()
+        parts, size = _entry_parts(self._overhead, user_key, seq, value_type, value)
+        self._parts += parts
+        self._block_count += 1
+        self._block_bytes += size
+        if self._block_bytes >= self._block_size:
+            self._close_block()
 
-    def _flush_block(self) -> None:
-        if not self._block:
-            return
-        raw = _encode_block(bytes(self._block), self._block_count)
-        rel_offset = self._written
-        self.handle.append(raw, self.meter)
+    def _close_block(self) -> None:
+        count = self._block_count
+        raw = _encode_block(b"".join(self._parts), count)
+        meter = self.meter
+        if meter is not None:
+            meter.charge_repeat(meter.model.codec_per_record, count)
+            meter.charge_bytes(len(raw))
+        self._index.append((self._last_key, self._written, len(raw)))
+        self._blocks.append(raw)
         self._written += len(raw)
-        self._index.append((self._largest, rel_offset, len(raw)))
-        self._block = bytearray()
+        self._closed_entries += count
+        self._parts = []
         self._block_count = 0
+        self._block_bytes = 0
 
     def finish(self) -> TableInfo:
-        """Flush the tail block, write index/bloom/footer; return metadata."""
+        """Write blocks, index, bloom and footer in one append; return metadata."""
         if self.finished:
             raise RuntimeError("builder already finished")
-        if self._num_entries == 0:
+        if self._block_count:
+            self._close_block()
+        if not self._closed_entries:
             raise ValueError("cannot finish an empty table")
-        self._flush_block()
         self.finished = True
 
-        index_payload = bytearray()
+        pad = b"\x00" * self.fmt.index_entry_overhead
+        index_parts: List[bytes] = []
         for last_key, off, length in self._index:
-            entry = (encode_varint(len(last_key)) + last_key
-                     + encode_varint(off) + encode_varint(length))
-            index_payload.extend(entry)
-            index_payload.extend(b"\x00" * self.fmt.index_entry_overhead)
-        index_raw = _encode_block(bytes(index_payload), len(self._index))
+            index_parts += (encode_varint(len(last_key)), last_key,
+                            encode_varint(off), encode_varint(length), pad)
+        index_raw = _encode_block(b"".join(index_parts), len(self._index))
         index_off = self._written
-        self.handle.append(index_raw, self.meter)
-        self._written += len(index_raw)
 
         bloom = BloomFilter(len(self._keys), self._bloom_bits)
         bloom.add_all(self._keys)
         bloom_blob = bloom.encode()
         bloom_raw = bloom_blob + encode_fixed32(crc32(bloom_blob))
-        bloom_off = self._written
-        self.handle.append(bloom_raw, self.meter)
-        self._written += len(bloom_raw)
+        bloom_off = index_off + len(index_raw)
 
-        footer_payload = (encode_fixed64(index_off) + encode_fixed64(len(index_raw))
-                          + encode_fixed64(bloom_off) + encode_fixed64(len(bloom_raw))
-                          + encode_fixed64(self._num_entries) + encode_fixed64(_MAGIC))
+        footer_payload = _FOOTER.pack(index_off, len(index_raw), bloom_off,
+                                      len(bloom_raw), self._closed_entries, _MAGIC)
         footer = footer_payload + encode_fixed32(crc32(footer_payload))
-        self.handle.append(footer, self.meter)
-        self._written += len(footer)
+
+        tail = (index_raw, bloom_raw, footer)
+        self._blocks += tail
+        table = b"".join(self._blocks)
+        self.handle.append(table)
+        meter = self.meter
+        if meter is not None:
+            for section in tail:
+                meter.charge_bytes(len(section))
 
         return TableInfo(
             base_offset=self.base_offset,
-            length=self._written,
-            num_entries=self._num_entries,
+            length=len(table),
+            num_entries=self._closed_entries,
             smallest=self._smallest,
-            largest=self._largest,
+            largest=self._last_key,
             index_size=len(index_raw),
             bloom_size=len(bloom_raw),
         )
@@ -372,12 +410,9 @@ class SSTableReader:
         payload, stored = raw_footer[:-4], decode_fixed32(raw_footer, FOOTER_SIZE - 4)
         if crc32(payload) != stored:
             raise CorruptionError("footer checksum mismatch")
-        index_off = decode_fixed64(payload, 0)
-        index_len = decode_fixed64(payload, 8)
-        bloom_off = decode_fixed64(payload, 16)
-        bloom_len = decode_fixed64(payload, 24)
-        num_entries = decode_fixed64(payload, 32)
-        if decode_fixed64(payload, 40) != _MAGIC:
+        (index_off, index_len, bloom_off, bloom_len, num_entries,
+         magic) = _FOOTER.unpack(payload)
+        if magic != _MAGIC:
             raise CorruptionError("bad table magic")
 
         raw_index = yield from handle.read(
@@ -452,10 +487,10 @@ class SSTableReader:
         for _key, off, length in self.index:
             raw = yield from self.handle.read(
                 self.base_offset + off, length, meter, sequential=True)
-            block = DataBlock.decode(self.fmt, raw)
+            block = _decode_block(self.fmt, raw)
             if meter is not None:
-                meter.charge(meter.model.codec_per_record * len(block.entries))
-            entries.extend(block.entries)
+                meter.charge(meter.model.codec_per_record * len(block))
+            entries += block
         return entries
 
     def iter_entries_from(self, user_key: bytes,
@@ -475,13 +510,12 @@ class SSTableReader:
         for _key, off, length in self.index[start:]:
             raw = yield from self.handle.read(
                 self.base_offset + off, length, meter, sequential=True)
-            block = DataBlock.decode(self.fmt, raw)
+            block = _decode_block(self.fmt, raw)
             if meter is not None:
-                meter.charge(meter.model.codec_per_record * len(block.entries))
-            entries.extend(block.entries)
+                meter.charge(meter.model.codec_per_record * len(block))
+            entries += block
             if max_entries is not None:
-                qualifying += sum(1 for e in block.entries
-                                  if e[0] >= user_key)
+                qualifying += sum(1 for e in block if e[0] >= user_key)
                 if qualifying >= max_entries:
                     break
         return [e for e in entries if e[0] >= user_key]

@@ -74,6 +74,23 @@ class CpuMeter:
         self._accumulated += seconds
         self.total_charged += seconds
 
+    def charge_repeat(self, seconds: float, times: int) -> None:
+        """Exactly ``times`` calls of ``charge(seconds)``, in one call.
+
+        The accumulators are floats, so ``times`` separate additions and
+        one addition of ``times * seconds`` differ in the last bits —
+        and the sum becomes a timeout, i.e. virtual time.  This adds one
+        at a time.
+        """
+        seconds *= self.scale
+        accumulated = self._accumulated
+        total = self.total_charged
+        for _ in range(times):
+            accumulated += seconds
+            total += seconds
+        self._accumulated = accumulated
+        self.total_charged = total
+
     def charge_bytes(self, nbytes: int) -> None:
         """Record a memory copy of ``nbytes``."""
         self.charge(nbytes * self.model.memcpy_per_byte)

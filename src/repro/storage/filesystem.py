@@ -388,7 +388,10 @@ class SimFS:
         Costs only a memory copy (charged to ``meter`` if given).
         Durability requires a subsequent :meth:`fsync`/:meth:`fdatasync`.
         Raises :class:`DiskFullError` (leaving the file untouched) when
-        the allocation would exceed :attr:`capacity_bytes`.
+        the allocation would exceed :attr:`capacity_bytes`.  Appends are
+        all-or-nothing, and callers rely on it: a MANIFEST record is in
+        the log whole or absent, and ``SSTableBuilder`` appends a table
+        whole, so a full disk never leaves part of one behind.
         """
         file = handle._file
         offset = file.size

@@ -5,7 +5,8 @@ device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
 encode/decode, skiplist insert/seek, histogram recording, the Version
-index, and an end-to-end YCSB-A suite slice — so a regression shows up
+index, the merge + table-build data path of flush and compaction, and
+an end-to-end YCSB-A suite slice — so a regression shows up
 as a number, not as a mysteriously slower CI run.
 
 Usage::
@@ -86,14 +87,15 @@ def bench_codec() -> Tuple[float, str]:
     import random
 
     from ..core import bolt_options
-    from ..lsm.sstable import DataBlock, _encode_block, _encode_entry
+    from ..lsm.sstable import DataBlock, _encode_block, _entry_parts
 
     fmt = bolt_options(1024).table_format
     rng = random.Random(7)
     payload = bytearray()
     for i in range(200):
-        payload.extend(_encode_entry(
-            fmt, b"user%019d" % rng.randrange(10 ** 18), i + 1, 1, bytes(100)))
+        payload.extend(b"".join(_entry_parts(
+            fmt.per_record_overhead, b"user%019d" % rng.randrange(10 ** 18),
+            i + 1, 1, bytes(100))[0]))
     raw = _encode_block(bytes(payload), 200)
     started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
     for _ in range(2000):
@@ -212,6 +214,57 @@ def bench_version() -> Tuple[float, str]:
     elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
     answers.append([[f.number for f in level] for level in version.files])
     return elapsed, _fingerprint(answers)
+
+
+@_benchmark
+def bench_build() -> Tuple[float, str]:
+    """Flush/compaction data path at a BoLT fill's shape: an 8-run merge +
+    collapse, its output cut into ~600 logical SSTables of 11 records
+    (23 B keys, 256 B values) inside one SimFS file."""
+    import random
+
+    from ..core import bolt_options
+    from ..lsm.codec import VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
+    from ..lsm.iterators import collapse_versions, merge_streams
+    from ..lsm.sstable import SSTableBuilder
+    from ..sim import CostModel, CpuMeter, Environment
+    from ..storage import BlockDevice, PageCache, SimFS
+
+    rng = random.Random(17)
+    keys = [b"user%019d" % rng.randrange(10 ** 18) for _ in range(6600)]
+    runs: List[List[Any]] = [[] for _ in range(8)]
+    for seq, key in enumerate(keys + rng.sample(keys, 600), start=1):
+        dead = seq > len(keys) and seq % 3 == 0  # rewrites; a third delete
+        runs[rng.randrange(8)].append(
+            (key, seq, VALUE_TYPE_DELETION, b"") if dead else
+            (key, seq, VALUE_TYPE_VALUE, rng.randbytes(8) * 32))
+    for run in runs:
+        run.sort(key=lambda entry: (entry[0], -entry[1]))
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env), PageCache(1 << 20))
+    fmt = bolt_options(1024).table_format
+    meter = CpuMeter(env, CostModel(), scale=0.25)
+    handle = env.run_until(env.process(fs.create("build.cf")))
+    infos: List[Any] = []
+
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    merged = list(collapse_versions(merge_streams(runs), drop_tombstones=True))
+    for first in range(0, len(merged), 11):
+        builder = SSTableBuilder(handle, fmt, 10, meter)
+        for entry in merged[first:first + 11]:
+            builder.add(*entry)
+        infos.append(builder.finish())
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+
+    data = env.run_until(env.process(handle.read(0, handle.size)))
+    digest = _fingerprint({
+        "file": hashlib.sha256(data).hexdigest(),
+        "merged": hashlib.sha256(repr(merged).encode()).hexdigest(),
+        "tables": [(info.base_offset, info.length) for info in infos],
+        "charged": meter.total_charged.hex(),
+        "written": fs.stats.logical_bytes_written,
+    })
+    return elapsed, digest
 
 
 @_benchmark

@@ -21,6 +21,21 @@ class TestBloomFilter:
         bloom.add_all(keys)
         assert all(bloom.may_contain(k) for k in keys)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.binary(min_size=1, max_size=24), min_size=1, max_size=500),
+           st.sampled_from([4, 10, 16]))
+    def test_add_all_equals_repeated_add(self, keys, bits_per_key):
+        # 1-500 keys straddles the filter size up to which add_all
+        # accumulates the probe bits in one int.
+        keys = sorted(keys)
+        batched = BloomFilter(len(keys), bits_per_key)
+        batched.add(keys[0])  # add_all ORs into what is already set
+        batched.add_all(keys[1:])
+        one_by_one = BloomFilter(len(keys), bits_per_key)
+        for key in keys:
+            one_by_one.add(key)
+        assert batched.encode() == one_by_one.encode()
+
     def test_false_positive_rate_near_one_percent(self):
         """Paper §4.1: 10 bloom bits ~= 1% false positives."""
         rng = random.Random(42)

@@ -323,6 +323,39 @@ class TestBackgroundErrorUnwind:
         db.close_sync()
 
 
+    def test_disk_full_flush_leaves_no_partial_table(self):
+        """A table is one append, and SimFS appends are all-or-nothing:
+        ENOSPC in a flush leaves none of the table's bytes behind — room
+        for its first block does not help — and still degrades the store
+        to read-only through ``_on_background_error``."""
+        env, _device, fs = fresh_stack()
+        db = LSMEngine.open_sync(
+            env, fs, small_options(enable_auto_resume=False), "db")
+        for i in range(40):
+            drive(env, db.put(b"user%04d" % i, b"x" * 200))
+        before = set(fs.listdir("db"))
+        reported = []
+        route = db._on_background_error
+        db._on_background_error = lambda site, exc: (
+            reported.append((site, type(exc))), route(site, exc))
+        # The ~12 KB table would not fit; its first 4 KB block would.
+        fs.set_capacity(fs.total_allocated_bytes() + 6000)
+        drive(env, db.flush_all())
+        assert reported == [("flush", DiskFullError)]
+        assert db.health.read_only and db.health.enospc
+        created = set(fs.listdir("db")) - before
+        assert any(name.endswith(".ldb") for name in created)
+        assert all(fs.file_size(name) == 0 for name in created)
+        for i in range(40):
+            assert drive(env, db.get(b"user%04d" % i)) == b"x" * 200
+
+        fs.set_capacity(None)
+        db.health.poke()
+        drive(env, db.flush_all())
+        assert not db.health.degraded and db.stats.memtable_flushes == 1
+        db.close_sync()
+
+
 # ---------------------------------------------------------------------------
 # Read-only exactness property
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Unit and property tests for the merge/collapse/scan helpers."""
 
+import heapq
+
 from hypothesis import given, settings, strategies as st
 
 from repro.lsm.codec import MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
-from repro.lsm.iterators import collapse_versions, merge_scan, merge_streams
+from repro.lsm.iterators import (_internal_order, collapse_versions, merge_scan,
+                                 merge_streams)
 
 
 def put(key, seq, value=b"v"):
@@ -55,6 +58,23 @@ class TestMergeStreams:
         assert merged == expected
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from([b"a", b"b", b"bb", b"c"]),
+                                       st.integers(1, 6)),
+                             max_size=12),
+                    max_size=8))
+    def test_equals_heap_merge_with_keys_duplicated_across_streams(self, raw_streams):
+        # Four keys x six sequences over up to eight runs: the same
+        # internal key turns up in several runs, and the value records
+        # which run an entry came from, so a tie resolved to a later
+        # stream shows.
+        runs = [sorted((put(key, seq, b"run%d" % number) for key, seq in set(raw)),
+                       key=_internal_order)
+                for number, raw in enumerate(raw_streams)]
+        assert merge_streams(runs) == list(heapq.merge(*runs, key=_internal_order))
+        assert merge_streams(iter(run) for run in runs) == merge_streams(runs)
+
+
 class TestCollapseVersions:
     def test_keeps_newest_only(self):
         entries = [put(b"k", 9, b"new"), put(b"k", 3, b"old"), put(b"z", 1)]
@@ -73,6 +93,21 @@ class TestCollapseVersions:
 
     def test_empty(self):
         assert list(collapse_versions([], drop_tombstones=True)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.tuples(st.sampled_from([b"", b"a", b"b", b"c"]),
+                             st.integers(1, 50), st.booleans())),
+           st.booleans())
+    def test_no_snapshot_path_equals_one_snapshot_newer_than_everything(
+            self, raw, drop_tombstones):
+        # A snapshot above every sequence separates no two versions and
+        # protects no tombstone, so the snapshot-interval path must
+        # agree with the no-snapshot fast path.
+        entries = sorted({(key, seq): tomb(key, seq) if dead else put(key, seq)
+                          for key, seq, dead in raw}.values(), key=_internal_order)
+        assert (list(collapse_versions(entries, drop_tombstones))
+                == list(collapse_versions(entries, drop_tombstones,
+                                          snapshots=[MAX_SEQUENCE])))
 
 
 class TestMergeScan:
@@ -96,6 +131,23 @@ class TestMergeScan:
         stream = [put(b"%03d" % i, i + 1) for i in range(100)]
         result = merge_scan([stream], b"000", 7, MAX_SEQUENCE)
         assert len(result) == 7
+
+    def test_stops_consuming_after_count(self):
+        # engine.scan hands over the whole memtable tail; a short scan
+        # must not pay for it (an eager merge would sort all of it).
+        consumed = [0, 0]
+
+        def counted(index, entries):
+            for entry in entries:
+                consumed[index] += 1
+                yield entry
+
+        memtable = [put(b"%05d" % i, 20_000 + i) for i in range(0, 10_000, 2)]
+        table = [put(b"%05d" % i, i + 1) for i in range(1, 10_000, 2)]
+        result = merge_scan([counted(0, memtable), counted(1, table)],
+                            b"00000", 10, MAX_SEQUENCE)
+        assert [key for key, _value in result] == [b"%05d" % i for i in range(10)]
+        assert sum(consumed) <= 12  # the results plus one look-ahead per stream
 
     def test_start_key_inclusive(self):
         stream = [put(b"a", 1), put(b"b", 2)]

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     Condition,
@@ -381,6 +382,24 @@ class TestCpuMeter:
         meter = CpuMeter(env, model)
         meter.charge_bytes(3)
         assert meter.pending == 6.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-12, 1e-3), st.integers(0, 300),
+           st.sampled_from([1.0, 0.25, 0.3]), st.floats(0.0, 1e-2))
+    def test_charge_repeat_is_n_charges_bit_for_bit(self, seconds, times,
+                                                     scale, already):
+        # n additions and one addition of n * seconds differ in the last
+        # bits; the sum becomes virtual time, so only the former will do.
+        env = Environment()
+        repeated = CpuMeter(env, CostModel(), scale=scale)
+        looped = CpuMeter(env, CostModel(), scale=scale)
+        for meter in (repeated, looped):
+            meter.charge(already)
+        repeated.charge_repeat(seconds, times)
+        for _ in range(times):
+            looped.charge(seconds)
+        assert repeated.pending.hex() == looped.pending.hex()
+        assert repeated.total_charged.hex() == looped.total_charged.hex()
 
     def test_empty_drain_takes_no_time(self):
         env = Environment()

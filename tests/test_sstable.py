@@ -3,10 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lsm import LEVELDB_FORMAT, ROCKSDB_FORMAT, CorruptionError
-from repro.lsm.codec import VALUE_TYPE_DELETION, VALUE_TYPE_VALUE, MAX_SEQUENCE
+from repro.lsm import LEVELDB_FORMAT, ROCKSDB_FORMAT, BloomFilter, CorruptionError
+from repro.lsm.codec import (MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE,
+                             crc32, encode_fixed32, encode_fixed64, encode_varint)
 from repro.lsm.memtable import DELETED, FOUND, NOT_FOUND
-from repro.lsm.sstable import SSTableBuilder, SSTableReader
+from repro.lsm.sstable import (FOOTER_SIZE, SSTableBuilder, SSTableReader,
+                               TableInfo, _MAGIC)
+from repro.sim import CostModel, CpuMeter, Environment
+from repro.storage import BlockDevice, DiskFullError, PageCache, SimFS
 
 
 def build_table(fs, run, entries, fmt=LEVELDB_FORMAT, name="t.ldb"):
@@ -262,3 +266,244 @@ class TestProperties:
                 assert state == FOUND and got == value
 
         env.run_until(env.process(scenario()))
+
+
+# -- the buffered builder against the per-entry builder it replaced ---------
+
+
+class _ReferenceBuilder:
+    """Frozen copy of the builder before it buffered whole tables.
+
+    One ``handle.append`` per data block and per index/bloom/footer
+    section, each charging the meter itself; one codec charge per
+    ``add``.  Kept as the reference the buffered builder must match bit
+    for bit — file bytes, filesystem state, ``TableInfo``, size
+    estimates and the meter's floats.
+    """
+
+    def __init__(self, handle, fmt, bloom_bits_per_key=10, meter=None):
+        self.handle = handle
+        self.fmt = fmt
+        self.meter = meter
+        self.base_offset = handle.size
+        self._block = bytearray()
+        self._block_count = 0
+        self._index = []
+        self._written = 0
+        self._num_entries = 0
+        self._smallest = None
+        self._largest = None
+        self._keys = []
+        self._bloom_bits = bloom_bits_per_key
+
+    @property
+    def estimated_size(self):
+        overhead = (len(self._index) + 1) * 40 + len(self._keys) * (
+            self._bloom_bits // 8 + 1) + FOOTER_SIZE
+        return self._written + len(self._block) + overhead
+
+    @staticmethod
+    def _block_bytes(payload, count):
+        return payload + encode_fixed32(count) + encode_fixed32(crc32(payload))
+
+    def add(self, user_key, seq, value_type, value):
+        prefix = (encode_varint(len(user_key)) + encode_varint(len(value))
+                  + bytes([value_type]))
+        pad = max(0, self.fmt.per_record_overhead - (len(prefix) + 8))
+        self._block.extend(prefix + encode_fixed64(seq) + user_key + value
+                           + b"\x00" * pad)
+        self._block_count += 1
+        self._num_entries += 1
+        if self._smallest is None:
+            self._smallest = user_key
+        self._largest = user_key
+        if user_key != (self._keys[-1] if self._keys else None):
+            self._keys.append(user_key)
+        if self.meter is not None:
+            self.meter.charge(self.meter.model.codec_per_record)
+        if len(self._block) >= self.fmt.block_size:
+            self._flush_block()
+
+    def _flush_block(self):
+        if not self._block:
+            return
+        raw = self._block_bytes(bytes(self._block), self._block_count)
+        self.handle.append(raw, self.meter)
+        self._index.append((self._largest, self._written, len(raw)))
+        self._written += len(raw)
+        self._block = bytearray()
+        self._block_count = 0
+
+    def finish(self):
+        self._flush_block()
+        index_payload = bytearray()
+        for last_key, off, length in self._index:
+            index_payload.extend(encode_varint(len(last_key)) + last_key
+                                 + encode_varint(off) + encode_varint(length))
+            index_payload.extend(b"\x00" * self.fmt.index_entry_overhead)
+        index_raw = self._block_bytes(bytes(index_payload), len(self._index))
+        index_off = self._written
+        self.handle.append(index_raw, self.meter)
+        self._written += len(index_raw)
+
+        bloom = BloomFilter(len(self._keys), self._bloom_bits)
+        for key in self._keys:
+            bloom.add(key)
+        bloom_blob = bloom.encode()
+        bloom_raw = bloom_blob + encode_fixed32(crc32(bloom_blob))
+        bloom_off = self._written
+        self.handle.append(bloom_raw, self.meter)
+        self._written += len(bloom_raw)
+
+        footer_payload = b"".join(encode_fixed64(field) for field in (
+            index_off, len(index_raw), bloom_off, len(bloom_raw),
+            self._num_entries, _MAGIC))
+        footer = footer_payload + encode_fixed32(crc32(footer_payload))
+        self.handle.append(footer, self.meter)
+        self._written += len(footer)
+        return TableInfo(
+            base_offset=self.base_offset, length=self._written,
+            num_entries=self._num_entries, smallest=self._smallest,
+            largest=self._largest, index_size=len(index_raw),
+            bloom_size=len(bloom_raw))
+
+
+class _CountingHandle:
+    """The two things a builder uses of a FileHandle, counting appends."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.appends = 0
+
+    @property
+    def size(self):
+        return self._handle.size
+
+    def append(self, data, meter=None):
+        self.appends += 1
+        return self._handle.append(data, meter)
+
+
+#: Sorted user keys of 1-40 bytes, each with 1-3 versions (newest
+#: first, some of them tombstones) and values of 0-700 bytes: enough to
+#: span several 4 KB blocks and several header-cache keys.
+_versions = st.lists(
+    st.tuples(st.booleans(), st.binary(max_size=700)), min_size=1, max_size=3)
+_tables = st.lists(
+    st.dictionaries(st.binary(min_size=1, max_size=40), _versions,
+                    min_size=1, max_size=40),
+    min_size=1, max_size=3)
+
+
+def _entries_of(table, first_seq):
+    entries = []
+    seq = first_seq
+    for key in sorted(table):
+        seq += len(table[key])
+        for age, (is_tombstone, value) in enumerate(table[key]):
+            if is_tombstone:
+                entries.append((key, seq - age, VALUE_TYPE_DELETION, b""))
+            else:
+                entries.append((key, seq - age, VALUE_TYPE_VALUE, value))
+    return entries
+
+
+def _build_with(builder_cls, tables, fmt, prefix, scale):
+    """Build ``tables`` back to back in one file; everything observable."""
+    env = Environment()
+    # Two pages of cache: every table evicts, so insertion order shows.
+    fs = SimFS(env, BlockDevice(env), PageCache(2 * 4096))
+    meter = CpuMeter(env, CostModel(), scale=scale)
+    seen = {"infos": [], "estimates": [], "appends": []}
+
+    def scenario():
+        handle = yield from fs.create("t.cf")
+        if prefix:
+            handle.append(bytes(prefix))
+            yield from handle.fsync()  # a durable, partly filled first page
+        for number, table in enumerate(tables):
+            counting = _CountingHandle(handle)
+            builder = builder_cls(counting, fmt, 10, meter)
+            for entry in _entries_of(table, 1000 * number):
+                builder.add(*entry)
+                seen["estimates"].append(builder.estimated_size)
+            seen["infos"].append(builder.finish())
+            seen["appends"].append(counting.appends)
+        return handle
+
+    handle = env.run_until(env.process(scenario()))
+    file = handle._file
+    seen.update(
+        data=bytes(file.data), dirty=dict(file.dirty),
+        dirty_epoch=dict(file.dirty_epoch),
+        resident=list(fs.page_cache.resident_pages()),
+        evictions=fs.page_cache.evictions,
+        logical_bytes_written=fs.stats.logical_bytes_written,
+        accumulated=meter._accumulated, total_charged=meter.total_charged)
+    return seen
+
+
+class TestBufferedBuilder:
+    @settings(max_examples=60, deadline=None)
+    @given(_tables, st.sampled_from([LEVELDB_FORMAT, ROCKSDB_FORMAT]),
+           st.integers(0, 5000), st.sampled_from([1.0, 0.25]))
+    def test_bit_equal_to_the_per_entry_builder(self, tables, fmt, prefix, scale):
+        new = _build_with(SSTableBuilder, tables, fmt, prefix, scale)
+        old = _build_with(_ReferenceBuilder, tables, fmt, prefix, scale)
+        assert new.pop("appends") == [1] * len(tables)
+        assert all(count >= 4 for count in old.pop("appends"))
+        assert new == old
+
+    def test_tables_read_back_through_a_counting_handle(self, fs, run):
+        def scenario():
+            handle = yield from fs.create("t.cf")
+            counting = _CountingHandle(handle)
+            builder = SSTableBuilder(counting, LEVELDB_FORMAT)
+            for entry in simple_entries(300):
+                builder.add(*entry)
+            assert counting.appends == 0  # nothing reaches the file before finish
+            info = builder.finish()
+            assert counting.appends == 1
+            assert handle.size == info.length
+            reader = yield from SSTableReader.open(
+                1, handle, LEVELDB_FORMAT, info.base_offset, info.length)
+            assert len(reader.index) > 1  # multi-block
+            return (yield from reader.iter_entries())
+
+        assert run(scenario()) == simple_entries(300)
+
+    def test_header_cache_is_bounded(self, fs, run, monkeypatch):
+        from repro.lsm import sstable
+        monkeypatch.setattr(sstable, "_HEADER_CACHE", {})
+        monkeypatch.setattr(sstable, "_HEADER_CACHE_LIMIT", 8)
+        entries = [(b"k%04d" % i, i + 1, VALUE_TYPE_VALUE, bytes(i))
+                   for i in range(50)]  # 50 distinct value sizes
+        _info, reader = build_table(fs, run, entries)
+        assert 0 < len(sstable._HEADER_CACHE) <= 8
+
+        def read_all():
+            return (yield from reader.iter_entries())
+
+        assert run(read_all()) == entries
+
+    def test_disk_full_leaves_none_of_the_table_in_the_file(self, fs, run):
+        def scenario():
+            handle = yield from fs.create("t.cf")
+            first = SSTableBuilder(handle, LEVELDB_FORMAT)
+            for entry in simple_entries(50):
+                first.add(*entry)
+            first.finish()
+            size = handle.size
+            written = fs.stats.logical_bytes_written
+            # Room for the first data block of the next table, not for all of it.
+            fs.set_capacity(fs.total_allocated_bytes() + 5000)
+            second = SSTableBuilder(handle, LEVELDB_FORMAT)
+            for entry in simple_entries(300, prefix=b"later"):
+                second.add(*entry)
+            with pytest.raises(DiskFullError):
+                second.finish()
+            assert handle.size == size
+            assert fs.stats.logical_bytes_written == written
+            yield from handle.fsync()
+
+        run(scenario())

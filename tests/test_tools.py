@@ -325,12 +325,12 @@ class TestPerfBench:
         from repro.tools.perfbench import BENCHMARKS
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
                                    "histogram", "objstore_cache", "version",
-                                   "ycsb_a"}
+                                   "build", "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""
         from repro.tools.perfbench import BENCHMARKS
-        for name in ("kernel", "codec", "skiplist", "histogram"):
+        for name in ("kernel", "codec", "skiplist", "histogram", "build"):
             _, first = BENCHMARKS[name]()
             _, second = BENCHMARKS[name]()
             assert first == second, name
