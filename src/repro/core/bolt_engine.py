@@ -159,7 +159,8 @@ class BoLTMixin:
                         tracer.count("bolt.containers_unlinked")
                     yield from self.fs.unlink(meta.container)
                 else:
-                    handle = yield from self._container_handle(meta.container)
+                    handle = yield from self.table_cache.open_handle(
+                        meta.container)
                     # §3.2: no fsync/fdatasync when punching holes — the
                     # lazy metadata sync is deliberately free of barriers.
                     handle.punch_hole(meta.offset, meta.length)
@@ -171,11 +172,6 @@ class BoLTMixin:
                 # container; whoever loses the unlink race has nothing
                 # left to reclaim.
                 continue
-
-    def _container_handle(self, name: str):
-        if self.fd_cache is not None:
-            return self.fd_cache.open(name)
-        return self.fs.open(name)
 
 
 class BoLTEngine(BoLTMixin, LevelDBEngine):

@@ -27,7 +27,6 @@ import bisect
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..lsm import LSMEngine, Options
-from ..lsm.codec import CorruptionError
 from ..lsm.engine import Compaction, Event
 from ..lsm.iterators import collapse_versions, merge_streams
 from ..lsm.manifest import VersionEdit
@@ -37,8 +36,6 @@ from ..sim import CostModel
 __all__ = ["PebblesDBEngine", "pebblesdb_options"]
 
 MB = 1 << 20
-
-Entry = Tuple[bytes, int, int, bytes]
 
 
 class PebblesDBEngine(LSMEngine):
@@ -169,21 +166,7 @@ class PebblesDBEngine(LSMEngine):
             self._maybe_schedule_more()
             return
 
-        streams: List[List[Entry]] = []
-        for meta in compaction.victims:
-            try:
-                reader = yield from self.table_cache.find_table(
-                    meta.number, meta.container, meta.offset, meta.length,
-                    meter)
-                entries = yield from reader.iter_entries(meter)
-            except CorruptionError as exc:
-                # Same contract as the base engine: quarantine the bad
-                # table and abort the job; the picker routes around it.
-                self._quarantine(meta, f"compaction input: {exc}")
-                raise
-            streams.append(entries)
-            self.stats.compaction_bytes_read += meta.length
-            meter.charge(meter.model.merge_per_record * len(entries))
+        streams = yield from self._read_inputs(compaction.victims, meter)
         lo, hi = key_range(compaction.victims)
         # Tombstones may only be dropped when no older version of a key
         # can survive elsewhere: nothing deeper than the target level,

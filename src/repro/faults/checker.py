@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from .plan import SITE_WAL_GROUP_APPEND, CrashImage, FaultModel
 
@@ -259,16 +259,9 @@ class CrashChecker:
                     **label))
                 continue
 
-            def probe(meta=meta) -> Generator[Any, Any, None]:
-                """Open table ``meta`` and decode every entry."""
-                meter = db._meter()
-                reader = yield from db.table_cache.find_table(
-                    meta.number, meta.container, meta.offset, meta.length,
-                    meter)
-                yield from reader.iter_entries(meter)
-
-            try:
-                env.run_until(env.process(probe()))
+            try:  # decode every entry, through the tiered open path
+                env.run_until(env.process(
+                    db._read_whole_table(meta, db._meter())))
             except Exception as exc:  # noqa: BLE001 - CorruptionError et al.
                 violations.append(Violation(
                     "corrupt-table",

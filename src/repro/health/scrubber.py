@@ -11,9 +11,10 @@ garbage.
 idle-time budget: a round runs only when the engine has no pending
 flush/compaction work and the health manager is not degraded, verifying
 ``Options.scrub_tables_per_round`` tables per round.  Verification is a
-*deep* check — a fresh reader open (footer, index and bloom CRCs) plus a
-full entry decode (every data-block CRC) — bypassing cached readers so a
-corrupted byte on "disk" cannot hide behind the block or table cache.
+*deep* check — :func:`~repro.lsm.sstable.read_table_extent`, the decode
+compaction inputs go through: footer, index, bloom and every data-block
+CRC — bypassing cached readers so a corrupted byte on "disk" cannot hide
+behind the block or table cache.
 Corrupt tables are handed to ``engine._quarantine`` (recorded in the
 MANIFEST; see :mod:`repro.lsm.manifest`).
 """
@@ -111,25 +112,15 @@ class Scrubber:
         EIO is not evidence of bad bytes).
         """
         from ..lsm.codec import CorruptionError  # avoid import cycle
-        from ..lsm.sstable import verify_table_bytes
         engine = self.engine
         self.tables_checked += 1
-        container = meta.container
-        tiering = engine.tiering
         try:
-            if (tiering is not None
-                    and engine.versions.current.is_remote(container)
-                    and not engine.fs.exists(container)):
-                # Cross-tier deep verify: fetch the demoted container
-                # through the LSST cache and verify the local copy —
-                # the remote tier gets the same CRC scrutiny as disk.
-                yield from tiering.cache.ensure(container)
-                container = tiering.cache.local_name(container)
             with engine.env.tracer.span("scrub.verify", cat="health",
                                         table=meta.number):
-                yield from verify_table_bytes(
-                    engine.fs, container, meta.offset, meta.length,
-                    engine.options.table_format, engine._bg_meter())
+                # What a compaction would accept as input; a demoted
+                # container is fetched through the LSST cache, so the
+                # remote tier gets the same CRC scrutiny as disk.
+                yield from engine._read_whole_table(meta, engine._bg_meter())
         except CorruptionError as exc:
             self.tables_quarantined += 1
             engine._quarantine(meta, f"scrub: {exc}")

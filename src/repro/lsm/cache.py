@@ -10,6 +10,14 @@ Two properties from the paper are modelled faithfully:
 * A **TableCache miss costs an index-block read proportional to the
   SSTable size** (§2.6) — the open path re-reads footer/index/bloom
   through :meth:`~repro.lsm.sstable.SSTableReader.open`.
+
+Both caches serve the **read path** (``get``, ``scan``) only.  Whoever
+consumes a table once and whole — compaction, scrub, repair, the crash
+checker — takes the container's handle from
+:meth:`TableCache.open_handle` and decodes the extent with
+:func:`~repro.lsm.sstable.read_table_extent`: a victim's index and bloom
+filter would be evicted at cleanup without having served one lookup,
+after pushing out the readers point queries are using.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Generator, Hashable, Optional, Tuple
 
 from ..sim import CpuMeter, Event
-from ..storage import SimFS
+from ..storage import FileHandle, SimFS
 from .options import Options
 from .sstable import SSTableReader
 
@@ -102,10 +110,12 @@ class BlockCache(LRUCache):
 class TableCache:
     """Caches opened tables (index block + bloom filter + descriptor).
 
-    Capacity is the ``max_open_files`` option, counted in **tables**.
-    On a miss the table is re-opened: a filesystem ``open`` (unless the
-    engine's FD-cache hook supplies a cached handle) plus device reads
-    of footer, index block and bloom filter.
+    The read path's metadata cache (§2.6): only ``get`` and ``scan``
+    look tables up here, so hits, misses and LRU order describe point
+    and range queries and nothing else.  Capacity is the
+    ``max_open_files`` option, counted in **tables**.  On a miss the
+    table is re-opened: :meth:`open_handle` plus device reads of
+    footer, index block and bloom filter.
     """
 
     def __init__(self, fs: SimFS, options: Options):
@@ -135,6 +145,14 @@ class TableCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    def open_handle(self, container_name: str
+                    ) -> Generator[Event, Any, FileHandle]:
+        """A handle on a container file: the engine's hook when installed
+        (FD cache, tier fallback), else ``fs.open``.  Caches no reader."""
+        if self.open_container is not None:
+            return self.open_container(container_name)
+        return self.fs.open(container_name)
+
     def find_table(self, uid: int, container_name: str, base_offset: int,
                    length: int, meter: Optional[CpuMeter] = None
                    ) -> Generator[Event, Any, SSTableReader]:
@@ -142,10 +160,7 @@ class TableCache:
         reader = self._cache.get(uid)
         if reader is not None:
             return reader
-        if self.open_container is not None:
-            handle = yield from self.open_container(container_name)
-        else:
-            handle = yield from self.fs.open(container_name)
+        handle = yield from self.open_handle(container_name)
         reader = yield from SSTableReader.open(
             uid, handle, self.options.table_format, base_offset, length, meter)
         self.index_bytes_loaded += reader.index_size

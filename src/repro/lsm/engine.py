@@ -30,7 +30,7 @@ from .iterators import collapse_versions, merge_scan, merge_streams
 from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
-from .sstable import SSTableBuilder
+from .sstable import SSTableBuilder, read_table_extent
 from .version import FileMetaData, Version, key_range, split_by_overlap
 from .wal import LogWriter, WriteBatch, read_log_records
 
@@ -1243,21 +1243,7 @@ class LSMEngine:
         output_metas: List[FileMetaData] = []
         if merge_victims:
             inputs = merge_victims + merge_overlaps
-            streams: List[List[Entry]] = []
-            for meta in inputs:
-                try:
-                    reader = yield from self.table_cache.find_table(
-                        meta.number, meta.container, meta.offset, meta.length,
-                        meter)
-                    entries = yield from reader.iter_entries(meter)
-                except CorruptionError as exc:
-                    # Quarantine and abort the job; the table stays busy
-                    # forever so the picker routes around it.
-                    self._quarantine(meta, f"compaction input: {exc}")
-                    raise
-                streams.append(entries)
-                self.stats.compaction_bytes_read += meta.length
-                meter.charge(meter.model.merge_per_record * len(entries))
+            streams = yield from self._read_inputs(inputs, meter)
             drop_tombstones = self._is_base_level(
                 version, compaction.output_level,
                 *key_range(inputs)) if inputs else False
@@ -1314,6 +1300,33 @@ class LSMEngine:
                 tracer.instant("settled-promotion", cat="engine",
                                table=meta.number,
                                to_level=compaction.output_level)
+
+    def _read_whole_table(self, meta: FileMetaData, meter: CpuMeter
+                          ) -> Generator[Event, Any, List[Entry]]:
+        """Every entry of one table, for a consumer that reads it once
+        (compaction, scrub, the crash checker): the container's handle
+        and one sequential read of the table's extent, all CRCs checked,
+        around the table and block caches, which serve ``get``/``scan``."""
+        handle = yield from self.table_cache.open_handle(meta.container)
+        return (yield from read_table_extent(
+            handle, self.options.table_format, meta.offset, meta.length, meter))
+
+    def _read_inputs(self, metas: List[FileMetaData], meter: CpuMeter
+                     ) -> Generator[Event, Any, List[List[Entry]]]:
+        """A compaction's input tables, one sorted run each.  A corrupt
+        one is quarantined and the job aborts; the table stays busy
+        forever so the picker routes around it."""
+        streams: List[List[Entry]] = []
+        for meta in metas:
+            try:
+                entries = yield from self._read_whole_table(meta, meter)
+            except CorruptionError as exc:
+                self._quarantine(meta, f"compaction input: {exc}")
+                raise
+            streams.append(entries)
+            self.stats.compaction_bytes_read += meta.length
+            meter.charge(meter.model.merge_per_record * len(entries))
+        return streams
 
     def _split_settled(self, compaction: Compaction
                        ) -> Tuple[List[FileMetaData], List[FileMetaData]]:

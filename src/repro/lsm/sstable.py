@@ -35,7 +35,7 @@ from .memtable import DELETED, FOUND, NOT_FOUND
 from .options import TableFormat
 
 __all__ = ["SSTableBuilder", "SSTableReader", "TableInfo", "DataBlock",
-           "FOOTER_SIZE", "verify_table_bytes"]
+           "FOOTER_SIZE", "read_table_extent"]
 
 _MAGIC = 0xB0171E5B0171E5B0 & 0xFFFFFFFFFFFFFFFF
 #: Footer body: index off/len, bloom off/len, entry count, magic.
@@ -353,7 +353,44 @@ class SSTableBuilder:
         )
 
 
-def _decode_index(raw: bytes, fmt: TableFormat) -> List[Tuple[bytes, int, int]]:
+def _parse_footer(raw_footer: bytes, length: int
+                  ) -> Tuple[int, int, int, int, int]:
+    """Validate a footer against its table's ``length``; returns
+    ``(index_off, index_len, bloom_off, bloom_len, num_entries)`` with
+    ``blocks | index | bloom | footer`` in file order inside the table,
+    so no later read or slice can leave the table's extent (a CRC-valid
+    footer may still be hostile)."""
+    if length < FOOTER_SIZE or len(raw_footer) != FOOTER_SIZE:
+        raise CorruptionError("truncated footer")
+    payload = raw_footer[:-4]
+    if crc32(payload) != decode_fixed32(raw_footer, FOOTER_SIZE - 4):
+        raise CorruptionError("footer checksum mismatch")
+    (index_off, index_len, bloom_off, bloom_len, num_entries,
+     magic) = _FOOTER.unpack(payload)
+    if magic != _MAGIC:
+        raise CorruptionError("bad table magic")
+    # index: count || crc trailer; bloom: probes || bits-per-key || crc.
+    if not (index_len >= 8 and bloom_len >= 6
+            and index_off + index_len <= bloom_off
+            and bloom_off + bloom_len <= length - FOOTER_SIZE):
+        raise CorruptionError("footer sections outside the table")
+    return index_off, index_len, bloom_off, bloom_len, num_entries
+
+
+def _check_bloom(raw_bloom: bytes, bloom_len: int) -> bytes:
+    """CRC-check an encoded bloom section; returns the filter blob."""
+    if len(raw_bloom) != bloom_len:
+        raise CorruptionError("truncated bloom filter")
+    blob = raw_bloom[:-4]
+    if crc32(blob) != decode_fixed32(raw_bloom, bloom_len - 4):
+        raise CorruptionError("bloom checksum mismatch")
+    return blob
+
+
+def _decode_index(raw: bytes, fmt: TableFormat, index_off: int
+                  ) -> List[Tuple[bytes, int, int]]:
+    """CRC-check and parse the index block.  The data blocks it names
+    must tile ``[0, index_off)`` exactly, as the builder wrote them."""
     if len(raw) < 8:
         raise CorruptionError("index block too short")
     payload = raw[:-8]
@@ -362,6 +399,7 @@ def _decode_index(raw: bytes, fmt: TableFormat) -> List[Tuple[bytes, int, int]]:
         raise CorruptionError("index block checksum mismatch")
     entries: List[Tuple[bytes, int, int]] = []
     pos = 0
+    next_off = 0
     for _ in range(count):
         klen, pos = decode_varint(payload, pos)
         key = bytes(payload[pos:pos + klen])
@@ -369,7 +407,12 @@ def _decode_index(raw: bytes, fmt: TableFormat) -> List[Tuple[bytes, int, int]]:
         off, pos = decode_varint(payload, pos)
         length, pos = decode_varint(payload, pos)
         pos += fmt.index_entry_overhead  # skip fixed per-entry padding
+        if off != next_off or length < 8:
+            raise CorruptionError("index names a block outside the table")
+        next_off += length
         entries.append((key, off, length))
+    if pos != len(payload) or next_off != index_off:
+        raise CorruptionError("index does not cover the data blocks")
     return entries
 
 
@@ -403,27 +446,16 @@ class SSTableReader:
         The index read is proportional to the table size — this is the
         TableCache miss penalty the paper measures in Fig 6.
         """
-        footer_off = base_offset + length - FOOTER_SIZE
-        raw_footer = yield from handle.read(footer_off, FOOTER_SIZE, meter)
-        if len(raw_footer) != FOOTER_SIZE:
-            raise CorruptionError("truncated footer")
-        payload, stored = raw_footer[:-4], decode_fixed32(raw_footer, FOOTER_SIZE - 4)
-        if crc32(payload) != stored:
-            raise CorruptionError("footer checksum mismatch")
-        (index_off, index_len, bloom_off, bloom_len, num_entries,
-         magic) = _FOOTER.unpack(payload)
-        if magic != _MAGIC:
-            raise CorruptionError("bad table magic")
-
+        raw_footer = yield from handle.read(
+            base_offset + length - FOOTER_SIZE, FOOTER_SIZE, meter)
+        index_off, index_len, bloom_off, bloom_len, num_entries = _parse_footer(
+            raw_footer, length)
         raw_index = yield from handle.read(
             base_offset + index_off, index_len, meter, sequential=True)
-        index = _decode_index(raw_index, fmt)
+        index = _decode_index(raw_index, fmt, index_off)
         raw_bloom = yield from handle.read(
             base_offset + bloom_off, bloom_len, meter)
-        blob, bcrc = raw_bloom[:-4], decode_fixed32(raw_bloom, len(raw_bloom) - 4)
-        if crc32(blob) != bcrc:
-            raise CorruptionError("bloom checksum mismatch")
-        bloom = BloomFilter.decode(blob)
+        bloom = BloomFilter.decode(_check_bloom(raw_bloom, bloom_len))
         return cls(uid, handle, fmt, base_offset, length, index, bloom,
                    num_entries, index_len)
 
@@ -480,19 +512,6 @@ class SSTableReader:
             meter.charge(meter.model.block_search)
         return block.lookup(user_key, snapshot_seq)
 
-    def iter_entries(self, meter: Optional[CpuMeter] = None
-                     ) -> Generator[Event, Any, List[Entry]]:
-        """Sequentially read and decode the whole table (compaction path)."""
-        entries: List[Entry] = []
-        for _key, off, length in self.index:
-            raw = yield from self.handle.read(
-                self.base_offset + off, length, meter, sequential=True)
-            block = _decode_block(self.fmt, raw)
-            if meter is not None:
-                meter.charge(meter.model.codec_per_record * len(block))
-            entries += block
-        return entries
-
     def iter_entries_from(self, user_key: bytes,
                           meter: Optional[CpuMeter] = None,
                           max_entries: Optional[int] = None
@@ -521,23 +540,33 @@ class SSTableReader:
         return [e for e in entries if e[0] >= user_key]
 
 
-def verify_table_bytes(fs: Any, container: str, offset: int, length: int,
-                       fmt: TableFormat, meter: Optional[CpuMeter] = None
-                       ) -> Generator[Event, Any, int]:
-    """Deep-verify one (logical) table straight from the filesystem.
+def read_table_extent(handle: FileHandle, fmt: TableFormat, base_offset: int,
+                      length: int, meter: Optional[CpuMeter] = None
+                      ) -> Generator[Event, Any, List[Entry]]:
+    """Read and decode one whole (logical) table as a single extent.
 
-    Opens a *fresh* reader (footer, index and bloom CRCs) and decodes
-    every data block (per-block CRCs), bypassing the table and block
-    caches so a flipped byte on "disk" cannot hide behind cached
-    decodes.  Raises :class:`~repro.lsm.codec.CorruptionError` on the
-    first bad check; returns the entry count on success.  Shared by the
-    health scrubber and :mod:`repro.tools.repair`.
+    For consumers that want every entry once (compaction inputs, scrub,
+    repair, the crash checker): **one** sequential read of the extent,
+    then footer, index and every data block parsed out of that buffer.
+    All four CRC regions (footer, index, bloom blob, each block) and the
+    footer's entry count are verified; the bloom filter is never
+    decoded and nothing enters the table or block cache, so a flipped
+    byte on "disk" cannot hide behind a cached decode.  Any failed
+    check is a :class:`~repro.lsm.codec.CorruptionError`.
     """
-    handle = yield from fs.open(container)
-    reader = yield from SSTableReader.open(0, handle, fmt, offset, length, meter)
-    entries = yield from reader.iter_entries(meter)
-    if reader.num_entries and len(entries) != reader.num_entries:
-        raise CorruptionError(
-            f"{container}@{offset}: decoded {len(entries)} entries, "
-            f"footer says {reader.num_entries}")
-    return len(entries)
+    raw = yield from handle.read(base_offset, length, meter, sequential=True)
+    if len(raw) != length:
+        raise CorruptionError("truncated table")
+    index_off, index_len, bloom_off, bloom_len, num_entries = _parse_footer(
+        raw[-FOOTER_SIZE:], length)
+    index = _decode_index(raw[index_off:index_off + index_len], fmt, index_off)
+    _check_bloom(raw[bloom_off:bloom_off + bloom_len], bloom_len)
+    entries: List[Entry] = []
+    for _key, off, block_len in index:
+        entries += _decode_block(fmt, raw[off:off + block_len])
+    if len(entries) != num_entries:
+        raise CorruptionError(f"decoded {len(entries)} entries, "
+                              f"footer says {num_entries}")
+    if meter is not None:
+        meter.charge(meter.model.codec_per_record * num_entries)
+    return entries

@@ -35,7 +35,7 @@ The policy sits between the engine and :class:`~repro.objstore.ObjectStore`:
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List
 
 from ..core.compaction_file import parse_container_number
 from ..sim import Event
@@ -57,8 +57,7 @@ class TieredContainerOpener:
     is fetched through the LSST cache instead.
     """
 
-    def __init__(self, engine: Any, cache: LsstCache,
-                 inner: Optional[Callable]):
+    def __init__(self, engine: Any, cache: LsstCache, inner: Callable):
         self.engine = engine
         self.cache = cache
         self._inner = inner
@@ -69,9 +68,7 @@ class TieredContainerOpener:
                 and engine.versions.current.is_remote(name)):
             return (yield from self.cache.ensure(name))
         try:
-            if self._inner is not None:
-                return (yield from self._inner(name))
-            return (yield from engine.fs.open(name))
+            return (yield from self._inner(name))
         except FileSystemError:
             # The local copy was unlinked between the exists() check and
             # the open (the deferred demotion unlink landed mid-open);
@@ -275,6 +272,6 @@ def attach_tiering(engine: Any) -> TieringPolicy:
                       options.tier_cache_bytes)
     policy = TieringPolicy(engine, store, cache)
     engine.table_cache.open_container = TieredContainerOpener(
-        engine, cache, engine.table_cache.open_container)
+        engine, cache, engine.table_cache.open_container or engine.fs.open)
     engine.tiering = policy
     return policy

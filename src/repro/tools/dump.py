@@ -12,7 +12,7 @@ from typing import Any, Dict, Generator, List, Optional
 from ..lsm.codec import VALUE_TYPE_DELETION
 from ..lsm.manifest import VersionEdit
 from ..lsm.options import Options
-from ..lsm.sstable import SSTableReader
+from ..lsm.sstable import SSTableReader, read_table_extent
 from ..lsm.wal import WriteBatch, read_log_records
 from ..sim import Event
 from ..storage import SimFS
@@ -84,7 +84,8 @@ def dump_table(fs: SimFS, container: str, offset: int, length: int,
         "largest": reader.index[-1][0] if reader.index else None,
     }
     if include_entries:
-        entries = yield from reader.iter_entries()
+        entries = yield from read_table_extent(
+            handle, options.table_format, offset, length)
         summary["entries"] = [
             (key, seq, "del" if vt == VALUE_TYPE_DELETION else "put",
              len(value))

@@ -5,8 +5,9 @@ device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
 encode/decode, skiplist insert/seek, histogram recording, the Version
-index, the merge + table-build data path of flush and compaction, and
-an end-to-end YCSB-A suite slice — so a regression shows up
+index, the merge + table-build data path of flush and compaction, the
+extent read of compaction inputs, and an end-to-end YCSB-A suite slice —
+so a regression shows up
 as a number, not as a mysteriously slower CI run.
 
 Usage::
@@ -264,6 +265,53 @@ def bench_build() -> Tuple[float, str]:
         "charged": meter.total_charged.hex(),
         "written": fs.stats.logical_bytes_written,
     })
+    return elapsed, digest
+
+
+@_benchmark
+def bench_compact_read() -> Tuple[float, str]:
+    """Compaction input at a BoLT fill's shape: 256 logical SSTables of 15
+    records in one compaction file, page cache dropped, each read back
+    whole through ``read_table_extent``."""
+    import random
+
+    from ..core import bolt_options
+    from ..lsm.codec import VALUE_TYPE_VALUE
+    from ..lsm.sstable import SSTableBuilder, read_table_extent
+    from ..sim import CostModel, CpuMeter, Environment
+    from ..storage import BlockDevice, PageCache, SimFS
+
+    rng = random.Random(19)
+    keys = sorted(b"user%019d" % rng.randrange(10 ** 18) for _ in range(256 * 15))
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env), PageCache(4 << 20))
+    fmt = bolt_options(1024).table_format
+    meter = CpuMeter(env, CostModel(), scale=0.25)
+    handle = env.run_until(env.process(fs.create("read.cf")))
+    infos: List[Any] = []
+    for first in range(0, len(keys), 15):
+        builder = SSTableBuilder(handle, fmt)
+        for seq, key in enumerate(keys[first:first + 15], start=first + 1):
+            builder.add(key, seq, VALUE_TYPE_VALUE, rng.randbytes(8) * 32)
+        infos.append(builder.finish())
+    env.run_until(env.process(handle.fsync()))  # clean pages can be dropped
+    fs.page_cache.drop_all()
+
+    def read_back():
+        """Every table as one extent, in file order, on one meter."""
+        tables = []
+        for info in infos:
+            tables.append((yield from read_table_extent(
+                handle, fmt, info.base_offset, info.length, meter)))
+        yield from meter.drain()
+        return tables
+
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    tables = env.run_until(env.process(read_back()))
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    digest = _fingerprint({
+        "entries": hashlib.sha256(repr(tables).encode()).hexdigest(),
+        "now": env.now.hex(), "num_reads": fs.device.stats.num_reads})
     return elapsed, digest
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Tuple
 
-from ..lsm.codec import CorruptionError, crc32, decode_fixed32, decode_fixed64
+from ..lsm.codec import CorruptionError, encode_fixed64
 from ..lsm.manifest import VersionEdit, VersionSet
 from ..lsm.memtable import MemTable
 from ..lsm.options import Options
-from ..lsm.sstable import FOOTER_SIZE, SSTableBuilder, SSTableReader, _MAGIC
+from ..lsm.sstable import (FOOTER_SIZE, Entry, SSTableBuilder, _MAGIC,
+                           _parse_footer, read_table_extent)
 from ..lsm.version import FileMetaData
 from ..lsm.wal import WriteBatch, read_log_records
-from ..lsm.codec import encode_fixed64
 from ..sim import Environment, Event
 from ..storage import SimFS
 
@@ -94,14 +94,14 @@ def read_quarantine_intent(fs: SimFS, dbname: str
 
 def scan_container_for_tables(fs: SimFS, name: str, options: Options
                               ) -> Generator[Event, Any,
-                                             List[Tuple[int, int, SSTableReader]]]:
+                                             List[Tuple[int, int, List[Entry]]]]:
     """Find every intact (logical) SSTable inside one data file.
 
-    Returns ``(base_offset, length, reader)`` triples, in file order.
+    Returns ``(base_offset, length, entries)`` triples, in file order.
     """
     handle = yield from fs.open(name)
     raw = yield from handle.read(0, handle.size, sequential=True)
-    found: List[Tuple[int, int, SSTableReader]] = []
+    found: List[Tuple[int, int, List[Entry]]] = []
     search_from = 0
     while True:
         magic_at = raw.find(_MAGIC_BYTES, search_from)
@@ -109,28 +109,18 @@ def scan_container_for_tables(fs: SimFS, name: str, options: Options
             break
         search_from = magic_at + 1
         footer_end = magic_at + 8 + 4
-        footer_start = footer_end - FOOTER_SIZE
-        if footer_start < 0 or footer_end > len(raw):
-            continue
-        payload = raw[footer_start:footer_end - 4]
-        stored_crc = decode_fixed32(raw, footer_end - 4)
-        if crc32(payload) != stored_crc:
-            continue
-        index_off = decode_fixed64(payload, 0)
-        index_len = decode_fixed64(payload, 8)
-        bloom_len = decode_fixed64(payload, 24)
-        length = index_off + index_len + bloom_len + FOOTER_SIZE
-        base = footer_end - length
-        if base < 0:
+        if not FOOTER_SIZE <= footer_end <= len(raw):
             continue
         try:
-            reader = yield from SSTableReader.open(
-                0, handle, options.table_format, base, length)
+            _ioff, _ilen, bloom_off, bloom_len, _count = _parse_footer(
+                raw[footer_end - FOOTER_SIZE:footer_end], footer_end)
+            length = bloom_off + bloom_len + FOOTER_SIZE
             # Deep check: every block must decode (lost pages -> CRC).
-            yield from reader.iter_entries()
+            entries = yield from read_table_extent(
+                handle, options.table_format, footer_end - length, length)
         except CorruptionError:
             continue
-        found.append((base, length, reader))
+        found.append((footer_end - length, length, entries))
         search_from = footer_end
     return found
 
@@ -158,12 +148,10 @@ def repair_database(env: Environment, fs: SimFS, options: Options,
             continue
         report.files_scanned += 1
         tables = yield from scan_container_for_tables(fs, name, options)
-        handle = yield from fs.open(name)
-        for base, length, reader in tables:
+        for base, length, entries in tables:
             if (name, base) in quarantined_bases:
                 report.tables_quarantined += 1
                 continue
-            entries = yield from reader.iter_entries()
             if not entries:
                 report.tables_corrupt += 1
                 continue

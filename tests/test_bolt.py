@@ -13,6 +13,7 @@ from repro.core import (
     hyperbolt_options,
 )
 from repro.engines import LevelDBEngine, leveldb_options
+from repro.lsm.engine import Compaction
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
@@ -326,3 +327,50 @@ class TestRocksBoLT:
 
         assert (fsyncs(RocksBoLTEngine, rocksbolt_options(SCALE))
                 < fsyncs(RocksDBEngine, rocksdb_options(SCALE)))
+
+
+class TestTieredCompactionInput:
+    def test_demoted_input_is_read_through_open_handle(self):
+        """A victim whose container lives only in the object store is
+        still one extent read: ``TableCache.open_handle`` routes to the
+        tier fallback, not to a bare ``fs.open`` that would fail."""
+        env, fs = fresh_stack()
+        base = bolt_options(SCALE)
+        options = base.copy(
+            tiering_enabled=True, tier_cold_level=1, tier_cache_bytes=256 << 10,
+            enable_settled_compaction=False,
+            memtable_size=max(1, base.memtable_size // 32),
+            level1_max_bytes=max(1, base.level1_max_bytes // 4))
+        db = BoLTEngine.open_sync(env, fs, options, "db")
+        model = load_random(env, db)
+        env.run_until(env.process(db.wait_idle()))
+        version = db.versions.current
+        level, victim = next(
+            (level, meta) for level in range(1, version.num_levels - 1)
+            for meta in version.files[level]
+            if version.is_remote(meta.container) and not fs.exists(meta.container))
+        overlaps = version.overlapping_files(level + 1, victim.smallest,
+                                             victim.largest)
+        opened = []
+        opener = db.table_cache.open_container
+
+        def recording_opener(name):
+            opened.append(name)
+            return opener(name)
+
+        db.table_cache.open_container = recording_opener
+        fetched = db.tiering.cache.hits + db.tiering.cache.misses
+        cached = (len(db.table_cache), db.table_cache.misses)
+        # A seek compaction, so a lone victim is merged, not moved.
+        compaction = Compaction(level, [victim], overlaps, is_seek_compaction=True)
+        env.run_until(env.process(db._run_compaction(compaction)))
+        db.table_cache.open_container = opener
+
+        assert opened[0] == victim.container
+        assert sorted(opened) == sorted(m.container for m in compaction.inputs)
+        assert db.tiering.cache.hits + db.tiering.cache.misses > fetched
+        assert (len(db.table_cache), db.table_cache.misses) == cached
+        assert not db.versions.current.has_file(level, victim.number)
+        env.run_until(env.process(db.wait_idle()))
+        for key, value in model.items():
+            assert db.get_sync(key) == value

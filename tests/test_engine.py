@@ -6,7 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lsm import LSMEngine, Options, WriteBatch
+from repro.bench import SYSTEMS
+from repro.lsm import CorruptionError, LSMEngine, Options, WriteBatch
+from repro.lsm.codec import crc32, encode_fixed32
+from repro.lsm.engine import Compaction
+from repro.lsm.sstable import _FOOTER
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
@@ -422,3 +426,159 @@ class TestReadPathLockSafety:
         db._memtable = real
         assert db._mutex.in_use == 0
         assert db.scan_sync(b"", 10) == [(b"k", b"v")]
+
+
+# -- compaction input: one extent per victim, around the caches --------------
+
+def _open_l0_only(engine_key, **overrides):
+    """An engine whose flushes pile up in level 0 until a test says go."""
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
+    spec = SYSTEMS[engine_key]
+    options = spec.options(1024).copy(
+        memtable_size=4 * KB, block_cache_bytes=8 * KB,
+        l0_compaction_trigger=64, l0_slowdown_trigger=96, l0_stop_trigger=128,
+        **overrides)
+    return env, fs, spec.engine_cls.open_sync(env, fs, options, "db")
+
+
+def _load_flushes(env, db, prefix, flushes=3, keys=40, seed=5):
+    """``flushes`` level-0 tables of random ``prefix`` keys; what was put."""
+    rng = random.Random(seed)
+    model = {}
+    for _ in range(flushes):
+        for _ in range(keys):
+            key = prefix + b"%05d" % rng.randrange(keys * 2)
+            model[key] = b"v" * 64 + b"%d" % len(model)
+            env.run_until(env.process(db.put(key, model[key])))
+        env.run_until(env.process(db.flush_all()))
+    return model
+
+
+def _live(db):
+    return sorted(db.versions.current.live_numbers().values(),
+                  key=lambda meta: meta.number)
+
+
+def _start_compactions(env, db):
+    db.options.l0_compaction_trigger = 2
+    db._bg_work.notify_all()
+
+
+class TestCompactionInputIsOneExtent:
+    @pytest.mark.parametrize("engine_key", ["leveldb", "bolt", "pebblesdb"])
+    def test_one_sequential_read_per_cold_input(self, engine_key, monkeypatch):
+        env, fs, db = _open_l0_only(engine_key)
+        model = _load_flushes(env, db, b"key", flushes=6)
+        extents = {(m.container, m.offset): m.length for m in _live(db)}
+        assert len(extents) >= 6
+        fs.page_cache.drop_all()
+        fs_reads, device_reads = [], []
+        fs_read, device_read = fs.read, fs.device.read
+
+        def recording_fs_read(handle, offset, length, meter=None, sequential=False):
+            fs_reads.append((handle.name, offset, length, sequential))
+            return fs_read(handle, offset, length, meter, sequential)
+
+        def recording_device_read(nbytes, sequential=False):
+            device_reads.append(sequential)
+            return device_read(nbytes, sequential)
+
+        monkeypatch.setattr(fs, "read", recording_fs_read)
+        monkeypatch.setattr(fs.device, "read", recording_device_read)
+        num_reads = fs.device.stats.num_reads
+        bytes_read = db.stats.compaction_bytes_read
+        _start_compactions(env, db)
+        env.run_until(env.process(db.wait_idle()))
+
+        assert db.stats.compactions >= 1
+        extents.update({(m.container, m.offset): m.length for m in _live(db)})
+        # Nothing but whole table extents is read, each exactly once ...
+        assert len(fs_reads) == len(set(fs_reads)) >= 6
+        for name, offset, length, sequential in fs_reads:
+            assert extents[(name, offset)] == length and sequential
+        assert (sum(length for _n, _o, length, _s in fs_reads)
+                == db.stats.compaction_bytes_read - bytes_read)
+        # ... so the device sees at most one request per input, all sequential.
+        assert device_reads and all(device_reads)
+        assert fs.device.stats.num_reads - num_reads <= len(fs_reads)
+        assert db.table_cache.misses == 0 and len(db.table_cache) == 0
+        monkeypatch.undo()
+        for key, value in model.items():
+            assert db.get_sync(key) == value
+
+    @pytest.mark.parametrize("engine_key", ["leveldb", "bolt"])
+    def test_table_cache_is_untouched_by_a_compaction(self, engine_key):
+        env, _fs, db = _open_l0_only(engine_key)
+        cold = _load_flushes(env, db, b"aaa")
+        victims = _live(db)
+        warm = _load_flushes(env, db, b"zzz")
+        for key in warm:  # readers of the zzz tables, and only those
+            assert db.get_sync(key) == warm[key]
+        cache = db.table_cache
+        entries = cache._cache._entries
+        before = (list(entries), len(cache), cache.hits, cache.misses)
+        assert before[0] and not {m.number for m in victims} & set(entries)
+
+        compaction = Compaction(0, victims, [])
+        env.run_until(env.process(db._run_compaction(compaction)))
+
+        assert db.stats.compaction_bytes_read == sum(m.length for m in victims)
+        assert (list(entries), len(cache), cache.hits, cache.misses) == before
+        outputs = {m.number for m in db.versions.current.files[1]}
+        assert outputs and not outputs & set(entries)
+        # The first get of a compacted key pays its own open.
+        key = next(iter(cold))
+        assert db.get_sync(key) == cold[key]
+        assert cache.misses == before[3] + 1
+
+    @pytest.mark.parametrize("region", ["block", "index", "bloom", "footer",
+                                        "checksummed-footer"])
+    @pytest.mark.parametrize("engine_key", ["leveldb", "bolt", "pebblesdb"])
+    def test_corrupt_input_is_quarantined_and_the_job_aborts(self, engine_key,
+                                                             region):
+        """docs/FAULT_MODEL.md, "silent corruption": a soft background
+        error, the table quarantined, the tree unchanged, the store up."""
+        env, fs, db = _open_l0_only(engine_key)
+        model = _load_flushes(env, db, b"key")
+        tables = _live(db)
+        victim = tables[len(tables) // 2]
+        handle = env.run_until(env.process(fs.open(victim.container)))
+        table = bytes(handle._file.data[victim.offset:victim.offset + victim.length])
+        fields = list(_FOOTER.unpack(table[-_FOOTER.size - 4:-4]))
+        index_off, _ilen, bloom_off, _blen, _count, _magic = fields
+        if region == "checksummed-footer":
+            # Valid CRC, bloom_len < 4: used to escape as struct.error,
+            # past the worker's handler, and take the simulation down.
+            fields[3] = 3
+            payload = _FOOTER.pack(*fields)
+            handle.write_at(victim.offset + victim.length - len(payload) - 4,
+                            payload + encode_fixed32(crc32(payload)))
+        else:
+            at = {"block": 12, "index": index_off + 3, "bloom": bloom_off + 3,
+                  "footer": victim.length - 20}[region]
+            handle.write_at(victim.offset + at, bytes([table[at] ^ 0x40]))
+
+        written = db.stats.compaction_bytes_written  # the flushes'
+        _start_compactions(env, db)
+        env.run(until=env.now + 0.05)
+
+        assert db._quarantined == {victim.number}
+        assert victim.number in db._busy_tables
+        assert db.health.errors_by_site == {"compaction": 1}
+        assert isinstance(db.health.last_error[1], CorruptionError)
+        assert not db.health.degraded and not db.health.read_only
+        assert [m.number for m in _live(db)] == [m.number for m in tables]
+        assert db.stats.compaction_bytes_written == written
+        assert len(db.table_cache) == 0
+        # Still serving: every key some other table resolves reads fine.
+        readable = 0
+        for key, value in model.items():
+            try:
+                assert db.get_sync(key) == value
+                readable += 1
+            except CorruptionError:
+                pass  # resolved by the quarantined table: fails fast
+        assert readable
+        db.put_sync(b"after", b"still-writable")
+        assert db.get_sync(b"after") == b"still-writable"

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lsm import LEVELDB_FORMAT, ROCKSDB_FORMAT, BloomFilter, CorruptionError
 from repro.lsm.codec import (MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE,
-                             crc32, encode_fixed32, encode_fixed64, encode_varint)
+                             crc32, decode_fixed32, decode_fixed64, decode_varint,
+                             encode_fixed32, encode_fixed64, encode_varint)
 from repro.lsm.memtable import DELETED, FOUND, NOT_FOUND
 from repro.lsm.sstable import (FOOTER_SIZE, SSTableBuilder, SSTableReader,
-                               TableInfo, _MAGIC)
+                               TableInfo, _MAGIC, read_table_extent)
 from repro.sim import CostModel, CpuMeter, Environment
 from repro.storage import BlockDevice, DiskFullError, PageCache, SimFS
 
@@ -36,12 +37,10 @@ def simple_entries(n=100, prefix=b"key"):
 class TestBuilderReader:
     def test_roundtrip_all_entries(self, fs, run):
         entries = simple_entries(200)
-        _info, reader = build_table(fs, run, entries)
+        info, reader = build_table(fs, run, entries)
 
-        def read_all():
-            return (yield from reader.iter_entries())
-
-        assert run(read_all()) == entries
+        assert run(read_table_extent(reader.handle, LEVELDB_FORMAT,
+                                     info.base_offset, info.length)) == entries
 
     def test_point_lookup_found(self, fs, run):
         entries = simple_entries(150)
@@ -468,7 +467,8 @@ class TestBufferedBuilder:
             reader = yield from SSTableReader.open(
                 1, handle, LEVELDB_FORMAT, info.base_offset, info.length)
             assert len(reader.index) > 1  # multi-block
-            return (yield from reader.iter_entries())
+            return (yield from read_table_extent(
+                handle, LEVELDB_FORMAT, info.base_offset, info.length))
 
         assert run(scenario()) == simple_entries(300)
 
@@ -478,13 +478,10 @@ class TestBufferedBuilder:
         monkeypatch.setattr(sstable, "_HEADER_CACHE_LIMIT", 8)
         entries = [(b"k%04d" % i, i + 1, VALUE_TYPE_VALUE, bytes(i))
                    for i in range(50)]  # 50 distinct value sizes
-        _info, reader = build_table(fs, run, entries)
+        info, reader = build_table(fs, run, entries)
         assert 0 < len(sstable._HEADER_CACHE) <= 8
-
-        def read_all():
-            return (yield from reader.iter_entries())
-
-        assert run(read_all()) == entries
+        assert run(read_table_extent(reader.handle, LEVELDB_FORMAT,
+                                     info.base_offset, info.length)) == entries
 
     def test_disk_full_leaves_none_of_the_table_in_the_file(self, fs, run):
         def scenario():
@@ -507,3 +504,343 @@ class TestBufferedBuilder:
             yield from handle.fsync()
 
         run(scenario())
+
+
+# -- the extent decoder against the per-block reader it replaced -------------
+
+
+def _reference_block(fmt, raw):
+    """Deliberately plain decode of one data block: CRC, entries, count."""
+    if len(raw) < 8:
+        raise CorruptionError("block too short")
+    payload = raw[:-8]
+    if crc32(payload) != decode_fixed32(raw, len(raw) - 4):
+        raise CorruptionError("block checksum mismatch")
+    entries, pos = [], 0
+    while pos < len(payload):
+        start = pos
+        klen, pos = decode_varint(payload, pos)
+        vlen, pos = decode_varint(payload, pos)
+        if pos + 9 > len(payload):
+            raise CorruptionError("truncated entry header")
+        value_type = payload[pos]
+        seq = decode_fixed64(payload, pos + 1)
+        pos += 9
+        pad = max(0, fmt.per_record_overhead - (pos - start))
+        key, value = payload[pos:pos + klen], payload[pos + klen:pos + klen + vlen]
+        pos += klen + vlen + pad
+        if pos > len(payload):
+            raise CorruptionError("truncated entry body")
+        entries.append((key, seq, value_type, value))
+    if len(entries) != decode_fixed32(raw, len(raw) - 8):
+        raise CorruptionError("block entry count mismatch")
+    return entries
+
+
+def _reference_read_all(handle, fmt, base_offset, length):
+    """Frozen copy of what compaction, scrub and repair did before
+    ``read_table_extent``: ``SSTableReader.open`` (three reads), then the
+    old ``SSTableReader.iter_entries`` — one read per data block — then
+    ``verify_table_bytes``' check against the footer's entry count.
+    Kept as the reference the extent decoder must agree with."""
+    reader = yield from SSTableReader.open(0, handle, fmt, base_offset, length)
+    entries = []
+    for _key, off, block_len in reader.index:
+        raw = yield from handle.read(base_offset + off, block_len, None,
+                                     sequential=True)
+        entries += _reference_block(fmt, raw)
+    if len(entries) != reader.num_entries:
+        raise CorruptionError("entry count differs from the footer's")
+    return entries
+
+
+class _RecordingHandle:
+    """A FileHandle's ``read``, recording every request."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.reads = []
+
+    def read(self, offset, length, meter=None, sequential=False):
+        self.reads.append((offset, length, sequential))
+        return self._handle.read(offset, length, meter, sequential)
+
+
+def _build_back_to_back(fs, fmt, prefix, tables, name="t.cf"):
+    """``prefix`` junk bytes, then each entry list as one table; the infos."""
+    handle = yield from fs.create(name)
+    handle.append(bytes(prefix))
+    infos = []
+    for entries in tables:
+        builder = SSTableBuilder(handle, fmt)
+        for entry in entries:
+            builder.add(*entry)
+        infos.append(builder.finish())
+    return handle, infos
+
+
+_FORMATS = st.sampled_from([LEVELDB_FORMAT, ROCKSDB_FORMAT])
+
+
+class TestReadTableExtent:
+    @settings(max_examples=60, deadline=None)
+    @given(_tables, _FORMATS, st.integers(1, 5000))
+    def test_equal_to_the_per_block_reader(self, tables, fmt, prefix):
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(1 << 24))
+        written = [_entries_of(table, 1000 * number)
+                   for number, table in enumerate(tables)]
+
+        def scenario():
+            handle, infos = yield from _build_back_to_back(fs, fmt, prefix, written)
+            assert infos[0].base_offset == prefix
+            for info, entries in zip(infos, written):
+                recording = _RecordingHandle(handle)
+                got = yield from read_table_extent(
+                    recording, fmt, info.base_offset, info.length)
+                assert recording.reads == [(info.base_offset, info.length, True)]
+                reference = yield from _reference_read_all(
+                    handle, fmt, info.base_offset, info.length)
+                assert got == reference == entries
+
+        env.run_until(env.process(scenario()))
+
+    def test_one_read_one_copy_charge_and_no_cache(self, env, fs, run):
+        entries = simple_entries(300)
+        meter = CpuMeter(env, CostModel())
+
+        def scenario():
+            handle, (info,) = yield from _build_back_to_back(
+                fs, LEVELDB_FORMAT, 100, [entries])
+            yield from handle.fsync()
+            fs.page_cache.drop_all()
+            before = fs.device.stats.num_reads
+            got = yield from read_table_extent(
+                handle, LEVELDB_FORMAT, info.base_offset, info.length, meter)
+            return info, got, fs.device.stats.num_reads - before
+
+        info, got, device_reads = run(scenario())
+        assert got == entries
+        assert device_reads == 1  # cold, multi-block, one device request
+        model = meter.model
+        assert meter.total_charged == pytest.approx(
+            info.length * model.memcpy_per_byte + 300 * model.codec_per_record)
+
+
+# -- corruption matrix: every region x {bit flip, truncation, hostile} -------
+
+_FOOTER_FIELDS = ("index_off", "index_len", "bloom_off", "bloom_len",
+                  "num_entries", "magic")
+
+
+def _crc_block(payload, count):
+    return payload + encode_fixed32(count) + encode_fixed32(crc32(payload))
+
+
+def _honest_index(last_keys, blocks):
+    """The index the builder writes: blocks back to back from offset 0."""
+    entries, off = [], 0
+    for key, block in zip(last_keys, blocks):
+        entries.append((key, off, len(block)))
+        off += len(block)
+    return entries
+
+
+def _assemble(fmt, blocks, last_keys, bloom_raw, num_entries,
+              index_entries=None, index_count=None, index_tail=b"", footer=()):
+    """A table from its parts, every CRC valid; the keyword overrides
+    plant hostile-but-checksummed index entries and footer fields."""
+    body = b"".join(blocks)
+    if index_entries is None:
+        index_entries = _honest_index(last_keys, blocks)
+    payload = b"".join(
+        encode_varint(len(key)) + key + encode_varint(off) + encode_varint(size)
+        + b"\x00" * fmt.index_entry_overhead
+        for key, off, size in index_entries) + index_tail
+    index_raw = _crc_block(
+        payload, len(index_entries) if index_count is None else index_count)
+    fields = dict(index_off=len(body), index_len=len(index_raw),
+                  bloom_off=len(body) + len(index_raw), bloom_len=len(bloom_raw),
+                  num_entries=num_entries, magic=_MAGIC)
+    fields.update(footer)
+    footer_payload = b"".join(encode_fixed64(fields[name])
+                              for name in _FOOTER_FIELDS)
+    return (body + index_raw + bloom_raw + footer_payload
+            + encode_fixed32(crc32(footer_payload)))
+
+
+class _Matrix:
+    """One shared file — junk prefix, then three tables — whose middle,
+    multi-block table every case damages in one place."""
+
+    PREFIX = 777
+    fmt = LEVELDB_FORMAT
+
+    def __init__(self):
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(1 << 24))
+        tables = [simple_entries(40, b"a"), simple_entries(90, b"m"),
+                  simple_entries(40, b"z")]
+        handle, infos = env.run_until(env.process(
+            _build_back_to_back(fs, self.fmt, self.PREFIX, tables)))
+        self.file = bytes(handle._file.data)
+        info = infos[1]
+        self.base, self.length = info.base_offset, info.length
+        self.num_entries = info.num_entries
+        table = self.table = self.file[self.base:self.base + self.length]
+        body = self.length - FOOTER_SIZE
+        self.bloom_off = bloom_off = body - info.bloom_size
+        self.index_off = index_off = bloom_off - info.index_size
+        self.index_len, self.bloom_len = info.index_size, info.bloom_size
+        reader = env.run_until(env.process(SSTableReader.open(
+            0, handle, self.fmt, self.base, self.length)))
+        self.last_keys = [key for key, _off, _size in reader.index]
+        self.blocks = [table[off:off + size] for _key, off, size in reader.index]
+        assert len(self.blocks) >= 3
+        self.bloom_raw = table[bloom_off:body]
+        #: name -> (start, end) inside the table; what a case aims at.
+        self.regions = {}
+        for i, (_key, off, size) in enumerate(reader.index):
+            self._trailered(f"block{i}", off, off + size)
+        self._trailered("index", index_off, bloom_off)
+        self.regions["bloom.blob"] = (bloom_off, body - 4)
+        self.regions["bloom.crc"] = (body - 4, body)
+        for i, name in enumerate(_FOOTER_FIELDS):
+            self.regions[f"footer.{name}"] = (body + 8 * i, body + 8 * i + 8)
+        self.regions["footer.crc"] = (self.length - 4, self.length)
+
+    def _trailered(self, name, start, end):
+        self.regions[f"{name}.payload"] = (start, end - 8)
+        self.regions[f"{name}.count"] = (end - 8, end - 4)
+        self.regions[f"{name}.crc"] = (end - 4, end)
+
+    def with_table(self, table):
+        """The file with the middle table replaced; its new extent."""
+        end = self.base + self.length
+        return self.file[:self.base] + table + self.file[end:], len(table)
+
+    def assemble(self, **overrides):
+        parts = dict(blocks=self.blocks, last_keys=self.last_keys,
+                     bloom_raw=self.bloom_raw, num_entries=self.num_entries)
+        parts.update(overrides)
+        return _assemble(self.fmt, **parts)
+
+    def cases(self):
+        """``(id, file bytes, table length)`` for every planted fault."""
+        table = self.table
+        for name, (start, end) in self.regions.items():
+            for where, at in (("first", start), ("last", end - 1)):
+                flipped = bytearray(table)
+                flipped[at] ^= 0x10
+                yield (f"flip-{name}-{where}", *self.with_table(bytes(flipped)))
+            # Bytes missing from the middle of the table: the tail shifts up.
+            cut = max(1, (end - start) // 2)
+            yield (f"excise-{name}", *self.with_table(
+                table[:end - cut] + table[end:]))
+            # The file itself ends inside the region: a short read.
+            middle = self.base + (start + end) // 2
+            yield f"eof-{name}", self.file[:middle], self.length
+        index_off, index_len = self.index_off, self.index_len
+        bloom_off, bloom_len = self.bloom_off, self.bloom_len
+        hostile_footers = {
+            "index_off": (1 << 40, self.length + 16, index_off + 1),
+            "index_len": (0, 7, 1 << 40, index_len + 1, index_len + bloom_len),
+            "bloom_off": (1 << 40, bloom_off - 1, self.length + 16),
+            "bloom_len": (0, 3, 5, 1 << 40, bloom_len + 1,
+                          bloom_len + FOOTER_SIZE + 100),
+            "num_entries": (self.num_entries - 1, self.num_entries + 1),
+            "magic": (_MAGIC ^ 1,),
+        }
+        for field, values in hostile_footers.items():
+            for value in values:
+                yield (f"hostile-footer.{field}={value}",
+                       *self.with_table(self.assemble(footer={field: value})))
+        honest = _honest_index(self.last_keys, self.blocks)
+        (k0, o0, n0), (k_last, o_last, n_last) = honest[0], honest[-1]
+        hostile_indexes = {
+            "first-off=1": [(k0, 1, n0)] + honest[1:],
+            "last-len-into-neighbour": honest[:-1] + [(k_last, o_last, n_last + 4096)],
+            "last-off=2^40": honest[:-1] + [(k_last, 1 << 40, n_last)],
+            "len=7": [(k0, o0, 7)] + honest[1:],
+            "len=0": [(k0, o0, 0)] + honest[1:],
+            "block-skipped": honest[:1] + honest[2:],
+            "block-twice": honest[:2] + honest[1:],
+        }
+        for label, entries in hostile_indexes.items():
+            yield (f"hostile-index.{label}",
+                   *self.with_table(self.assemble(index_entries=entries)))
+        yield ("hostile-index.count+1",
+               *self.with_table(self.assemble(index_count=len(honest) + 1)))
+        yield ("hostile-index.count-1",
+               *self.with_table(self.assemble(index_count=len(honest) - 1)))
+        yield ("hostile-index.trailing-bytes",
+               *self.with_table(self.assemble(index_tail=b"\x00\x00")))
+        payload, count = self.blocks[1][:-8], decode_fixed32(
+            self.blocks[1], len(self.blocks[1]) - 8)
+        hostile_blocks = {
+            "klen=127": _crc_block(b"\x7f" + payload[1:], count),
+            "endless-varint": _crc_block(b"\xff" * 12 + payload[12:], count),
+            "dangling-header": _crc_block(payload + b"\x05", count),
+            "dangling-varint": _crc_block(payload + b"\x05\x85", count),
+            "count+1": _crc_block(payload, count + 1),
+            "empty": _crc_block(b"", 0),
+        }
+        for label, block in hostile_blocks.items():
+            blocks = [self.blocks[0], block] + self.blocks[2:]
+            yield (f"hostile-block1.{label}",
+                   *self.with_table(self.assemble(blocks=blocks)))
+
+
+_MATRIX = _Matrix()
+_MATRIX_CASES = [pytest.param(data, length, id=label)
+                 for label, data, length in _MATRIX.cases()]
+#: Damage to footer, index or bloom — what ``SSTableReader.open`` reads.
+#: (The footer's entry count is only checkable against decoded blocks.)
+_METADATA_CASES = [case for case in _MATRIX_CASES
+                   if "block" not in case.id.split(".")[0]
+                   and "num_entries=" not in case.id]
+
+
+class TestCorruptionMatrix:
+    def test_assembler_reproduces_the_builder(self):
+        assert _MATRIX.assemble() == _MATRIX.table
+
+    def _decode(self, reader_fn, data, length):
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(1 << 24))
+
+        def scenario():
+            handle = yield from fs.create("t.cf")
+            handle.append(data)
+            recording = _RecordingHandle(handle)
+            try:
+                yield from reader_fn(recording, _MATRIX.fmt, _MATRIX.base, length)
+            finally:
+                # Typed error or not, no request may leave the table's extent.
+                for offset, size, _sequential in recording.reads:
+                    assert _MATRIX.base <= offset
+                    assert offset + size <= _MATRIX.base + length
+        env.run_until(env.process(scenario()))
+
+    def test_undamaged_table_decodes_both_ways(self):
+        self._decode(read_table_extent, _MATRIX.file, _MATRIX.length)
+        self._decode(_reference_read_all, _MATRIX.file, _MATRIX.length)
+
+    @pytest.mark.parametrize("data,length", _MATRIX_CASES)
+    def test_every_fault_is_a_corruption_error(self, data, length):
+        """CorruptionError — never IndexError, struct.error or ValueError —
+        from the extent decoder and from the per-block reader alike."""
+        with pytest.raises(CorruptionError):
+            self._decode(read_table_extent, data, length)
+        with pytest.raises(CorruptionError):
+            self._decode(_reference_read_all, data, length)
+
+    @pytest.mark.parametrize("data,length", _METADATA_CASES)
+    def test_open_alone_rejects_metadata_faults(self, data, length):
+        """Footer, index and bloom damage never gets past the TableCache
+        miss path, so a point read cannot see a half-valid reader."""
+        def open_only(handle, fmt, base_offset, length):
+            yield from SSTableReader.open(0, handle, fmt, base_offset, length)
+
+        with pytest.raises(CorruptionError):
+            self._decode(open_only, data, length)
