@@ -159,8 +159,13 @@ class BoLTMixin:
                         tracer.count("bolt.containers_unlinked")
                     yield from self.fs.unlink(meta.container)
                 else:
-                    handle = yield from self.table_cache.open_handle(
-                        meta.container)
+                    # Not ``table_cache.open_handle``: on a tiered engine
+                    # that falls back to fetching the object from the
+                    # remote tier, and a container that vanished under us
+                    # is a lost race (below), not a reason to GET it back.
+                    opener = (self.fd_cache.open if self.fd_cache is not None
+                              else self.fs.open)
+                    handle = yield from opener(meta.container)
                     # §3.2: no fsync/fdatasync when punching holes — the
                     # lazy metadata sync is deliberately free of barriers.
                     handle.punch_hole(meta.offset, meta.length)

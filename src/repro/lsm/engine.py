@@ -1305,7 +1305,7 @@ class LSMEngine:
                           ) -> Generator[Event, Any, List[Entry]]:
         """Every entry of one table, for a consumer that reads it once
         (compaction, scrub, the crash checker): the container's handle
-        and one sequential read of the table's extent, all CRCs checked,
+        and a sequential read of the table's extent, all CRCs checked,
         around the table and block caches, which serve ``get``/``scan``."""
         handle = yield from self.table_cache.open_handle(meta.container)
         return (yield from read_table_extent(

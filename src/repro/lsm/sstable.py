@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..sim import CpuMeter, Event
-from ..storage import FileHandle
+from ..storage import PAGE_SIZE, FileHandle
 from .codec import (
     CorruptionError,
     VALUE_TYPE_DELETION,
@@ -41,6 +41,15 @@ _MAGIC = 0xB0171E5B0171E5B0 & 0xFFFFFFFFFFFFFFFF
 #: Footer body: index off/len, bloom off/len, entry count, magic.
 _FOOTER = struct.Struct("<6Q")
 FOOTER_SIZE = _FOOTER.size + 4  # body || crc32
+
+#: A table no longer than this is fetched whole in one request — every
+#: LSST (1 MB / 256 at the default byte scale, cut at a key boundary)
+#: and every stock 2 MB / 256 table.  A longer one (the 64 MB-table
+#: engines, a stock L0 flush) is streamed a page-sized request at a
+#: time: no kernel hands a device one 64 MB request, foreground reads
+#: are served between a streaming reader's requests, and that is the
+#: device schedule the per-block reader gave those engines.
+EXTENT_READAHEAD = 16 * 1024
 
 #: (user_key, sequence, value_type, value)
 Entry = Tuple[bytes, int, int, bytes]
@@ -546,15 +555,23 @@ def read_table_extent(handle: FileHandle, fmt: TableFormat, base_offset: int,
     """Read and decode one whole (logical) table as a single extent.
 
     For consumers that want every entry once (compaction inputs, scrub,
-    repair, the crash checker): **one** sequential read of the extent,
-    then footer, index and every data block parsed out of that buffer.
-    All four CRC regions (footer, index, bloom blob, each block) and the
-    footer's entry count are verified; the bloom filter is never
-    decoded and nothing enters the table or block cache, so a flipped
-    byte on "disk" cannot hide behind a cached decode.  Any failed
-    check is a :class:`~repro.lsm.codec.CorruptionError`.
+    repair, the crash checker): **one** sequential read of the extent
+    (a table longer than :data:`EXTENT_READAHEAD` is streamed front to
+    back a page at a time instead), then footer, index and every data
+    block parsed out of that buffer.  All four CRC regions (footer,
+    index, bloom blob, each block) and the footer's entry count are
+    verified; the bloom filter is never decoded and nothing enters the
+    table or block cache, so a flipped byte on "disk" cannot hide behind
+    a cached decode.  Any failed check is a
+    :class:`~repro.lsm.codec.CorruptionError`.
     """
-    raw = yield from handle.read(base_offset, length, meter, sequential=True)
+    step = length if length <= EXTENT_READAHEAD else PAGE_SIZE
+    parts = []
+    for off in range(0, length, step):
+        parts.append((yield from handle.read(
+            base_offset + off, min(step, length - off), meter,
+            sequential=True)))
+    raw = b"".join(parts)
     if len(raw) != length:
         raise CorruptionError("truncated table")
     index_off, index_len, bloom_off, bloom_len, num_entries = _parse_footer(

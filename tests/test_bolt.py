@@ -374,3 +374,37 @@ class TestTieredCompactionInput:
         env.run_until(env.process(db.wait_idle()))
         for key, value in model.items():
             assert db.get_sync(key) == value
+
+    def test_punching_a_vanished_container_fetches_nothing(self):
+        """Hole punching opens the container locally (FD cache), not
+        through the tier fallback: a container unlinked between the
+        ``exists`` check and the open is a lost race — the dead table
+        is skipped, nothing is fetched back from the remote tier."""
+        from collections import Counter
+        from repro.storage import FileSystemError
+        env, fs = fresh_stack()
+        base = bolt_options(SCALE)
+        options = base.copy(
+            tiering_enabled=True, tier_cold_level=1, tier_cache_bytes=256 << 10,
+            memtable_size=max(1, base.memtable_size // 32))
+        db = BoLTEngine.open_sync(env, fs, options, "db")
+        load_random(env, db)
+        env.run_until(env.process(db.wait_idle()))
+        version = db.versions.current
+        tables = [meta for files in version.files for meta in files]
+        shared = Counter(meta.container for meta in tables)
+        meta = next(m for m in tables if shared[m.container] > 1
+                    and not version.is_remote(m.container)
+                    and fs.exists(m.container))
+
+        def vanished(name):
+            raise FileSystemError(name)
+            yield
+
+        db.fd_cache.open = vanished
+        tier = db.tiering.cache
+        fetched = tier.hits + tier.misses
+        punches = fs.stats.num_hole_punches
+        env.run_until(env.process(db._cleanup_tables([meta])))
+        assert tier.hits + tier.misses == fetched
+        assert fs.stats.num_hole_punches == punches

@@ -8,10 +8,11 @@ from repro.lsm.codec import (MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
                              crc32, decode_fixed32, decode_fixed64, decode_varint,
                              encode_fixed32, encode_fixed64, encode_varint)
 from repro.lsm.memtable import DELETED, FOUND, NOT_FOUND
-from repro.lsm.sstable import (FOOTER_SIZE, SSTableBuilder, SSTableReader,
-                               TableInfo, _MAGIC, read_table_extent)
+from repro.lsm.sstable import (EXTENT_READAHEAD, FOOTER_SIZE, SSTableBuilder,
+                               SSTableReader, TableInfo, _MAGIC,
+                               read_table_extent)
 from repro.sim import CostModel, CpuMeter, Environment
-from repro.storage import BlockDevice, DiskFullError, PageCache, SimFS
+from repro.storage import PAGE_SIZE, BlockDevice, DiskFullError, PageCache, SimFS
 
 
 def build_table(fs, run, entries, fmt=LEVELDB_FORMAT, name="t.ldb"):
@@ -541,7 +542,7 @@ def _reference_read_all(handle, fmt, base_offset, length):
     """Frozen copy of what compaction, scrub and repair did before
     ``read_table_extent``: ``SSTableReader.open`` (three reads), then the
     old ``SSTableReader.iter_entries`` — one read per data block — then
-    ``verify_table_bytes``' check against the footer's entry count.
+    the scrubber's check against the footer's entry count.
     Kept as the reference the extent decoder must agree with."""
     reader = yield from SSTableReader.open(0, handle, fmt, base_offset, length)
     entries = []
@@ -598,15 +599,20 @@ class TestReadTableExtent:
                 recording = _RecordingHandle(handle)
                 got = yield from read_table_extent(
                     recording, fmt, info.base_offset, info.length)
-                assert recording.reads == [(info.base_offset, info.length, True)]
+                step = (info.length if info.length <= EXTENT_READAHEAD
+                        else PAGE_SIZE)
+                assert recording.reads == [
+                    (info.base_offset + off, min(step, info.length - off), True)
+                    for off in range(0, info.length, step)]
                 reference = yield from _reference_read_all(
                     handle, fmt, info.base_offset, info.length)
                 assert got == reference == entries
 
         env.run_until(env.process(scenario()))
 
-    def test_one_read_one_copy_charge_and_no_cache(self, env, fs, run):
-        entries = simple_entries(300)
+    @pytest.mark.parametrize("records", [15, 300])
+    def test_one_request_one_copy_charge_and_no_cache(self, env, fs, run, records):
+        entries = simple_entries(records)
         meter = CpuMeter(env, CostModel())
 
         def scenario():
@@ -621,10 +627,15 @@ class TestReadTableExtent:
 
         info, got, device_reads = run(scenario())
         assert got == entries
-        assert device_reads == 1  # cold, multi-block, one device request
+        if records == 15:   # cold, two blocks, one device request
+            assert info.length <= EXTENT_READAHEAD and device_reads == 1
+        else:               # past the window: about one request per page
+            assert info.length > EXTENT_READAHEAD
+            pages = (100 + info.length - 1) // PAGE_SIZE + 1
+            assert device_reads in (pages - 1, pages)
         model = meter.model
         assert meter.total_charged == pytest.approx(
-            info.length * model.memcpy_per_byte + 300 * model.codec_per_record)
+            info.length * model.memcpy_per_byte + records * model.codec_per_record)
 
 
 # -- corruption matrix: every region x {bit flip, truncation, hostile} -------
