@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..lsm.wal import WriteBatch, read_log_records
+from ..lsm.wal import WriteBatch, list_wal_files, read_log_records
 from ..sim import Environment, Event
 from ..storage import SimFS
 from .net import CONTROL_PLANE, NetworkFabric
@@ -74,27 +74,12 @@ def read_wal_tail(fs: SimFS, dbname: str
     an acked record can never be past a tear because acks follow the
     sync barrier.
 
-    Only numerically-named ``NNNN.log`` files are WALs; a foreign or
-    renamed ``.log`` file in the db dir is skipped with a warning
-    instead of aborting the failover mid-promotion.
+    The files come from :func:`repro.lsm.wal.list_wal_files`, so a
+    foreign ``.log`` file in the db dir is skipped (and counted) instead
+    of aborting the failover mid-promotion.
     """
-    logs: List[Tuple[int, str]] = []
-    for name in fs.listdir(f"{dbname}/"):
-        if not name.endswith(".log"):
-            continue
-        stem = name.rsplit("/", 1)[-1].split(".")[0]
-        if not stem.isdigit():
-            # Not a WAL (operator droppings, foreign tooling): warn and
-            # move on — failover must not die on a stray file.
-            tracer = fs.env.tracer
-            tracer.count("cluster.wal_tail_foreign_files_skipped")
-            if tracer.enabled:
-                tracer.instant("wal_tail_skip", cat="cluster", file=name)
-            continue
-        logs.append((int(stem), name))
-    logs.sort()
     records: List[Tuple[int, int, WriteBatch]] = []
-    for _number, name in logs:
+    for name in list_wal_files(fs, dbname):
         handle = yield from fs.open(name)
         data = yield from handle.read(0, handle.size, sequential=True)
         for payload in read_log_records(data):

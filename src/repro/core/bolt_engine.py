@@ -206,33 +206,37 @@ class RocksBoLTEngine(BoLTMixin, RocksDBEngine):
     name = "rocksbolt"
 
 
-def bolt_options(scale: int = 1, logical_sstable: int = 1 * MB,
-                 group_bytes: int = 64 * MB, settled: bool = True,
-                 fd_cache: bool = True, **overrides) -> Options:
-    """Full BoLT configuration (§4.1: 1 MB logical SSTables; §4.2.1:
-    64 MB group compaction performed best)."""
-    options = leveldb_options(scale).copy(
+def _with_bolt(base: Options, scale: int, logical_sstable: int = 1 * MB,
+               group_bytes: int = 64 * MB, settled: bool = True,
+               fd_cache: bool = True, **overrides) -> Options:
+    """``base`` with the BoLT features laid over it (byte sizes divided
+    by ``scale``); ``overrides`` win."""
+    overlay = dict(
         sstable_size=max(1, logical_sstable // scale),
         use_compaction_file=True,
         group_compaction_bytes=max(1, group_bytes // scale) if group_bytes else 0,
         enable_settled_compaction=settled,
         enable_fd_cache=fd_cache,
     )
-    return options.copy(**overrides) if overrides else options
+    overlay.update(overrides)
+    return base.copy(**overlay)
+
+
+def bolt_options(scale: int = 1, logical_sstable: int = 1 * MB,
+                 group_bytes: int = 64 * MB, settled: bool = True,
+                 fd_cache: bool = True, **overrides) -> Options:
+    """Full BoLT configuration (§4.1: 1 MB logical SSTables; §4.2.1:
+    64 MB group compaction performed best)."""
+    return _with_bolt(leveldb_options(scale), scale, logical_sstable,
+                      group_bytes, settled, fd_cache, **overrides)
 
 
 def hyperbolt_options(scale: int = 1, logical_sstable: int = 1 * MB,
                       group_bytes: int = 64 * MB, settled: bool = True,
                       fd_cache: bool = True, **overrides) -> Options:
     """Full HyperBoLT configuration (HyperLevelDB base + BoLT features)."""
-    options = hyperleveldb_options(scale).copy(
-        sstable_size=max(1, logical_sstable // scale),
-        use_compaction_file=True,
-        group_compaction_bytes=max(1, group_bytes // scale) if group_bytes else 0,
-        enable_settled_compaction=settled,
-        enable_fd_cache=fd_cache,
-    )
-    return options.copy(**overrides) if overrides else options
+    return _with_bolt(hyperleveldb_options(scale), scale, logical_sstable,
+                      group_bytes, settled, fd_cache, **overrides)
 
 
 #: Fig 12 ablation stages, cumulative left to right.
@@ -244,14 +248,8 @@ def rocksbolt_options(scale: int = 1, logical_sstable: int = 1 * MB,
                       fd_cache: bool = True, **overrides) -> Options:
     """BoLT-in-RocksDB configuration (the paper's future work): RocksDB
     defaults with the BoLT features enabled."""
-    options = rocksdb_options(scale).copy(
-        sstable_size=max(1, logical_sstable // scale),
-        use_compaction_file=True,
-        group_compaction_bytes=max(1, group_bytes // scale) if group_bytes else 0,
-        enable_settled_compaction=settled,
-        enable_fd_cache=fd_cache,
-    )
-    return options.copy(**overrides) if overrides else options
+    return _with_bolt(rocksdb_options(scale), scale, logical_sstable,
+                      group_bytes, settled, fd_cache, **overrides)
 
 
 def bolt_ablation_options(stage: str, scale: int = 1, base: str = "leveldb",
@@ -271,11 +269,5 @@ def bolt_ablation_options(stage: str, scale: int = 1, base: str = "leveldb",
     if stage == "stock":
         return options.copy(**overrides) if overrides else options
     index = ABLATION_STAGES.index(stage)
-    options = options.copy(
-        sstable_size=max(1, 1 * MB // scale),
-        use_compaction_file=True,
-        group_compaction_bytes=(max(1, 64 * MB // scale) if index >= 2 else 0),
-        enable_settled_compaction=index >= 3,
-        enable_fd_cache=index >= 4,
-    )
-    return options.copy(**overrides) if overrides else options
+    return _with_bolt(options, scale, group_bytes=64 * MB if index >= 2 else 0,
+                      settled=index >= 3, fd_cache=index >= 4, **overrides)

@@ -24,11 +24,10 @@ in-memory bloom filters and the guard-sized TableCache footprint
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..lsm import LSMEngine, Options
-from ..lsm.engine import Compaction, Event
-from ..lsm.iterators import collapse_versions, merge_streams
+from ..lsm.engine import Compaction
 from ..lsm.manifest import VersionEdit
 from ..lsm.version import FileMetaData, Version, key_range
 from ..sim import CostModel
@@ -135,78 +134,31 @@ class PebblesDBEngine(LSMEngine):
         return self._expand_same_level(version, level, best)
 
     # -- compaction execution ------------------------------------------------
+    # The engine's one loop, told FLSM's three differences: the victim
+    # guard is merged alone and its outputs are appended to the target
+    # level's guards without touching the tables already resident there.
 
-    def _run_compaction(self, compaction: Compaction
-                        ) -> Generator[Event, Any, None]:
-        """Merge the victim guard; append partitioned outputs to the
-        target level's guards without touching resident tables."""
-        started = self.env.now
-        self.stats.compactions += 1
-        self.stats.group_victims += len(compaction.victims)
-        version = self.versions.current
-        meter = self._bg_meter()
-        target_level = (compaction.level if compaction.in_place
-                        else compaction.level + 1)
+    def _may_drop_tombstones(self, version: Version, compaction: Compaction,
+                             smallest: bytes, largest: bytes) -> bool:
+        """Also requires that no resident table of the target level
+        overlaps: outputs land beside those, and they hold older data."""
+        if not super()._may_drop_tombstones(version, compaction,
+                                            smallest, largest):
+            return False
+        victims = {m.number for m in compaction.victims}
+        return all(f.number in victims for f in version.overlapping_files(
+            compaction.output_level, smallest, largest))
 
-        if (len(compaction.victims) == 1 and not compaction.in_place):
-            # Single-table guard: move it down without rewriting (the
-            # degenerate FLSM case, equivalent to LevelDB's trivial move).
-            meta = compaction.victims[0]
-            edit = VersionEdit()
-            edit.delete_file(compaction.level, meta.number)
-            edit.add_file(target_level, FileMetaData(
-                number=meta.number, container=meta.container,
-                offset=meta.offset, length=meta.length,
-                smallest=meta.smallest, largest=meta.largest,
-                num_entries=meta.num_entries))
-            self._register_guards(edit, target_level, [meta])
-            yield from self.versions.log_and_apply(edit, meter)
-            self.stats.trivial_moves += 1
-            self.stats.compaction_time += self.env.now - started
-            self._maybe_schedule_more()
-            return
+    def _output_cut_keys(self, compaction: Compaction,
+                         untouched: List[FileMetaData]) -> List[bytes]:
+        """Outputs are partitioned by the target level's guards."""
+        return list(self.versions.guards.get(compaction.output_level, []))
 
-        streams = yield from self._read_inputs(compaction.victims, meter)
-        lo, hi = key_range(compaction.victims)
-        # Tombstones may only be dropped when no older version of a key
-        # can survive elsewhere: nothing deeper than the target level,
-        # and no resident table at the target level (outputs are merely
-        # appended beside resident tables, which hold older data).
-        if compaction.in_place:
-            resident = self._other_tables_overlap(version, compaction, lo, hi)
-        else:
-            resident = bool(version.overlapping_files(target_level, lo, hi))
-        drop = self._is_base_level(version, target_level, lo, hi) and not resident
-        merged = collapse_versions(merge_streams(streams), drop,
-                                   snapshots=self.live_snapshot_sequences())
-
-        sink = self._make_sink()
-        guards = list(self.versions.guards.get(target_level, []))
-        output_metas = yield from self._build_tables(
-            merged, sink, meter, cut_keys=guards)
-
-        edit = VersionEdit()
-        for meta in compaction.victims:
-            edit.delete_file(compaction.level, meta.number)
-        for meta in output_metas:
-            edit.add_file(target_level, meta)
-        self._register_guards(edit, target_level, output_metas)
-        yield from self.versions.log_and_apply(edit, meter)
-        yield from meter.drain()
-        self._schedule_cleanup(list(compaction.victims))
-        self.stats.compaction_time += self.env.now - started
-        self._maybe_schedule_more()
-
-    def _other_tables_overlap(self, version: Version, compaction: Compaction,
-                              lo: bytes, hi: bytes) -> bool:
-        victim_numbers = {m.number for m in compaction.victims}
-        return any(f.overlaps(lo, hi)
-                   for f in version.files[compaction.level]
-                   if f.number not in victim_numbers)
-
-    def _register_guards(self, edit: VersionEdit, level: int,
-                         outputs: List[FileMetaData]) -> None:
-        """Adopt output boundaries as guards for ``level``."""
+    def _finish_edit(self, edit: VersionEdit, compaction: Compaction,
+                     outputs: List[FileMetaData]) -> None:
+        """Adopt output boundaries as guards for the target level (FLSM
+        picks the fullest guard, so it keeps no compact pointer)."""
+        level = compaction.output_level
         existing = set(self.versions.guards.get(level, []))
         for meta in outputs[1:]:
             if meta.smallest not in existing:

@@ -255,8 +255,9 @@ class ErrorManager:
     def poke(self) -> None:
         """Re-evaluate an ENOSPC degradation now (space was freed).
 
-        Called by the engine after hole punching / cleanup and by manual
-        reclaim paths.  Exits read-only immediately — even from the
+        Called by the engine after hole punching / cleanup; an operator
+        who freed space externally (:meth:`SimFS.set_capacity`) calls it
+        by hand.  Exits read-only immediately — even from the
         retries-exhausted fatal state, since ENOSPC genuinely cleared —
         without waiting for the next backoff tick.
         """

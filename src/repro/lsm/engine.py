@@ -32,7 +32,7 @@ from .manifest import VersionEdit, VersionSet
 from .options import Options
 from .sstable import SSTableBuilder, read_table_extent
 from .version import FileMetaData, Version, key_range, split_by_overlap
-from .wal import LogWriter, WriteBatch, read_log_records
+from .wal import LogWriter, WriteBatch, list_wal_files, read_log_records
 
 __all__ = ["LSMEngine", "EngineStats", "Compaction", "OutputSink",
            "PerTableFileSink", "Snapshot"]
@@ -462,18 +462,6 @@ class LSMEngine:
             # durable record only costs a re-scrub after restart.
             self._on_background_error("manifest", exc)
 
-    def reclaim(self) -> Generator[Event, Any, None]:
-        """Run deferred cleanup now and re-evaluate ENOSPC degradation.
-
-        The manual escape hatch for read-only mode: freeing space (here,
-        or externally via :meth:`SimFS.set_capacity`) followed by a call
-        to ``health.poke()`` lets the store exit disk-full degradation.
-        """
-        batch, self._deferred_cleanup = self._deferred_cleanup, []
-        if batch:
-            yield from self._cleanup_tables(batch)
-        self.health.poke()
-
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
@@ -720,15 +708,19 @@ class LSMEngine:
                 # L0Stop governor: block until compaction makes room.
                 yield from self._stall("l0-stop")
             else:
-                # Rotate: current MemTable becomes immutable.
-                self._imm = self._memtable
-                self._imm_wal_name = self._wal_name(self._wal_number)
-                self._imm_wal_seq = self.versions.last_sequence
-                self._memtable = MemTable(seed=opts.seed)
-                if self.env.sanitizer.enabled:
-                    self.env.sanitizer.note_write(self, "memtable_switch")
-                yield from self._new_wal()
-                self._bg_work.notify_all()
+                yield from self._switch_memtable()
+
+    def _switch_memtable(self) -> Generator[Event, Any, None]:
+        """Rotate: the active MemTable becomes immutable, its WAL is
+        retired to it and a fresh pair takes over (mutex held)."""
+        self._imm = self._memtable
+        self._imm_wal_name = self._wal_name(self._wal_number)
+        self._imm_wal_seq = self.versions.last_sequence
+        self._memtable = MemTable(seed=self.options.seed)
+        if self.env.sanitizer.enabled:
+            self.env.sanitizer.note_write(self, "memtable_switch")
+        yield from self._new_wal()
+        self._bg_work.notify_all()
 
     def _stall(self, why: str) -> Generator[Event, Any, None]:
         self.stats.stall_events += 1
@@ -1057,14 +1049,7 @@ class LSMEngine:
                         f"{self.dbname} is read-only: {self.health.reason}")
                 yield from self._stall("flush-all")
             if len(self._memtable):
-                self._imm = self._memtable
-                self._imm_wal_name = self._wal_name(self._wal_number)
-                self._imm_wal_seq = self.versions.last_sequence
-                self._memtable = MemTable(seed=self.options.seed)
-                if self.env.sanitizer.enabled:
-                    self.env.sanitizer.note_write(self, "memtable_switch")
-                yield from self._new_wal()
-                self._bg_work.notify_all()
+                yield from self._switch_memtable()
         finally:
             self._mutex.release()
         yield from self.wait_idle()
@@ -1091,13 +1076,12 @@ class LSMEngine:
             metas = yield from self._build_tables(entries, sink, meter,
                                                   max_table_bytes=max_bytes)
             edit = VersionEdit()
-            edit.log_number = self._wal_number
             for meta in metas:
                 edit.add_file(0, meta)
             yield from self.versions.log_and_apply(edit, meter)
             # The memtable switch is shared with writers rotating in
-            # _make_room/flush_all (all under the mutex): retire the
-            # immutable MemTable under it too, as LevelDB does.
+            # _switch_memtable (under the mutex): retire the immutable
+            # MemTable under it too, as LevelDB does.
             yield self._mutex.acquire()
             try:
                 self._imm = None
@@ -1244,16 +1228,14 @@ class LSMEngine:
         if merge_victims:
             inputs = merge_victims + merge_overlaps
             streams = yield from self._read_inputs(inputs, meter)
-            drop_tombstones = self._is_base_level(
-                version, compaction.output_level,
-                *key_range(inputs)) if inputs else False
+            drop_tombstones = self._may_drop_tombstones(
+                version, compaction, *key_range(inputs))
             merged = collapse_versions(
                 merge_streams(streams), drop_tombstones,
                 snapshots=self.live_snapshot_sequences())
-            sink = self._make_sink()
-            cut_keys = sorted(o.smallest for o in untouched) or None
-            output_metas = yield from self._build_tables(merged, sink, meter,
-                                                         cut_keys=cut_keys)
+            output_metas = yield from self._build_tables(
+                merged, self._make_sink(), meter,
+                cut_keys=self._output_cut_keys(compaction, untouched))
 
         # Verify settled victims still promote safely next to the outputs;
         # unsafe ones fall back to staying at their level untouched.
@@ -1279,9 +1261,7 @@ class LSMEngine:
                 smallest=meta.smallest, largest=meta.largest,
                 num_entries=meta.num_entries))
             self.stats.settled_promotions += 1
-        if compaction.victims and compaction.level > 0:
-            _lo, hi = key_range(compaction.victims)
-            edit.set_compact_pointer(compaction.level, hi)
+        self._finish_edit(edit, compaction, output_metas)
 
         yield from self.versions.log_and_apply(edit, meter)
         yield from meter.drain()
@@ -1336,19 +1316,35 @@ class LSMEngine:
         victim with no next-level overlap moves without rewrite.
         """
         if (len(compaction.victims) == 1 and not compaction.overlaps
-                and not compaction.is_seek_compaction):
+                and not compaction.is_seek_compaction
+                and not compaction.in_place):
             self.stats.trivial_moves += 1
             return list(compaction.victims), []
         return [], list(compaction.victims)
 
-    def _is_base_level(self, version: Version, output_level: int,
-                       smallest: bytes, largest: bytes) -> bool:
-        """True if no level deeper than ``output_level`` overlaps the
-        range — then tombstones can be dropped."""
-        for level in range(output_level + 1, version.num_levels):
-            if version.overlapping_files(level, smallest, largest):
-                return False
-        return True
+    def _may_drop_tombstones(self, version: Version, compaction: Compaction,
+                             smallest: bytes, largest: bytes) -> bool:
+        """Hook: True when no older version of a key in the range can
+        outlive this compaction.  A leveled merge consumes everything
+        that overlaps at the output level, so only deeper levels count."""
+        return not any(version.overlapping_files(level, smallest, largest)
+                       for level in range(compaction.output_level + 1,
+                                          version.num_levels))
+
+    def _output_cut_keys(self, compaction: Compaction,
+                         untouched: List[FileMetaData]) -> List[bytes]:
+        """Hook: sorted keys the outputs are cut at besides the size
+        bound — here the untouched next-level tables' smallest keys, so
+        the output level stays disjoint."""
+        return sorted(o.smallest for o in untouched)
+
+    def _finish_edit(self, edit: VersionEdit, compaction: Compaction,
+                     outputs: List[FileMetaData]) -> None:
+        """Hook: the engine-specific tail of a compaction's edit — here
+        LevelDB's round-robin compact pointer for the victim level."""
+        if compaction.victims and compaction.level > 0:
+            _lo, hi = key_range(compaction.victims)
+            edit.set_compact_pointer(compaction.level, hi)
 
     def _build_tables(self, entries: Iterable[Entry], sink: OutputSink,
                       meter: CpuMeter,
@@ -1474,16 +1470,10 @@ class LSMEngine:
         # pickers clear of the poisoned tables from the first moment.
         self._quarantined = set(self.versions.current.quarantined)
         self._busy_tables.update(self._quarantined)
-        # Replay WALs at/after the recorded log number, oldest first.
-        logs: List[Tuple[int, str]] = []
-        for name in self.fs.listdir(f"{self.dbname}/"):
-            if name.endswith(".log"):
-                number = int(name.rsplit("/", 1)[-1].split(".")[0])
-                if number >= self.versions.log_number:
-                    logs.append((number, name))
-        logs.sort()
-        max_seq = self.versions.last_sequence
-        for _number, name in logs:
+        # The WAL invariant: a WAL on disk is replayed; a flushed WAL is
+        # unlinked, or retained for a replica and replays idempotently.
+        replayed = list_wal_files(self.fs, self.dbname)
+        for name in replayed:
             handle = yield from self.fs.open(name)
             data = yield from handle.read(0, handle.size, sequential=True)
             for record in read_log_records(data):
@@ -1492,30 +1482,18 @@ class LSMEngine:
                 for value_type, key, value in batch.ops:
                     self._memtable.add(seq, value_type, key, value)
                     seq += 1
-                max_seq = max(max_seq, seq - 1)
+                # Advance before any flush: log_and_apply stamps this
+                # value into the edit, and the next reopen reads at it.
+                self.versions.last_sequence = max(
+                    self.versions.last_sequence, seq - 1)
                 if (self._memtable.approximate_memory_usage
                         > self.options.memtable_size):
-                    self._imm = self._memtable
-                    self._imm_wal_name = None
-                    self._memtable = MemTable(seed=self.options.seed)
-                    self._flush_in_progress = True
-                    try:
-                        yield from self._flush_memtable()
-                    finally:
-                        self._flush_in_progress = False
-        self.versions.last_sequence = max_seq
+                    yield from self._flush_replayed()
         yield from self._new_wal()
         if len(self._memtable):
             # Persist replayed residue promptly, as LevelDB does.
-            self._imm = self._memtable
-            self._imm_wal_name = None
-            self._memtable = MemTable(seed=self.options.seed)
-            self._flush_in_progress = True
-            try:
-                yield from self._flush_memtable()
-            finally:
-                self._flush_in_progress = False
-        yield from self._delete_obsolete_files()
+            yield from self._flush_replayed()
+        yield from self._delete_obsolete_files(replayed)
         if self.tiering is not None:
             # Remote orphans: PUTs whose demotion pointer never
             # committed.  (Post-crash local cache files were purged
@@ -1523,20 +1501,26 @@ class LSMEngine:
             # surviving a crash is suspect and refetched on demand.)
             yield from self.tiering.recover_gc()
 
-    def _delete_obsolete_files(self) -> Generator[Event, Any, None]:
-        """Remove files not referenced by the recovered version."""
+    def _flush_replayed(self) -> Generator[Event, Any, None]:
+        """Flush what replay put in the MemTable, inline: no worker runs
+        yet, and the replayed WALs stay until :meth:`_delete_obsolete_files`."""
+        self._imm = self._memtable
+        self._imm_wal_name = None
+        self._memtable = MemTable(seed=self.options.seed)
+        yield from self._flush_memtable()
+
+    def _delete_obsolete_files(self, replayed: List[str]
+                               ) -> Generator[Event, Any, None]:
+        """Remove the replayed WALs (all flushed by now) and every data
+        or MANIFEST file the recovered version does not reference."""
         live_containers = {meta.container for meta in
                            self.versions.current.live_numbers().values()}
-        keep_suffixes = {self._wal_name(self._wal_number),
-                         f"{self.dbname}/CURRENT"}
         manifest = f"{self.dbname}/MANIFEST-{self.versions.manifest_file_number:06d}"
-        keep_suffixes.add(manifest)
         for name in list(self.fs.listdir(f"{self.dbname}/")):
-            if name in keep_suffixes or name in live_containers:
+            if name in live_containers or name == manifest:
                 continue
-            if name.endswith(".ldb") or name.endswith(".cf") or name.endswith(".log"):
-                yield from self.fs.unlink(name)
-            elif name.startswith(f"{self.dbname}/MANIFEST-") and name != manifest:
+            if (name.endswith(".ldb") or name.endswith(".cf") or name in replayed
+                    or name.startswith(f"{self.dbname}/MANIFEST-")):
                 yield from self.fs.unlink(name)
 
     # ------------------------------------------------------------------

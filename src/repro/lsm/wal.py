@@ -16,7 +16,7 @@ import struct
 from typing import Iterator, List, Optional, Tuple
 
 from ..sim import CpuMeter
-from ..storage import FileHandle
+from ..storage import FileHandle, SimFS
 from .codec import (
     VALUE_TYPE_DELETION,
     VALUE_TYPE_VALUE,
@@ -29,7 +29,7 @@ from .codec import (
     encode_varint,
 )
 
-__all__ = ["LogWriter", "read_log_records", "WriteBatch"]
+__all__ = ["LogWriter", "read_log_records", "list_wal_files", "WriteBatch"]
 
 _HEADER = 8
 #: ``len || crc`` record header in one struct call (byte-identical to
@@ -132,3 +132,23 @@ def read_log_records(data: bytes) -> Iterator[bytes]:
             return  # torn or lost page
         yield payload
         pos = end
+
+
+def list_wal_files(fs: SimFS, dbname: str) -> List[str]:
+    """``dbname``'s write-ahead logs, oldest first.
+
+    Only a numeric stem (``000007.log``) names a WAL.  A listing is
+    untrusted input: any other ``.log`` file in the db dir (operator
+    notes, foreign tooling) is counted on the tracer and left alone —
+    neither replayed nor deleted as obsolete.
+    """
+    logs: List[Tuple[int, str]] = []
+    for name in fs.listdir(f"{dbname}/"):
+        if not name.endswith(".log"):
+            continue
+        stem = name[:-len(".log")].rsplit("/", 1)[-1]
+        if stem.isdecimal():  # int() accepts exactly these
+            logs.append((int(stem), name))
+        else:
+            fs.env.tracer.count("wal.foreign_files_skipped")
+    return [name for _number, name in sorted(logs)]

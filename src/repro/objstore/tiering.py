@@ -29,7 +29,7 @@ The policy sits between the engine and :class:`~repro.objstore.ObjectStore`:
   objects under the database prefix that no pointer references are
   deleted (they are PUTs whose demotion never committed).  Foreign keys
   that do not parse as container names are skipped defensively, exactly
-  like foreign ``.log`` files in ``read_wal_tail``.
+  like foreign ``.log`` files in ``lsm.wal.list_wal_files``.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class TieringPolicy:
         """Delete orphan objects (PUT done, demotion never committed).
 
         Non-container keys under the database prefix are skipped — the
-        remote-listing twin of ``read_wal_tail``'s foreign-``.log``
+        remote-listing twin of ``list_wal_files``' foreign-``.log``
         skip: listings are untrusted input, not an invariant.
         """
         engine = self.engine

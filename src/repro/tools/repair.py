@@ -30,7 +30,7 @@ from ..lsm.options import Options
 from ..lsm.sstable import (FOOTER_SIZE, Entry, SSTableBuilder, _MAGIC,
                            _parse_footer, read_table_extent)
 from ..lsm.version import FileMetaData
-from ..lsm.wal import WriteBatch, read_log_records
+from ..lsm.wal import WriteBatch, list_wal_files, read_log_records
 from ..sim import Environment, Event
 from ..storage import SimFS
 
@@ -168,9 +168,8 @@ def repair_database(env: Environment, fs: SimFS, options: Options,
 
     # 2. Salvage WAL records into a fresh memtable -> one more table.
     salvage = MemTable(seed=0)
-    for name in fs.listdir(f"{dbname}/"):
-        if not name.endswith(".log"):
-            continue
+    wals = list_wal_files(fs, dbname)
+    for name in wals:
         handle = yield from fs.open(name)
         data = yield from handle.read(0, handle.size, sequential=True)
         for record in read_log_records(data):
@@ -188,7 +187,7 @@ def repair_database(env: Environment, fs: SimFS, options: Options,
     # 3. Write a fresh MANIFEST: drop old metadata, renumber tables in
     #    recency order so level-0 probe order stays newest-first.
     for name in list(fs.listdir(f"{dbname}/")):
-        if name.endswith(".log") or "MANIFEST" in name or name.endswith("CURRENT"):
+        if name in wals or "MANIFEST" in name or name.endswith("CURRENT"):
             if fs.exists(name):
                 yield from fs.unlink(name)
 

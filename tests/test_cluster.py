@@ -3,6 +3,7 @@ kill-at-crash-site tail replay, availability oracle, determinism, and
 snapshot aggregation (docs/FAULT_MODEL.md §6)."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +28,9 @@ from repro.faults import (
     cluster_chaos,
 )
 from repro.lsm import LSMEngine, Options
+from repro.obs import Tracer
 from repro.sim import Environment, Kernel
+from repro.storage import BlockDevice, PageCache, SimFS
 from repro.svc import Server, run_open_loop
 from repro.ycsb.workload import WORKLOADS
 
@@ -282,10 +285,13 @@ class TestWalTailForeignFiles:
     """Regression: a non-WAL ``.log`` file in the db dir must not abort
     the failover tail read (it used to die on ``int('operator-notes')``)."""
 
+    FOREIGN = (("notes.log", b"not a WAL"),
+               ("operator-notes.log", b"not a WAL"),
+               ("backup-000007.log", b"\x00" * 32))
+
     def _plant_foreign_logs(self, env, primary):
         def plant():
-            for name, payload in (("operator-notes.log", b"not a WAL"),
-                                  ("backup-000007.log", b"\x00" * 32)):
+            for name, payload in self.FOREIGN:
                 handle = yield from primary.fs.create(
                     f"{primary.db.dbname}/{name}")
                 handle.write_at(0, payload)
@@ -308,6 +314,29 @@ class TestWalTailForeignFiles:
         records = env.run_until(env.process(read(), name="tail-read"))
         assert records
         assert records[-1][1] == acked_seq  # every real record decoded
+
+    def test_engine_reopen_skips_and_keeps_foreign_log_files(self):
+        """Recovery lists WALs through the same lister: a stray ``.log``
+        neither aborts ``open`` (it used to die on ``int('notes')``) nor
+        is unlinked as an obsolete WAL, and every real record replays."""
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(256 * KB))
+        db = LSMEngine.open_sync(env, fs, cluster_options(), "db")
+        for i in range(20):
+            db.put_sync(b"fe%04d" % i, b"e" * 8)
+        self._plant_foreign_logs(env, SimpleNamespace(fs=fs, db=db))
+        db.kill()
+        fs.crash(survive_probability=1.0)
+        tracer = Tracer()
+        db = LSMEngine.open_sync(env, fs, cluster_options(tracer=tracer), "db")
+        assert (tracer.metrics.counter("wal.foreign_files_skipped").value
+                == len(self.FOREIGN))
+        assert db.versions.last_sequence == 20
+        assert db.scan_sync(b"", 64) == [(b"fe%04d" % i, b"e" * 8)
+                                         for i in range(20)]
+        for name, payload in self.FOREIGN:
+            assert fs.file_size(f"db/{name}") == len(payload)
+        db.close_sync()
 
     def test_failover_survives_foreign_log_file(self):
         env, cluster = make_cluster(num_shards=1, replicas=1, lag=0.005)

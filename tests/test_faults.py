@@ -346,7 +346,42 @@ class TestSeededBug:
             assert checker.check_image(image, DEFAULT_MODELS[0]) == []
 
 
+    def test_close_without_wal_sync_is_caught_by_clause_4b(self):
+        """Teeth for the reverse clause: writes to a recovered store that
+        a clean close fails to make durable are flagged."""
+        class ForgetfulClose(LSMEngine):
+            def close(self):
+                yield from self.wait_idle()
+                self._closed = True
+                self._bg_work.notify_all()  # ...and no WAL fsync
+
+        env, fs = fresh_stack()
+        injector = CrashInjector(fs, FaultPlan(sites=(SITE_WAL_APPEND,)))
+        options = small_options(wal_sync=False)
+        db = LSMEngine.open_sync(env, fs, options, "db")
+        db.put_sync(b"key", b"value")
+        injector.disarm()
+        for engine_cls, kinds in ((ForgetfulClose,
+                                   ["recovered-state-not-durable"]),
+                                  (LSMEngine, [])):
+            checker = CrashChecker(engine_cls, options, "db")
+            violations = checker.check_image(injector.images[0],
+                                             DEFAULT_MODELS[0])
+            assert [v.kind for v in violations] == kinds
+
+
 class TestSweep:
+    @pytest.mark.parametrize("num_ops", (20, 40, 60, 140))
+    @pytest.mark.parametrize("engine", ("bolt", "hyperbolt"))
+    def test_tiered_sweep_passes_at_every_size(self, engine, num_ops):
+        """ROADMAP item 1: the cells of ``make smoke``'s matrix (dbbench's
+        seed) in which replay ended exactly on a MemTable overflow, so the
+        only recovery-time MANIFEST edit carried a stale last_sequence."""
+        report = crash_sweep(SweepConfig(
+            engines=(engine,), num_ops=num_ops, seed=301, tiered=True,
+            plan=FaultPlan(models=DEFAULT_MODELS[:2])))
+        assert report.ok, "\n".join(report.summary_lines())
+
     def test_sweep_passes_all_engines(self):
         """Acceptance: the CI smoke sweep is green for all four families."""
         report = crash_sweep(smoke_config())

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.bench import BenchConfig, SYSTEMS, new_stack, run_suite, unified_snapshot
+from repro.bench.harness import EXTRA_SYSTEMS
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
@@ -207,6 +208,27 @@ def test_bolt_flushes_and_manifest_commits_are_traced(bolt_trace):
     assert tracer.find_spans(name="manifest.commit", cat="engine")
     assert tracer.find_spans(name="fsync", cat="barrier")
     assert tracer.metrics.counter("fd_cache.hit").value > 0
+
+
+ALL_SYSTEMS = {**SYSTEMS, **EXTRA_SYSTEMS}
+
+
+@pytest.mark.parametrize("key", sorted(ALL_SYSTEMS))
+def test_every_compaction_has_a_span(key):
+    """Every engine runs the one compaction loop, so traceview can
+    attribute every engine's barriers (PebblesDB's private copy of the
+    loop emitted no span at all)."""
+    spec = ALL_SYSTEMS[key]
+    tracer = Tracer()
+    stack = new_stack(tiny_config(scale=1024))
+    db = spec.engine_cls.open_sync(
+        stack.env, stack.fs, spec.options(1024, tracer=tracer), "db")
+    for i in range(3000):
+        db.put_sync(b"key%07d" % (i * 7919 % 3000), b"v" * 128)
+    stack.env.run_until(stack.env.process(db.flush_all()))
+    db.close_sync()
+    assert db.stats.compactions > 0
+    assert len(tracer.find_spans(name="compaction")) == db.stats.compactions
 
 
 # -- tracing must not perturb the simulation ---------------------------------

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core import (ABLATION_STAGES, bolt_ablation_options, bolt_options,
+                        hyperbolt_options, rocksbolt_options)
+from repro.engines import hyperleveldb_options, leveldb_options, rocksdb_options
 from repro.lsm import LEVELDB_FORMAT, Options, ROCKSDB_FORMAT
 from repro.storage import SATA_SSD
 
@@ -70,6 +73,47 @@ class TestOptionsScaling:
         options = Options().copy(sstable_size=12345)
         assert options.sstable_size == 12345
         assert Options().sstable_size != 12345
+
+
+class TestBoltOverlay:
+    """The four BoLT factories lay the same five fields over their base
+    engine's options; the values below are the pre-overlay factories'."""
+
+    #: scale -> (sstable_size, group_compaction_bytes)
+    SIZES = {1: (1 * MB, 64 * MB), 256: (4096, 262144)}
+
+    @pytest.mark.parametrize("scale", sorted(SIZES))
+    @pytest.mark.parametrize("factory, base", [
+        (bolt_options, leveldb_options),
+        (hyperbolt_options, hyperleveldb_options),
+        (rocksbolt_options, rocksdb_options)])
+    def test_full_configurations(self, factory, base, scale):
+        lsst, group = self.SIZES[scale]
+        assert factory(scale) == base(scale).copy(
+            sstable_size=lsst, use_compaction_file=True,
+            group_compaction_bytes=group, enable_settled_compaction=True,
+            enable_fd_cache=True)
+        # Keyword knobs scale too, 0 turns grouping off, overrides win.
+        assert factory(scale, logical_sstable=2 * MB, group_bytes=0,
+                       settled=False, fd_cache=False, wal_sync=True,
+                       use_compaction_file=False) == base(scale).copy(
+            sstable_size=2 * lsst, use_compaction_file=False,
+            group_compaction_bytes=0, enable_settled_compaction=False,
+            enable_fd_cache=False, wal_sync=True)
+
+    @pytest.mark.parametrize("scale", sorted(SIZES))
+    @pytest.mark.parametrize("base_name, base", [
+        ("leveldb", leveldb_options), ("hyperleveldb", hyperleveldb_options)])
+    def test_every_ablation_stage(self, base_name, base, scale):
+        lsst, group = self.SIZES[scale]
+        assert bolt_ablation_options("stock", scale, base_name) == base(scale)
+        for index, stage in enumerate(ABLATION_STAGES[1:], start=1):
+            assert bolt_ablation_options(
+                stage, scale, base_name, wal_sync=True) == base(scale).copy(
+                sstable_size=lsst, use_compaction_file=True,
+                group_compaction_bytes=group if index >= 2 else 0,
+                enable_settled_compaction=index >= 3,
+                enable_fd_cache=index >= 4, wal_sync=True), stage
 
 
 class TestTableFormats:

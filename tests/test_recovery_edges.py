@@ -9,6 +9,7 @@ fixed-point property of recovery (reopen-after-reopen changes nothing).
 
 import random
 
+from repro.bench import SYSTEMS
 from repro.core import BoLTEngine, bolt_options
 from repro.faults import (
     SITE_CURRENT_RENAME,
@@ -26,6 +27,10 @@ from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
 KB = 1 << 10
+
+#: The six engine implementations (lvl64mb is LevelDB with other options).
+ENGINES = ("leveldb", "hyperleveldb", "rocksdb", "pebblesdb", "bolt",
+           "hyperbolt")
 
 ALL_LOST = FaultModel("all-lost", 0.0)
 SUBSET = FaultModel("subset", 0.5)
@@ -152,18 +157,51 @@ class TestDoubleReopenIdempotence:
         fs.crash(rng=random.Random(seed), survive_probability=0.5)
         return env, fs
 
+    def _killed_writer_state(self, spec, puts):
+        """``puts`` fsync-acknowledged writes, then kill() + power cut."""
+        env, fs = fresh_stack()
+        db = spec.engine_cls.open_sync(
+            env, fs, spec.options(1024, wal_sync=True), "db")
+        for i in range(puts):
+            db.put_sync(b"key%05d" % i, b"v" * 100)
+        db.kill()
+        fs.crash(survive_probability=0.0)
+        return env, fs
+
+    def _assert_fixed_point(self, engine_cls, options, env, fs, case):
+        db = engine_cls.open_sync(env, fs, options, "db")
+        env.run_until(env.process(db.wait_idle()))
+        rows, sequence = db.scan_sync(b"", 256), db.versions.last_sequence
+        db.close_sync()
+        fs.crash(survive_probability=0.0)
+        db2 = engine_cls.open_sync(env, fs, options, "db")
+        assert db2.scan_sync(b"", 256) == rows, case
+        assert db2.versions.last_sequence == sequence, case
+        # A write after the second recovery must land on top of what was
+        # recovered, not under it at a regressed sequence number.
+        key = rows[0][0] if rows else b"key"
+        db2.put_sync(key, b"after")
+        assert db2.get_sync(key) == b"after", case
+        db2.close_sync()
+        return rows
+
     def test_second_recovery_is_a_fixed_point(self):
         for seed in (1, 2, 3):
             env, fs = self._surviving_state(seed)
-            db = LSMEngine.open_sync(env, fs, small_options(), "db")
-            env.run_until(env.process(db.wait_idle()))
-            first = db.scan_sync(b"", 256)
-            db.close_sync()
-            fs.crash(survive_probability=0.0)
-            db2 = LSMEngine.open_sync(env, fs, small_options(), "db")
-            second = db2.scan_sync(b"", 256)
-            db2.close_sync()
-            assert first == second
+            self._assert_fixed_point(LSMEngine, small_options(), env, fs,
+                                     f"seed {seed}")
+        # ROADMAP item 1: with memtable_size=1024 every 8th of these
+        # 132-byte entries overflows the replay MemTable, so 8, 16 and
+        # 24 puts end replay exactly on the in-replay flush — which used
+        # to commit a stale last_sequence and nothing after it.
+        for engine in ENGINES:
+            spec = SYSTEMS[engine]
+            options = spec.options(1024, wal_sync=True, memtable_size=1024)
+            for puts in (7, 8, 9, 16, 24):
+                env, fs = self._killed_writer_state(spec, puts)
+                rows = self._assert_fixed_point(
+                    spec.engine_cls, options, env, fs, f"{engine}, {puts} puts")
+                assert len(rows) == puts, f"{engine}, {puts} puts"
 
     def test_repeated_recovery_without_quiesce(self):
         # Even without waiting for background work, closing and
