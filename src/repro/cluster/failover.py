@@ -79,7 +79,7 @@ def read_wal_tail(fs: SimFS, dbname: str
     of aborting the failover mid-promotion.
     """
     records: List[Tuple[int, int, WriteBatch]] = []
-    for name in list_wal_files(fs, dbname):
+    for _number, name in list_wal_files(fs, dbname):
         handle = yield from fs.open(name)
         data = yield from handle.read(0, handle.size, sequential=True)
         for payload in read_log_records(data):

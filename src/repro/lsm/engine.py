@@ -1472,8 +1472,12 @@ class LSMEngine:
         self._busy_tables.update(self._quarantined)
         # The WAL invariant: a WAL on disk is replayed; a flushed WAL is
         # unlinked, or retained for a replica and replays idempotently.
-        replayed = list_wal_files(self.fs, self.dbname)
-        for name in replayed:
+        wals = list_wal_files(self.fs, self.dbname)
+        for number, name in wals:
+            # The MANIFEST never recorded a WAL rotated in after its last
+            # edit.  _new_wal reissuing that number would truncate this
+            # file unflushed, then see its own log unlinked as replayed.
+            self.versions.mark_file_number_used(number)
             handle = yield from self.fs.open(name)
             data = yield from handle.read(0, handle.size, sequential=True)
             for record in read_log_records(data):
@@ -1493,7 +1497,7 @@ class LSMEngine:
         if len(self._memtable):
             # Persist replayed residue promptly, as LevelDB does.
             yield from self._flush_replayed()
-        yield from self._delete_obsolete_files(replayed)
+        yield from self._delete_obsolete_files([name for _number, name in wals])
         if self.tiering is not None:
             # Remote orphans: PUTs whose demotion pointer never
             # committed.  (Post-crash local cache files were purged

@@ -239,6 +239,10 @@ class VersionSet:
         self.next_file_number += 1
         return number
 
+    def mark_file_number_used(self, number: int) -> None:
+        """Never reissue ``number``: recovery saw it in the log or on disk."""
+        self.next_file_number = max(self.next_file_number, number + 1)
+
     # -- scoring (used by compaction pickers) --------------------------------
 
     def l0_unit_count(self) -> int:
@@ -287,9 +291,7 @@ class VersionSet:
             version.quarantined.discard(number)  # gone = no longer suspect
         for level, meta in edit.new_files:
             version.add_file(level, meta)
-            # Never reissue a number observed in the log (recovery path).
-            if meta.number >= self.next_file_number:
-                self.next_file_number = meta.number + 1
+            self.mark_file_number_used(meta.number)
         for number in edit.quarantined_files:
             version.quarantined.add(number)
         for container, tier, length, crc in edit.tier_changes:

@@ -134,8 +134,8 @@ def read_log_records(data: bytes) -> Iterator[bytes]:
         pos = end
 
 
-def list_wal_files(fs: SimFS, dbname: str) -> List[str]:
-    """``dbname``'s write-ahead logs, oldest first.
+def list_wal_files(fs: SimFS, dbname: str) -> List[Tuple[int, str]]:
+    """``dbname``'s write-ahead logs as ``(number, name)``, oldest first.
 
     Only a numeric stem (``000007.log``) names a WAL.  A listing is
     untrusted input: any other ``.log`` file in the db dir (operator
@@ -147,8 +147,8 @@ def list_wal_files(fs: SimFS, dbname: str) -> List[str]:
         if not name.endswith(".log"):
             continue
         stem = name[:-len(".log")].rsplit("/", 1)[-1]
-        if stem.isdecimal():  # int() accepts exactly these
+        if stem.isascii() and stem.isdecimal():  # every such stem, int() parses
             logs.append((int(stem), name))
         else:
             fs.env.tracer.count("wal.foreign_files_skipped")
-    return [name for _number, name in sorted(logs)]
+    return sorted(logs)

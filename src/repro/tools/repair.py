@@ -168,7 +168,7 @@ def repair_database(env: Environment, fs: SimFS, options: Options,
 
     # 2. Salvage WAL records into a fresh memtable -> one more table.
     salvage = MemTable(seed=0)
-    wals = list_wal_files(fs, dbname)
+    wals = [name for _number, name in list_wal_files(fs, dbname)]
     for name in wals:
         handle = yield from fs.open(name)
         data = yield from handle.read(0, handle.size, sequential=True)

@@ -287,7 +287,8 @@ class TestWalTailForeignFiles:
 
     FOREIGN = (("notes.log", b"not a WAL"),
                ("operator-notes.log", b"not a WAL"),
-               ("backup-000007.log", b"\x00" * 32))
+               ("backup-000007.log", b"\x00" * 32),
+               ("\u0663.log", b"isdecimal, but no WAL the engine wrote"))
 
     def _plant_foreign_logs(self, env, primary):
         def plant():

@@ -1,10 +1,11 @@
 """Recovery edge cases driven through the repro.faults harness.
 
-Four corners the plain recovery tests don't reach: power loss in the
+Five corners the plain recovery tests don't reach: power loss in the
 middle of the recovery-time MANIFEST rewrite itself, power loss right
 after a BoLT hole punch (which deliberately issues no barrier, §3.2),
-reopening a database whose WAL never received a durable byte, and the
-fixed-point property of recovery (reopen-after-reopen changes nothing).
+reopening a database whose WAL never received a durable byte, a replayed
+WAL whose number the MANIFEST never recorded, and the fixed-point
+property of recovery (reopen-after-reopen changes nothing).
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.lsm import LSMEngine, Options
+from repro.lsm.wal import LogWriter, WriteBatch
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
@@ -144,6 +146,65 @@ class TestEmptyWalReopen:
         db2 = LSMEngine.open_sync(env, fs, small_options(), "db")
         assert db2.scan_sync(b"", 16) == []
         db2.close_sync()
+
+
+class TestReplayedWalNumberIsNotReissued:
+    """A WAL created after the last MANIFEST edit (a rotation racing an
+    uncommitted compaction) carries a number recovery's counter has not
+    reached.  Reissued to the fresh WAL, it truncates the replayed file
+    before its records are flushed, and the fresh log is then unlinked
+    as "replayed"."""
+
+    def _killed_with_unrecorded_wals(self):
+        env, fs = fresh_stack()
+        oracle = DurabilityOracle()
+        db = LSMEngine.open_sync(env, fs, small_options(), "db")
+        acked = [(b"key%05d" % i, b"v") for i in range(3)]
+        for key, value in acked:
+            db.put_sync(key, value)
+        first = db.versions.next_file_number
+        planted = range(first, first + 3)  # covers whatever reopen allocates
+
+        def plant():
+            for number in planted:
+                handle = yield from fs.create(f"db/{number:06d}.log")
+                batch = WriteBatch()
+                batch.put(b"planted%05d" % number, b"p")
+                LogWriter(handle).append(batch.encode(4 + number - first))
+                yield from handle.fsync()
+                acked.append((b"planted%05d" % number, b"p"))
+
+        env.run_until(env.process(plant(), name="plant-wals"))
+        for key, value in acked:
+            oracle.begin(key, value)
+            oracle.acked(key, value)
+        db.kill()
+        fs.crash(survive_probability=0.0)
+        return env, fs, oracle, len(acked)
+
+    def test_put_after_recovery_survives(self):
+        env, fs, _oracle, rows = self._killed_with_unrecorded_wals()
+        db = LSMEngine.open_sync(env, fs, small_options(), "db")
+        assert len(db.scan_sync(b"", 64)) == rows
+        db.put_sync(b"after", b"acked")
+        db.kill()
+        fs.crash(survive_probability=0.0)
+        db = LSMEngine.open_sync(env, fs, small_options(), "db")
+        assert db.get_sync(b"after") == b"acked"
+        assert len(db.scan_sync(b"", 64)) == rows + 1
+        db.close_sync()
+
+    def test_crash_before_the_residue_flush_commits_loses_nothing(self):
+        env, fs, oracle, _rows = self._killed_with_unrecorded_wals()
+        plan = FaultPlan(sites=(SITE_MANIFEST_APPEND,), max_per_site=None)
+        injector = CrashInjector(fs, plan, oracle)
+        LSMEngine.open_sync(env, fs, small_options(), "db").close_sync()
+        injector.disarm()
+        assert injector.images, "reopen never flushed the replayed residue"
+        checker = CrashChecker(LSMEngine, small_options(), "db")
+        for image in injector.images:
+            violations = checker.check_image(image, ALL_LOST, seed=3)
+            assert violations == [], "\n".join(str(v) for v in violations)
 
 
 class TestDoubleReopenIdempotence:
