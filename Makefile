@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: check test smoke crash-sweep ledger-smoke loc simcheck effects doccheck
+.PHONY: check test smoke crash-sweep ledger-smoke ledger-compare loc simcheck effects doccheck
 
 ## All static gates (ruff + simcheck + doccheck) in one command.
 check:
@@ -70,6 +70,21 @@ smoke: crash-sweep
 ## outside pytest's testpaths, so `make test` does not reach it; ~15 s).
 ledger-smoke:
 	$(PY) -m pytest benchmarks/ledger -q
+
+## What a gain PR quotes: `make ledger-compare PARENT=<rev> [PAIRS=10] [SEED=42]`
+## checks PARENT out beside this tree (a detached worktree under
+## .ledger_out/, removed on exit) and runs PAIRS alternating pairs of
+## contract runs per workload, parent against `.`; exits as `compare` does.
+PAIRS ?= 10
+SEED ?= 42
+LEDGER_PARENT := .ledger_out/parent-worktree
+
+ledger-compare:
+	@test -n "$(PARENT)" || { echo "usage: make ledger-compare PARENT=<rev> [PAIRS=10] [SEED=42]"; exit 2; }
+	@set -e; mkdir -p .ledger_out; \
+	git worktree add --detach $(LEDGER_PARENT) $(PARENT); \
+	trap 'git worktree remove --force $(LEDGER_PARENT)' EXIT; \
+	python3 benchmarks/ledger/run.py compare --pairs $(PAIRS) --seed $(SEED) $(LEDGER_PARENT) .
 
 ## Library size, the one number line budgets quote.
 loc:

@@ -170,45 +170,119 @@ def _decode_entries(fmt: TableFormat, data: bytes) -> List[Entry]:
     return entries
 
 
+def _open_block(raw: bytes, what: str = "block") -> Tuple[bytes, int]:
+    """CRC-check an encoded data or index block; its payload and the
+    trailer's entry count."""
+    end = len(raw) - 8
+    if end < 0:
+        raise CorruptionError(f"{what} too short")
+    payload = raw[:end]
+    count, stored_crc = _TRAILER.unpack_from(raw, end)
+    if crc32(payload) != stored_crc:
+        raise CorruptionError(f"{what} checksum mismatch")
+    return payload, count
+
+
 def _decode_block(fmt: TableFormat, raw: bytes) -> List[Entry]:
     """CRC-check an encoded data block and return its entries."""
-    if len(raw) < 8:
-        raise CorruptionError("block too short")
-    payload = raw[:-8]
-    count, stored_crc = _TRAILER.unpack_from(raw, len(raw) - 8)
-    if crc32(payload) != stored_crc:
-        raise CorruptionError("block checksum mismatch")
+    payload, count = _open_block(raw)
     entries = _decode_entries(fmt, payload)
     if len(entries) != count:
         raise CorruptionError("block entry count mismatch")
     return entries
 
 
+def _uniform_layout(fmt: TableFormat, payload: bytes, count: int
+                    ) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(stride, key offset, klen, vlen, value type)`` when ``payload``
+    is ``count`` entries of one stride under one ``klen || vlen || type``
+    prefix — the blocks ``_decode_entries`` would take on its stride
+    fast path from the second entry on — else None."""
+    try:
+        klen, pos = decode_varint(payload, 0)
+        vlen, pos = decode_varint(payload, pos)
+    except CorruptionError:
+        return None  # the full decoder names the fault
+    key_at = pos + 9  # type byte, fixed64 sequence
+    stride = max(key_at, fmt.per_record_overhead) + klen + vlen
+    # count x stride == len puts entry i at i x stride, the first one
+    # wholly inside the payload, and every strided slice at count bytes.
+    if count * stride != len(payload):
+        return None
+    for at in range(pos + 1):
+        if payload[at::stride] != payload[at:at + 1] * count:
+            return None
+    return stride, key_at, klen, vlen, payload[pos]
+
+
 class DataBlock:
-    """A decoded data block: entries plus a parallel key array for bisect."""
+    """One verified data block, as a point read searches it.
 
-    __slots__ = ("entries", "keys", "size_bytes")
+    ``decode`` checks the CRC and the trailer's entry count on every
+    load.  A uniform block (:func:`_uniform_layout`: what fixed-size
+    keys and values produce) keeps its bytes and is searched in place —
+    a bisect over the keys at their fixed offsets, a sequence number
+    unpacked only under a matching key, one value sliced out.  Any
+    other block (tombstones among values, mixed sizes, a hostile
+    header) is decoded whole by ``_decode_entries``, the one statement
+    of the entry layout, into ``entries``.  The bytes choose the
+    representation; the answers are the same.
+    """
 
-    def __init__(self, entries: List[Entry], size_bytes: int):
+    __slots__ = ("count", "entries", "_payload", "_layout")
+
+    def __init__(self, count: int, payload: bytes = b"",
+                 layout: Optional[Tuple[int, int, int, int, int]] = None,
+                 entries: Optional[List[Entry]] = None):
+        self.count = count
+        self._payload = payload
+        self._layout = layout
         self.entries = entries
-        self.keys = [e[0] for e in entries]
-        self.size_bytes = size_bytes
 
     @classmethod
     def decode(cls, fmt: TableFormat, raw: bytes) -> "DataBlock":
         """Parse and CRC-check an encoded block."""
-        return cls(_decode_block(fmt, raw), len(raw))
+        payload, count = _open_block(raw)
+        layout = _uniform_layout(fmt, payload, count)
+        if layout is not None:
+            return cls(count, payload, layout)
+        entries = _decode_entries(fmt, payload)
+        if len(entries) != count:
+            raise CorruptionError("block entry count mismatch")
+        return cls(count, entries=entries)
 
     def lookup(self, user_key: bytes, snapshot_seq: int) -> Tuple[str, Optional[bytes]]:
         """Newest visible version of ``user_key`` within this block."""
-        idx = bisect.bisect_left(self.keys, user_key)
-        while idx < len(self.entries) and self.keys[idx] == user_key:
-            _key, seq, value_type, value = self.entries[idx]
-            if seq <= snapshot_seq:
+        entries = self.entries
+        if entries is not None:
+            # (key,) sorts just before every (key, seq, type, value).
+            idx = bisect.bisect_left(entries, (user_key,))
+            while idx < len(entries) and entries[idx][0] == user_key:
+                _key, seq, value_type, value = entries[idx]
+                if seq <= snapshot_seq:
+                    if value_type == VALUE_TYPE_DELETION:
+                        return (DELETED, None)
+                    return (FOUND, value)
+                idx += 1
+            return (NOT_FOUND, None)
+        data = self._payload
+        stride, key_at, klen, vlen, value_type = self._layout
+        lo, hi = 0, self.count
+        end = hi * stride
+        while lo < hi:  # bisect_left over the keys where they lie
+            mid = (lo + hi) // 2
+            pos = mid * stride + key_at
+            if data[pos:pos + klen] < user_key:
+                lo = mid + 1
+            else:
+                hi = mid
+        pos = lo * stride + key_at
+        while pos < end and data[pos:pos + klen] == user_key:
+            if _SEQ.unpack_from(data, pos - 8)[0] <= snapshot_seq:
                 if value_type == VALUE_TYPE_DELETION:
                     return (DELETED, None)
-                return (FOUND, value)
-            idx += 1
+                return (FOUND, data[pos + klen:pos + klen + vlen])
+            pos += stride
         return (NOT_FOUND, None)
 
 
@@ -400,12 +474,7 @@ def _decode_index(raw: bytes, fmt: TableFormat, index_off: int
                   ) -> List[Tuple[bytes, int, int]]:
     """CRC-check and parse the index block.  The data blocks it names
     must tile ``[0, index_off)`` exactly, as the builder wrote them."""
-    if len(raw) < 8:
-        raise CorruptionError("index block too short")
-    payload = raw[:-8]
-    count, stored_crc = _TRAILER.unpack_from(raw, len(raw) - 8)
-    if crc32(payload) != stored_crc:
-        raise CorruptionError("index block checksum mismatch")
+    payload, count = _open_block(raw, "index block")
     entries: List[Tuple[bytes, int, int]] = []
     pos = 0
     next_off = 0
@@ -470,56 +539,42 @@ class SSTableReader:
 
     # -- reads ----------------------------------------------------------
 
-    def may_contain(self, user_key: bytes, meter: Optional[CpuMeter] = None) -> bool:
-        """Bloom-filter check: False means definitely absent."""
-        if meter is not None:
-            meter.charge(meter.model.bloom_probe)
-        return self.bloom.may_contain(user_key)
-
-    def _locate_block(self, user_key: bytes) -> Optional[Tuple[int, int]]:
-        idx = bisect.bisect_left(self.index_keys, user_key)
-        if idx >= len(self.index):
-            return None
-        _key, off, length = self.index[idx]
-        return off, length
-
-    def read_block(self, rel_offset: int, length: int,
-                   meter: Optional[CpuMeter] = None,
-                   block_cache: Optional[Any] = None
-                   ) -> Generator[Event, Any, DataBlock]:
-        """Fetch one data block, via the block cache when provided."""
-        if block_cache is not None:
-            cached = block_cache.get((self.uid, rel_offset))
-            if cached is not None:
-                if meter is not None:
-                    meter.charge(meter.model.memtable_lookup)
-                return cached
-        raw = yield from self.handle.read(
-            self.base_offset + rel_offset, length, meter)
-        block = DataBlock.decode(self.fmt, raw)
-        if meter is not None:
-            meter.charge(meter.model.codec_per_record * max(1, len(block.entries)))
-        if block_cache is not None:
-            block_cache.put((self.uid, rel_offset), block, block.size_bytes)
-        return block
-
     def get(self, user_key: bytes, snapshot_seq: int,
             meter: Optional[CpuMeter] = None,
             block_cache: Optional[Any] = None
             ) -> Generator[Event, Any, Tuple[str, Optional[bytes]]]:
-        """Point lookup within this table."""
-        if not self.may_contain(user_key, meter):
-            return (NOT_FOUND, None)
-        located = self._locate_block(user_key)
-        if located is None:
-            return (NOT_FOUND, None)
+        """Point lookup within this table: bloom filter, index, data block."""
         if meter is not None:
-            meter.charge(meter.model.block_search)
-        block = yield from self.read_block(*located, meter=meter,
-                                           block_cache=block_cache)
-        if meter is not None:
-            meter.charge(meter.model.block_search)
-        return block.lookup(user_key, snapshot_seq)
+            meter.charge(meter.model.bloom_probe)
+        if not self.bloom.may_contain(user_key):
+            return (NOT_FOUND, None)
+        index = self.index
+        idx = bisect.bisect_left(self.index_keys, user_key)
+        while idx < len(index):
+            last_key, off, length = index[idx]
+            if meter is not None:
+                meter.charge(meter.model.block_search)
+            block = block_cache.get((self.uid, off)) if block_cache is not None else None
+            if block is not None:
+                if meter is not None:
+                    meter.charge(meter.model.memtable_lookup)
+            else:
+                raw = yield from self.handle.read(
+                    self.base_offset + off, length, meter)
+                block = DataBlock.decode(self.fmt, raw)
+                if meter is not None:
+                    meter.charge(meter.model.codec_per_record * max(1, block.count))
+                if block_cache is not None:
+                    block_cache.put((self.uid, off), block, len(raw))
+            if meter is not None:
+                meter.charge(meter.model.block_search)
+            found = block.lookup(user_key, snapshot_seq)
+            if found[0] != NOT_FOUND or last_key != user_key:
+                return found
+            # The builder cuts blocks on bytes, not keys: every version
+            # here is newer than the snapshot, older ones follow the cut.
+            idx += 1
+        return (NOT_FOUND, None)
 
     def iter_entries_from(self, user_key: bytes,
                           meter: Optional[CpuMeter] = None,

@@ -249,8 +249,17 @@ class Version:
         the tables of a PebblesDB guard.  A disjoint level yields at
         most one table.
         """
-        files = self.files[level] if level == 0 else self._slice(
-            level, user_key, user_key)
+        files = self.files[level]
+        if not files:
+            return []
+        if level:
+            lo = bisect.bisect_left(self._reach[level], user_key)
+            hi = bisect.bisect_right(self._smallest[level], user_key, lo)
+            files = files[lo:hi]
+            if hi - lo < 2:
+                # A lone candidate is a hit: reach[lo - 1] < key <=
+                # reach[lo] makes its largest the reach.
+                return files
         hits = [f for f in files if f.smallest <= user_key <= f.largest]
         if len(hits) > 1:
             hits.sort(key=_NUMBER, reverse=True)

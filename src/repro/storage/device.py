@@ -188,10 +188,6 @@ class BlockDevice:
 
     # -- helpers ---------------------------------------------------------
 
-    def _busy(self, duration: float) -> Generator[Event, Any, None]:
-        self.stats.busy_time += duration
-        yield self.env.timeout(duration)
-
     def _service(self, op: str, duration: float) -> Generator[Event, Any, None]:
         """Occupy a channel slot, retrying transient EIO faults in place.
 
@@ -206,7 +202,8 @@ class BlockDevice:
         yield self._channel.acquire()
         try:
             while True:
-                yield from self._busy(duration)
+                self.stats.busy_time += duration
+                yield self.env.timeout(duration)
                 hook = self.fault_hook
                 if hook is None or not hook(op):
                     return
@@ -289,7 +286,8 @@ class BlockDevice:
                     self.stats.bytes_written += dirty_bytes
                 self.stats.num_barriers += 1
                 self.stats.barrier_time += duration
-                yield from self._busy(duration)
+                self.stats.busy_time += duration
+                yield self.env.timeout(duration)
             finally:
                 self._release_all()
 

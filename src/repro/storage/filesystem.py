@@ -433,37 +433,34 @@ class SimFS:
         per-page latency.
         """
         file = handle._file
-        if length <= 0 or offset >= file.size:
+        size = len(file.data)
+        if length <= 0 or offset >= size:
             return b""
-        length = min(length, file.size - offset)
-        if self.page_cache is not None:
-            yield from self._fault_in(file, offset, length, sequential)
+        length = min(length, size - offset)
+        cache = self.page_cache
+        if cache is not None:
+            first = offset // PAGE_SIZE
+            last = (offset + length - 1) // PAGE_SIZE
+            run_start: Optional[int] = None
+            runs: List[tuple] = []
+            # Every page is probed before the first fetch yields.
+            for page in range(first, last + 1):
+                if page in file.dirty or cache.contains(file.file_id, page):
+                    if run_start is not None:
+                        runs.append((run_start, page - 1))
+                        run_start = None
+                elif run_start is None:
+                    run_start = page
+            if run_start is not None:
+                runs.append((run_start, last))
+            for start_page, end_page in runs:
+                npages = end_page - start_page + 1
+                yield from self.device.read(
+                    npages * PAGE_SIZE, sequential=sequential or npages > 1)
+                cache.insert_range(file.file_id, start_page, end_page)
         if meter is not None:
             meter.charge_bytes(length)
         return bytes(file.data[offset:offset + length])
-
-    def _fault_in(self, file: _SimFile, offset: int, length: int,
-                  sequential: bool) -> Generator[Event, Any, None]:
-        cache = self.page_cache
-        first = offset // PAGE_SIZE
-        last = (offset + length - 1) // PAGE_SIZE
-        run_start: Optional[int] = None
-        runs: List[tuple] = []
-        for page in range(first, last + 1):
-            resident = page in file.dirty or cache.contains(file.file_id, page)
-            if resident:
-                if run_start is not None:
-                    runs.append((run_start, page - 1))
-                    run_start = None
-            elif run_start is None:
-                run_start = page
-        if run_start is not None:
-            runs.append((run_start, last))
-        for start_page, end_page in runs:
-            npages = end_page - start_page + 1
-            yield from self.device.read(
-                npages * PAGE_SIZE, sequential=sequential or npages > 1)
-            cache.insert_range(file.file_id, start_page, end_page)
 
     def _make_resident(self, file: _SimFile, offset: int, length: int) -> None:
         if self.page_cache is None or length <= 0:

@@ -6,8 +6,8 @@ itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
 encode/decode, skiplist insert/seek, histogram recording, the Version
 index, the merge + table-build data path of flush and compaction, the
-extent read of compaction inputs, and an end-to-end YCSB-A suite slice —
-so a regression shows up
+extent read of compaction inputs, a point read's block decode + lookup,
+and an end-to-end YCSB-A suite slice — so a regression shows up
 as a number, not as a mysteriously slower CI run.
 
 Usage::
@@ -88,7 +88,7 @@ def bench_codec() -> Tuple[float, str]:
     import random
 
     from ..core import bolt_options
-    from ..lsm.sstable import DataBlock, _encode_block, _entry_parts
+    from ..lsm.sstable import _decode_block, _encode_block, _entry_parts
 
     fmt = bolt_options(1024).table_format
     rng = random.Random(7)
@@ -100,9 +100,9 @@ def bench_codec() -> Tuple[float, str]:
     raw = _encode_block(bytes(payload), 200)
     started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
     for _ in range(2000):
-        block = DataBlock.decode(fmt, raw)
+        entries = _decode_block(fmt, raw)
     elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
-    digest = _fingerprint({"raw": raw.hex(), "entries": block.entries})
+    digest = _fingerprint({"raw": raw.hex(), "entries": entries})
     return elapsed, digest
 
 
@@ -312,6 +312,46 @@ def bench_compact_read() -> Tuple[float, str]:
     digest = _fingerprint({
         "entries": hashlib.sha256(repr(tables).encode()).hexdigest(),
         "now": env.now.hex(), "num_reads": fs.device.stats.num_reads})
+    return elapsed, digest
+
+
+@_benchmark
+def bench_point_read() -> Tuple[float, str]:
+    """Point-read block work at ``read-uniform``'s shape, where nearly
+    every get loads its block: 256 blocks of 11 BoLT-format records
+    (23 B keys, 256 B values, one key in two versions), each decoded and
+    asked one key — present, absent, the older version under a snapshot
+    between the two, nothing under a snapshot before both — four sweeps
+    over."""
+    import random
+
+    from ..core import bolt_options
+    from ..lsm.codec import MAX_SEQUENCE, VALUE_TYPE_VALUE
+    from ..lsm.sstable import DataBlock, _encode_block, _entry_parts
+
+    fmt = bolt_options(256).table_format
+    rng = random.Random(23)
+    loads: List[Tuple[bytes, bytes, int]] = []  # (raw block, probe, snapshot)
+    for number in range(256):
+        keys = sorted(b"user%019d" % rng.randrange(10 ** 18) for _ in range(10))
+        twice = keys[number % 10]
+        parts: List[bytes] = []
+        for key in keys:
+            for seq in (30, 15) if key == twice else (15,):
+                parts += _entry_parts(fmt.per_record_overhead, key, seq,
+                                      VALUE_TYPE_VALUE, rng.randbytes(8) * 32)[0]
+        raw = _encode_block(b"".join(parts), 11)
+        loads += [(raw, keys[rng.randrange(10)], MAX_SEQUENCE),
+                  (raw, keys[rng.randrange(10)] + b"+", MAX_SEQUENCE),
+                  (raw, twice, 20), (raw, twice, 10)]
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    for _ in range(4):
+        answers = [DataBlock.decode(fmt, raw).lookup(probe, snapshot)
+                   for raw, probe, snapshot in loads]
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    digest = _fingerprint({
+        "raw": hashlib.sha256(b"".join(load[0] for load in loads)).hexdigest(),
+        "answers": hashlib.sha256(repr(answers).encode()).hexdigest()})
     return elapsed, digest
 
 

@@ -62,7 +62,9 @@ def generate_history(seed, n=1200, keyspace=400):
     return ops
 
 
-def run_history(engine_cls, factory, ops):
+def run_history(engine_cls, factory, ops, snapshots=None):
+    """Apply ``ops`` and quiesce; a ``("snap", None, None)`` op appends
+    ``db.snapshot()`` to ``snapshots`` at that point of the stream."""
     env = Environment()
     fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
     db = engine_cls.open_sync(env, fs, factory(SCALE), "db")
@@ -73,6 +75,8 @@ def run_history(engine_cls, factory, ops):
                 yield from db.put(key, value)
             elif kind == "del":
                 yield from db.delete(key)
+            elif kind == "snap":
+                snapshots.append(db.snapshot())
             else:
                 yield from db.flush_all()
         yield from db.flush_all()
@@ -94,18 +98,29 @@ def model_of(ops):
 class TestAllEnginesAgree:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_point_reads_match_model(self, seed):
+        """Live reads against the model, and — through a snapshot taken
+        mid-stream, with every later write, flush and compaction on top
+        of it — reads against the model as it stood at that point."""
         ops = generate_history(seed)
+        cut = len(ops) // 2
+        frozen = model_of(ops[:cut])
+        ops = ops[:cut] + [("snap", None, None)] + ops[cut:]
         model = model_of(ops)
         keys = [b"user%08d" % i for i in range(400)]
         for engine_cls, factory in ENGINES:
-            env, _fs, db = run_history(engine_cls, factory, ops)
+            snapshots = []
+            env, _fs, db = run_history(engine_cls, factory, ops, snapshots)
+            (snapshot,) = snapshots
 
             def verify():
                 for key in keys:
                     got = yield from db.get(key)
                     assert got == model.get(key), (engine_cls.name, key)
+                    got = yield from db.get(key, snapshot)
+                    assert got == frozen.get(key), (engine_cls.name, key, "snapshot")
 
             env.run_until(env.process(verify()))
+            snapshot.release()
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_scans_match_model(self, seed):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import SYSTEMS
 from repro.core import BoLTEngine, bolt_options
 from repro.lsm import LSMEngine, Options
 from repro.lsm.codec import VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
@@ -174,3 +175,58 @@ class TestReleasedSnapshotGuard:
             db.get_sync(b"k", snapshot=snap)
         with pytest.raises(ValueError, match="released snapshot"):
             db.scan_sync(b"k", 5, snapshot=snap)
+
+
+#: The six engine implementations (lvl64mb is LevelDB with other options).
+ENGINES = ("leveldb", "hyperleveldb", "rocksdb", "pebblesdb", "bolt",
+           "hyperbolt")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestSnapshotAcrossABlockCut:
+    """``SSTableBuilder.add`` closes a block on bytes, not on a key
+    boundary, so the version a snapshot pins can open the block after
+    the one whose last key is the user key.  Forty keys, a snapshot, the
+    same forty overwritten; value sizes vary so that cuts fall on either
+    side of a pair under every table format."""
+
+    KEYS = [b"key%04d" % i for i in range(40)]
+
+    @staticmethod
+    def value(tag, i):
+        return b"%s-%d-" % (tag, i) + b"x" * (61 * i % 400)
+
+    def overwritten_under_a_snapshot(self, engine):
+        spec = SYSTEMS[engine]
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
+        # Scale 64: one MemTable holds both versions of all forty keys.
+        db = spec.engine_cls.open_sync(env, fs, spec.options(64), "db")
+        for i, key in enumerate(self.KEYS):
+            db.put_sync(key, self.value(b"old", i))
+        snap = db.snapshot()
+        for i, key in enumerate(self.KEYS):
+            db.put_sync(key, self.value(b"new", i))
+        env.run_until(env.process(db.flush_all()))
+        return env, db, snap
+
+    def assert_both_views(self, db, snap, live_tag):
+        for i, key in enumerate(self.KEYS):
+            assert db.get_sync(key) == self.value(live_tag, i), key
+            assert db.get_sync(key, snapshot=snap) == self.value(b"old", i), key
+
+    def test_after_the_flush(self, engine):
+        _env, db, snap = self.overwritten_under_a_snapshot(engine)
+        assert db.versions.current.num_files(0) > 0
+        self.assert_both_views(db, snap, b"new")
+
+    def test_after_a_compaction_moved_the_table_down(self, engine):
+        env, db, snap = self.overwritten_under_a_snapshot(engine)
+        for residue in range(3):  # three more L0 tables reach the trigger
+            for i in range(residue, len(self.KEYS), 3):
+                db.put_sync(self.KEYS[i], self.value(b"newer", i))
+            env.run_until(env.process(db.flush_all()))
+        version = db.versions.current
+        assert db.stats.compactions and version.num_files(0) == 0
+        assert version.total_files() > 0
+        self.assert_both_views(db, snap, b"newer")

@@ -1,5 +1,8 @@
 """Unit tests for the SSTable builder/reader, including logical tables."""
 
+import bisect
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +11,8 @@ from repro.lsm.codec import (MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
                              crc32, decode_fixed32, decode_fixed64, decode_varint,
                              encode_fixed32, encode_fixed64, encode_varint)
 from repro.lsm.memtable import DELETED, FOUND, NOT_FOUND
-from repro.lsm.sstable import (EXTENT_READAHEAD, FOOTER_SIZE, SSTableBuilder,
-                               SSTableReader, TableInfo, _MAGIC,
+from repro.lsm.sstable import (EXTENT_READAHEAD, FOOTER_SIZE, DataBlock,
+                               SSTableBuilder, SSTableReader, TableInfo, _MAGIC,
                                read_table_extent)
 from repro.sim import CostModel, CpuMeter, Environment
 from repro.storage import PAGE_SIZE, BlockDevice, DiskFullError, PageCache, SimFS
@@ -271,6 +274,14 @@ class TestProperties:
 # -- the buffered builder against the per-entry builder it replaced ---------
 
 
+def _plain_entry(fmt, user_key, seq, value_type, value):
+    """One entry, encoded as plainly as ``_reference_block`` decodes it."""
+    prefix = (encode_varint(len(user_key)) + encode_varint(len(value))
+              + bytes([value_type]))
+    pad = max(0, fmt.per_record_overhead - (len(prefix) + 8))
+    return prefix + encode_fixed64(seq) + user_key + value + b"\x00" * pad
+
+
 class _ReferenceBuilder:
     """Frozen copy of the builder before it buffered whole tables.
 
@@ -307,11 +318,7 @@ class _ReferenceBuilder:
         return payload + encode_fixed32(count) + encode_fixed32(crc32(payload))
 
     def add(self, user_key, seq, value_type, value):
-        prefix = (encode_varint(len(user_key)) + encode_varint(len(value))
-                  + bytes([value_type]))
-        pad = max(0, self.fmt.per_record_overhead - (len(prefix) + 8))
-        self._block.extend(prefix + encode_fixed64(seq) + user_key + value
-                           + b"\x00" * pad)
+        self._block.extend(_plain_entry(self.fmt, user_key, seq, value_type, value))
         self._block_count += 1
         self._num_entries += 1
         if self._smallest is None:
@@ -638,6 +645,175 @@ class TestReadTableExtent:
             info.length * model.memcpy_per_byte + records * model.codec_per_record)
 
 
+# -- the block searched in place against decode-everything + bisect ----------
+
+
+def _plain_block(fmt, entries):
+    return _crc_block(b"".join(_plain_entry(fmt, *entry) for entry in entries),
+                      len(entries))
+
+
+def _reference_lookup(entries, user_key, snapshot_seq):
+    """Frozen copy of ``DataBlock.lookup`` from before blocks were
+    searched in place: every entry decoded (by ``_reference_block``),
+    a parallel key list, one ``bisect``."""
+    keys = [entry[0] for entry in entries]
+    idx = bisect.bisect_left(keys, user_key)
+    while idx < len(entries) and keys[idx] == user_key:
+        _key, seq, value_type, value = entries[idx]
+        if seq <= snapshot_seq:
+            if value_type == VALUE_TYPE_DELETION:
+                return (DELETED, None)
+            return (FOUND, value)
+        idx += 1
+    return (NOT_FOUND, None)
+
+
+def _reference_get(reader, user_key, snapshot_seq):
+    """The reader's block choice around the frozen lookup: the first
+    block whose last key >= ``user_key``; while that block ends on the
+    key and showed no visible version, the next one."""
+    for last_key, off, length in reader.index:
+        if last_key < user_key:
+            continue
+        raw = yield from reader.handle.read(reader.base_offset + off, length)
+        found = _reference_lookup(_reference_block(reader.fmt, raw),
+                                  user_key, snapshot_seq)
+        if found[0] != NOT_FOUND or last_key != user_key:
+            return found
+    return (NOT_FOUND, None)
+
+
+def _visible(entries, user_key, snapshot_seq):
+    """The model: the newest version at or below the snapshot, from the
+    entry list alone (internal-key order, so the first match)."""
+    for key, seq, value_type, value in entries:
+        if key == user_key and seq <= snapshot_seq:
+            if value_type == VALUE_TYPE_DELETION:
+                return (DELETED, None)
+            return (FOUND, value)
+    return (NOT_FOUND, None)
+
+
+def _snapshots_around(entries):
+    seqs = {entry[1] for entry in entries}
+    return sorted(seqs | {min(seqs) - 1, max(seqs) + 1, MAX_SEQUENCE})
+
+
+@st.composite
+def _versioned_entries(draw):
+    """1-40 entries in internal-key order: sorted keys, each in 1-3
+    versions, sequences descending.  A uniform draw fixes key length,
+    value length and type — what a fixed-size workload writes and
+    ``DataBlock`` searches in place; a mixed draw varies all three and
+    forces the fallback decoder."""
+    if draw(st.booleans()):
+        klen = draw(st.integers(1, 3))
+        key = st.binary(min_size=klen, max_size=klen)
+        dead = draw(st.booleans())
+        size = 0 if dead else draw(st.sampled_from([0, 1, 100, 127, 128, 300]))
+        version = st.tuples(st.just(dead), st.binary(min_size=size, max_size=size))
+    else:
+        key = st.binary(min_size=1, max_size=4)
+        version = st.tuples(st.booleans(), st.binary(max_size=300))
+    table = draw(st.dictionaries(
+        key, st.lists(version, min_size=1, max_size=3), min_size=1, max_size=14))
+    return _entries_of(table, 100)[:40]
+
+
+def _one_shape(entries):
+    """What the bytes must decide: one ``klen || vlen || type`` prefix
+    (canonical varints) and so one stride, or not."""
+    return len({(len(key), len(value), value_type)
+                for key, _seq, value_type, value in entries}) == 1
+
+
+class TestBlockSearchedInPlace:
+    @settings(max_examples=80, deadline=None)
+    @given(_versioned_entries(), _FORMATS)
+    def test_lookup_equals_decode_everything_and_bisect(self, entries, fmt):
+        raw = _plain_block(fmt, entries)
+        block = DataBlock.decode(fmt, raw)
+        decoded = _reference_block(fmt, raw)
+        assert decoded == entries
+        assert block.count == len(entries)
+        # Which representation: chosen by the bytes, and only by them.
+        assert (block.entries is None) == _one_shape(entries)
+        assert block.entries in (None, entries)
+        keys = {entry[0] for entry in entries}
+        probes = (keys | {key + b"\x00" for key in keys}   # between, after the last
+                  | {key[:-1] for key in keys}              # before, b"" before the first
+                  | {b"\xff" * 5})
+        for probe in sorted(probes):
+            for snapshot in _snapshots_around(entries):
+                assert block.lookup(probe, snapshot) == \
+                    _reference_lookup(decoded, probe, snapshot), (probe, snapshot)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_versioned_entries(), _FORMATS, st.sampled_from([256, 1024, 4096]))
+    def test_reader_get_equals_the_reference_and_the_model(self, entries, fmt,
+                                                           block_size):
+        """Across block cuts too: blocks of two or three entries put the
+        versions of one key on either side of most cuts."""
+        fmt = dataclasses.replace(fmt, block_size=block_size)
+        env = Environment()
+        fs = SimFS(env, BlockDevice(env), PageCache(1 << 24))
+
+        def scenario():
+            handle, (info,) = yield from _build_back_to_back(fs, fmt, 0, [entries])
+            reader = yield from SSTableReader.open(
+                0, handle, fmt, info.base_offset, info.length)
+            for key in sorted({entry[0] for entry in entries}):
+                for snapshot in _snapshots_around(
+                        [entry for entry in entries if entry[0] == key]):
+                    got = yield from reader.get(key, snapshot)
+                    reference = yield from _reference_get(reader, key, snapshot)
+                    assert got == reference == _visible(entries, key, snapshot), \
+                        (key, snapshot)
+
+        env.run_until(env.process(scenario()))
+
+    @pytest.mark.parametrize("fmt", [LEVELDB_FORMAT, ROCKSDB_FORMAT],
+                             ids=["leveldb", "rocksdb"])
+    def test_snapshot_on_either_side_of_every_block_cut(self, fs, run, fmt):
+        """Nine keys, then one key in versions 50..31 (in-place blocks),
+        then keys whose middle version is a tombstone (fallback blocks):
+        the builder cuts on bytes, so runs of one key straddle cuts."""
+        entries = [(b"a%02d" % i, i + 1, VALUE_TYPE_VALUE, b"x" * 256)
+                   for i in range(9)]
+        entries += [(b"k", seq, VALUE_TYPE_VALUE, b"v%02d" % seq + b"y" * 253)
+                    for seq in range(50, 30, -1)]
+        for i in range(14):
+            top = 100 + 3 * i
+            size = 150 + 41 * i % 200  # so cuts fall at every place in a triple
+            entries += [(b"z%02d" % i, top, VALUE_TYPE_VALUE, b"n" * size),
+                        (b"z%02d" % i, top - 1, VALUE_TYPE_DELETION, b""),
+                        (b"z%02d" % i, top - 2, VALUE_TYPE_VALUE, b"o" * size)]
+        _info, reader = build_table(fs, run, entries, fmt)
+
+        def scenario():
+            blocks = []
+            for _last_key, off, length in reader.index:
+                raw = yield from reader.handle.read(reader.base_offset + off, length)
+                blocks.append(_reference_block(fmt, raw))
+            straddled = set()
+            for left, right in zip(blocks, blocks[1:]):
+                (key, visible_left, *_), (after, visible_right, *_) = left[-1], right[0]
+                if key == after:
+                    straddled.add(key[:1])
+                    for snapshot in (visible_left, visible_right):
+                        got = yield from reader.get(key, snapshot)
+                        assert got == _visible(entries, key, snapshot), (key, snapshot)
+            assert straddled == {b"k", b"z"}  # in-place and fallback blocks alike
+            for key in sorted({entry[0] for entry in entries}):
+                for snapshot in _snapshots_around(
+                        [entry for entry in entries if entry[0] == key]):
+                    got = yield from reader.get(key, snapshot)
+                    assert got == _visible(entries, key, snapshot), (key, snapshot)
+
+        run(scenario())
+
+
 # -- corruption matrix: every region x {bit flip, truncation, hostile} -------
 
 _FOOTER_FIELDS = ("index_off", "index_len", "bloom_off", "bloom_len",
@@ -802,9 +978,64 @@ class _Matrix:
                    *self.with_table(self.assemble(blocks=blocks)))
 
 
+    def block_cases(self):
+        """``(id, raw block, raises)``: one data block as a point read
+        loads it, damaged or hostile — planted in ``blocks[1]``, which
+        is one shape throughout and searched in place, and in
+        ``blocks[0]``, where ``value-9`` and ``value-10`` differ in
+        length and the full decoder runs."""
+        for which, label in ((1, "in-place"), (0, "decoded")):
+            raw = self.blocks[which]
+            payload, count = raw[:-8], decode_fixed32(raw, len(raw) - 8)
+            entries = _reference_block(self.fmt, raw)
+            assert _one_shape(entries) == (which == 1)
+            sizes = [len(_plain_entry(self.fmt, *entry)) for entry in entries]
+            third = sum(sizes[:3])  # entry 3: klen, vlen, type at +0, +1, +2
+
+            def flipped(at, mask=0x10, raw=raw):
+                return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+
+            def hostile(at, byte, payload=payload, count=count):
+                return _crc_block(payload[:at] + bytes([byte]) + payload[at + 1:],
+                                  count)
+
+            damaged = {
+                "flip-payload": flipped(len(payload) // 2),
+                "flip-count": flipped(len(raw) - 8, 0x01),
+                "flip-crc": flipped(len(raw) - 1),
+                "truncated-to-7": raw[:7],
+                "truncated-mid-payload": raw[:len(raw) // 2],
+                "truncated-by-1": raw[:-1],
+                # CRC-valid from here on: only the layout checks can object.
+                "count+1": _crc_block(payload, count + 1),
+                "count-1": _crc_block(payload, count - 1),
+                "count=0": _crc_block(payload, 0),
+                "last-entry-missing": _crc_block(payload[:-sizes[-1]], count),
+                # Every header prefix is there, in place and the same:
+                # only count x stride == len can tell (or a full decode).
+                "last-byte-missing": _crc_block(payload[:-1], count),
+                "one-entry-more": _crc_block(payload + payload[:sizes[0]], count),
+                "five-bytes-more": _crc_block(payload + bytes(5), count),
+                "entry0-klen-1": hostile(0, payload[0] - 1),
+                "entry3-klen-1": hostile(third, payload[third] - 1),
+                "entry3-vlen+1": hostile(third + 1, payload[third + 1] + 1),
+            }
+            for name, block in damaged.items():
+                yield f"{label}.{name}", block, True
+            # A well-formed block that merely is not what the builder
+            # wrote: nobody raises, everybody must read it the same way.
+            yield f"{label}.undamaged", raw, False
+            yield (f"{label}.entry3-is-a-tombstone",
+                   hostile(third + 2, VALUE_TYPE_DELETION), False)
+            yield (f"{label}.one-entry-more-counted",
+                   _crc_block(payload + payload[-sizes[-1]:], count + 1), False)
+
+
 _MATRIX = _Matrix()
 _MATRIX_CASES = [pytest.param(data, length, id=label)
                  for label, data, length in _MATRIX.cases()]
+_BLOCK_CASES = [pytest.param(raw, raises, id=label)
+                for label, raw, raises in _MATRIX.block_cases()]
 #: Damage to footer, index or bloom — what ``SSTableReader.open`` reads.
 #: (The footer's entry count is only checkable against decoded blocks.)
 _METADATA_CASES = [case for case in _MATRIX_CASES
@@ -855,3 +1086,23 @@ class TestCorruptionMatrix:
 
         with pytest.raises(CorruptionError):
             self._decode(open_only, data, length)
+
+    @pytest.mark.parametrize("raw,raises", _BLOCK_CASES)
+    def test_data_block_raises_exactly_when_the_reference_does(self, raw, raises):
+        """``DataBlock.decode`` — whichever representation the bytes pick
+        — against the plain decoder: ``CorruptionError`` from both or
+        from neither, and then the same answer to every lookup."""
+        fmt = _MATRIX.fmt
+        if raises:
+            with pytest.raises(CorruptionError):
+                _reference_block(fmt, raw)
+            with pytest.raises(CorruptionError):
+                DataBlock.decode(fmt, raw)
+            return
+        entries = _reference_block(fmt, raw)
+        block = DataBlock.decode(fmt, raw)
+        assert (block.entries is None) == _one_shape(entries)
+        for key in sorted({entry[0] for entry in entries}):
+            for snapshot in _snapshots_around(entries):
+                assert block.lookup(key, snapshot) == \
+                    _reference_lookup(entries, key, snapshot), (key, snapshot)

@@ -325,13 +325,14 @@ class TestPerfBench:
         from repro.tools.perfbench import BENCHMARKS
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
                                    "histogram", "objstore_cache", "version",
-                                   "build", "compact_read", "ycsb_a"}
+                                   "build", "compact_read", "point_read",
+                                   "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""
         from repro.tools.perfbench import BENCHMARKS
         for name in ("kernel", "codec", "skiplist", "histogram", "build",
-                     "compact_read"):
+                     "compact_read", "point_read"):
             _, first = BENCHMARKS[name]()
             _, second = BENCHMARKS[name]()
             assert first == second, name
