@@ -449,18 +449,17 @@ class ClusterStore:
             ) -> Generator[Event, Any, Optional[bytes]]:
         """Point lookup on the owning shard's primary."""
         shard = self.router.shard_for(key)
-        return (yield from shard.perform(lambda node: node.db.get(key)))
+        return shard.perform(lambda node: node.db.get(key))
 
     def put(self, key: bytes, value: bytes) -> Generator[Event, Any, float]:
         """Write through the owning shard's primary (synced WAL ack)."""
         shard = self.router.shard_for(key)
-        return (yield from shard.perform(
-            lambda node: node.db.put(key, value)))
+        return shard.perform(lambda node: node.db.put(key, value))
 
     def delete(self, key: bytes) -> Generator[Event, Any, float]:
         """Tombstone ``key`` on its owning shard's primary."""
         shard = self.router.shard_for(key)
-        return (yield from shard.perform(lambda node: node.db.delete(key)))
+        return shard.perform(lambda node: node.db.delete(key))
 
     def scan(self, start_key: bytes, count: int
              ) -> Generator[Event, Any, List[Tuple[bytes, bytes]]]:

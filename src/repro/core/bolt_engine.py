@@ -34,7 +34,7 @@ from ..engines.leveldb import LevelDBEngine, leveldb_options
 from ..engines.rocksdb import RocksDBEngine, rocksdb_options
 from ..lsm import Options
 from ..lsm.engine import Compaction, Event, OutputSink
-from ..lsm.version import FileMetaData, Version, split_by_overlap
+from ..lsm.version import FileMetaData, Version, isolated, split_by_overlap
 from ..storage import FileSystemError, SimFS
 from ..sim import Environment
 from .compaction_file import CompactionFileSink
@@ -121,10 +121,10 @@ class BoLTMixin:
             # Level-0 victims may share keys; a victim can only settle
             # if it overlaps no *other* victim, or a newer version of
             # one of its keys could end up below it.
-            settled = [v for v in settled if not any(
-                v.overlaps(other.smallest, other.largest)
-                for other in compaction.victims if other is not v)]
-            merge = [v for v in compaction.victims if v not in settled]
+            alone = set(isolated(compaction.victims))
+            settled = [v for v in settled if v in alone]
+            kept = set(settled)
+            merge = [v for v in compaction.victims if v not in kept]
         return settled, merge
 
     # -- §3.2: hole punching instead of unlink ---------------------------------

@@ -69,11 +69,6 @@ class LRUCache:
         self.hits += 1
         return entry[0]
 
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """Like get() but without statistics or promotion."""
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
     def put(self, key: Hashable, value: Any, charge: int = 1) -> None:
         """Insert ``key`` at ``charge``, evicting LRU entries to fit."""
         if key in self._entries:

@@ -21,7 +21,6 @@ from itertools import islice
 from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..health import ErrorManager, ReadOnlyError, Scrubber
-from ..obs.tracer import NULL_SPAN
 from ..sim import Condition, CpuMeter, Environment, Event, Interrupt, Resource
 from ..storage import DeviceError, DiskFullError, FileHandle, SimFS
 from .cache import BlockCache, TableCache
@@ -31,7 +30,8 @@ from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
 from .sstable import SSTableBuilder, read_table_extent
-from .version import FileMetaData, Version, key_range, split_by_overlap
+from .version import (FileMetaData, Version, key_range, split_by_overlap,
+                      split_promotable)
 from .wal import LogWriter, WriteBatch, list_wal_files, read_log_records
 
 __all__ = ["LSMEngine", "EngineStats", "Compaction", "OutputSink",
@@ -144,9 +144,11 @@ class _Writer:
 
     __slots__ = ("batch", "event", "done", "exc")
 
-    def __init__(self, batch: WriteBatch, event: Event):
+    def __init__(self, batch: WriteBatch):
         self.batch = batch
-        self.event = event
+        #: Where a follower parks; a writer that enqueues as leader
+        #: never waits, so it gets none.
+        self.event: Optional[Event] = None
         self.done = False
         self.exc: Optional[BaseException] = None
 
@@ -220,8 +222,9 @@ class LSMEngine:
         self.stats = EngineStats()
         if options.tracer is not None:
             # Observability is stack-wide: installing the tracer on the
-            # environment lets the device/filesystem layers see it too.
-            env.tracer = options.tracer
+            # environment lets the device/filesystem layers see it too,
+            # and attaching binds its timestamps to this clock.
+            options.tracer.attach(env)
 
         self.versions = VersionSet(env, fs, options, dbname)
         self.table_cache = TableCache(fs, options)
@@ -474,7 +477,9 @@ class LSMEngine:
         batch = WriteBatch()
         batch.put(key, value)
         self.stats.puts += 1
-        return (yield from self.write(batch))
+        # Hands back write()'s coroutine rather than wrapping it: one
+        # generator frame fewer on every resume of the commit path.
+        return self.write(batch)
 
     def delete(self, key: bytes) -> Generator[Event, Any, float]:
         """Write a deletion tombstone for ``key`` (coroutine).
@@ -484,7 +489,7 @@ class LSMEngine:
         batch = WriteBatch()
         batch.delete(key)
         self.stats.deletes += 1
-        return (yield from self.write(batch))
+        return self.write(batch)
 
     def write(self, batch: WriteBatch) -> Generator[Event, Any, float]:
         """Apply a write batch via the group-commit writer queue.
@@ -502,22 +507,23 @@ class LSMEngine:
         stalls for leaders.  A solitary writer is always a leader with
         a group of one, taking exactly the pre-group-commit path.
         """
-        if not len(batch):
+        if not batch.ops:
             return 0.0
         if self.health.read_only:
             raise ReadOnlyError(
                 f"{self.dbname} is read-only: {self.health.reason}")
         meter = self._meter()
         meter.charge(meter.model.write_mutex_overhead)
-        writer = _Writer(batch, self.env.event())
+        writer = _Writer(batch)
         yield self._write_queue_lock.acquire()
         try:
             self._write_queue.append(writer)
-            is_leader = self._write_queue[0] is writer
+            if self._write_queue[0] is not writer:
+                writer.event = self.env.event()
         finally:
             self._write_queue_lock.release()
         enqueued = self.env.now
-        if not is_leader:
+        if writer.event is not None:
             # Park until a leader commits this batch or promotes us.
             yield writer.event
             if writer.done:
@@ -544,9 +550,11 @@ class LSMEngine:
         failure: Optional[BaseException] = None
         waited = 0.0
         try:
-            yield from self._make_room(meter)
+            if not self._has_room():
+                yield from self._make_room(meter)
             waited = self.env.now - enqueued
-            group = self._form_group(leader)
+            if len(self._write_queue) > 1:
+                group = self._form_group(leader)
             # simcheck: waive[SIM007] - leader holds the mutex across the
             # commit (incl. replication backoff sleeps) on purpose: group
             # members must not observe a half-committed batch, and the
@@ -576,7 +584,8 @@ class LSMEngine:
         return waited
 
     def _form_group(self, leader: _Writer) -> List[_Writer]:
-        """The queue prefix committing together, capped by byte budget.
+        """The queue prefix committing together, capped by byte budget
+        (called only when writers queue behind the leader).
 
         Reads the queue without its lock: membership only changes at
         scheduling points, and only this leader may pop the prefix.
@@ -600,22 +609,23 @@ class LSMEngine:
         group of one this is byte-for-byte the single-writer WAL record
         and the same event sequence, so solitary writers are unaffected.
         """
-        prev_seq = self.versions.last_sequence
-        first_seq = prev_seq + 1
-        num_ops = sum(len(w.batch) for w in group)
-        self.versions.last_sequence = prev_seq + num_ops
         if len(group) == 1:
             merged = group[0].batch
         else:
             merged = WriteBatch()
             for member in group:
                 merged.extend(member.batch)
+        prev_seq = self.versions.last_sequence
+        first_seq = prev_seq + 1
+        num_ops = len(merged.ops)
+        self.versions.last_sequence = prev_seq + num_ops
         record = merged.encode(first_seq)
         tracer = self.env.tracer
-        span_ctx = (tracer.span("svc.group_commit", cat="svc",
-                                group_size=len(group))
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx as span:
+        # A span only when tracing: the disabled path pays no no-op span.
+        span = (tracer.span("svc.group_commit", cat="svc",
+                            group_size=len(group)).__enter__()
+                if tracer.enabled else None)
+        try:
             try:
                 self._wal_writer.append(record, meter)
             except DiskFullError as exc:
@@ -628,15 +638,16 @@ class LSMEngine:
                     f"{self.dbname}: WAL append hit disk full") from exc
             # Crash site: the record is in the page cache but (if
             # wal_sync) not yet acknowledged-durable.  A multi-writer
-            # record additionally announces the torn-group site.
-            self.fs.fault_site("wal.append",
-                               wal=self._wal_name(self._wal_number))
-            if len(group) > 1 and self.fs.faults is not None:
-                self.fs.fault_site(
-                    "wal.group_append",
-                    wal=self._wal_name(self._wal_number),
-                    group_size=len(group), first_seq=first_seq,
-                    keys=tuple(key for _t, key, _v in merged.ops))
+            # record additionally announces the torn-group site.  The
+            # sites' details are built only when an injector listens.
+            if self.fs.faults is not None:
+                wal = self._wal_name(self._wal_number)
+                self.fs.fault_site("wal.append", wal=wal)
+                if len(group) > 1:
+                    self.fs.fault_site(
+                        "wal.group_append", wal=wal,
+                        group_size=len(group), first_seq=first_seq,
+                        keys=tuple(key for _t, key, _v in merged.ops))
             saved = 0
             if self.options.wal_sync:
                 try:
@@ -650,7 +661,11 @@ class LSMEngine:
                     raise
                 saved = len(group) - 1
                 self.stats.barriers_saved += saved
-            span.set(barriers_saved=saved)
+            if span is not None:
+                span.set(barriers_saved=saved)
+        finally:
+            if span is not None:
+                tracer.finish_span(span)
         seq = first_seq
         for member in group:
             for value_type, key, value in member.batch.ops:
@@ -674,10 +689,19 @@ class LSMEngine:
                                              record)
         yield from meter.drain()
 
+    def _has_room(self) -> bool:
+        """True when :meth:`_make_room` would return at once."""
+        opts = self.options
+        return (not self.health.read_only
+                and not (opts.enable_l0_slowdown and self.versions.l0_unit_count()
+                         >= opts.l0_slowdown_trigger)
+                and self._memtable.approximate_memory_usage <= opts.memtable_size)
+
     def _make_room(self, meter: CpuMeter) -> Generator[Event, Any, None]:
         """LevelDB's MakeRoomForWrite: sleep/stall/rotate as required.
 
         Called with the mutex held; releases it around sleeps/waits.
+        The leader calls it only when :meth:`_has_room` is False.
         """
         opts = self.options
         allow_delay = opts.enable_l0_slowdown
@@ -1239,12 +1263,7 @@ class LSMEngine:
 
         # Verify settled victims still promote safely next to the outputs;
         # unsafe ones fall back to staying at their level untouched.
-        promoted: List[FileMetaData] = []
-        fallback: List[FileMetaData] = []
-        for meta in settled:
-            safe = all(not meta.overlaps(o.smallest, o.largest)
-                       for o in output_metas + promoted)
-            (promoted if safe else fallback).append(meta)
+        promoted, fallback = split_promotable(settled, output_metas)
 
         for meta in compaction.victims:
             if meta in fallback:

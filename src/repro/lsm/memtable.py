@@ -81,10 +81,3 @@ class MemTable:
         for (key, inv_seq), (value_type, value) in self._table.iter_from(
                 internal_key(user_key, sequence)):
             yield key, MAX_SEQUENCE - inv_seq, value_type, value
-
-    @property
-    def smallest_key(self) -> Optional[bytes]:
-        """The smallest user key present, or None when empty."""
-        for user_key, _seq, _t, _v in self.entries():
-            return user_key
-        return None

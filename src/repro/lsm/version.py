@@ -77,6 +77,40 @@ def split_by_overlap(items: Sequence[FileMetaData],
     return hit, miss
 
 
+def isolated(items: Sequence[FileMetaData]) -> List[FileMetaData]:
+    """The items overlapping no *other* item, in ``items`` order: an
+    item's overlappers, itself included, are those starting by its end
+    less those ending before its start (which all start before it)."""
+    smallests = sorted(item.smallest for item in items)
+    largests = sorted(item.largest for item in items)
+    return [item for item in items
+            if bisect.bisect_right(smallests, item.largest)
+            - bisect.bisect_left(largests, item.smallest) == 1]
+
+
+def split_promotable(candidates: Sequence[FileMetaData],
+                     placed: Sequence[FileMetaData]
+                     ) -> Tuple[List[FileMetaData], List[FileMetaData]]:
+    """Split ``candidates``, in order, into (promoted, fallback): a
+    candidate is promoted when it overlaps nothing in ``placed`` and no
+    candidate promoted before it.  Promoted ranges are disjoint by
+    construction, so one bisect finds the only one that could overlap."""
+    clash = set(split_by_overlap(candidates, placed)[0])
+    starts: List[bytes] = []
+    ends: List[bytes] = []
+    promoted: List[FileMetaData] = []
+    fallback: List[FileMetaData] = []
+    for item in candidates:
+        at = bisect.bisect_right(starts, item.largest)
+        if item in clash or (at and ends[at - 1] >= item.smallest):
+            fallback.append(item)
+        else:
+            promoted.append(item)
+            starts.insert(at, item.smallest)
+            ends.insert(at, item.largest)
+    return promoted, fallback
+
+
 class Version:
     """An immutable snapshot of the table tree, and the index over it.
 

@@ -28,7 +28,7 @@ Design rules:
 Usage::
 
     tracer = Tracer()
-    env = Environment(tracer=tracer)         # or env.tracer = tracer
+    env = Environment(tracer=tracer)         # or tracer.attach(env)
     ...
     with tracer.span("compaction", cat="engine", level=2) as span:
         ...simulated work...
@@ -51,7 +51,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "NULL_SPAN",
 ]
 
 
@@ -218,12 +217,6 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-#: Public no-op span context, for ``tracer.enabled`` guards at hot call
-#: sites that want to skip even keyword-argument construction when
-#: tracing is off (``span_ctx = tracer.span(..) if tracer.enabled else
-#: NULL_SPAN``).
-NULL_SPAN = _NULL_SPAN
-
 
 class NullTracer:
     """The default tracer: does nothing, costs (almost) nothing.
@@ -253,7 +246,8 @@ class NullTracer:
         pass
 
     def attach(self, env: Any) -> "NullTracer":
-        """Return self unchanged; a NullTracer observes nothing."""
+        """Install on ``env`` (tracing off there); returns self."""
+        env.tracer = self
         return self
 
     def process_spawned(self, process: Any) -> None:
@@ -295,10 +289,12 @@ class Tracer:
     # -- clock / environment binding ------------------------------------
 
     def attach(self, env: Any) -> "Tracer":
-        """Bind to ``env``'s clock (monotonically, across re-attaches)."""
+        """Install on ``env`` and bind to its clock (monotonically,
+        across re-attaches); returns self."""
         if self._env is not None and env is not self._env:
             self._offset = max(self._offset + self._env.now, self.last_time)
         self._env = env
+        env.tracer = self
         return self
 
     @property

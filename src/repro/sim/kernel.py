@@ -88,11 +88,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once the environment has run this event's callbacks."""
-        return self._processed
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded (only meaningful once triggered)."""
         return self._triggered and self._exc is None
@@ -140,6 +135,9 @@ class Event:
             self.callbacks.append(callback)
 
     def _process(self) -> None:
+        # The statement of event dispatch.  step() calls it; run(),
+        # run(until) and run_until() inline it, and
+        # tests/test_sim_kernel.py holds all four to one event order.
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
@@ -180,8 +178,8 @@ class Process(Event):
         self._throw = gen.throw
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
-        if env._tracer.enabled:
-            env._tracer.process_spawned(self)
+        if env.tracer.enabled:
+            env.tracer.process_spawned(self)
         # Kick off at the current simulation time.
         env._schedule_call(self._resume, None)
 
@@ -199,13 +197,16 @@ class Process(Event):
     def _deliver_interrupt(self, interrupt: Interrupt) -> None:
         if self._triggered:
             return
-        self._waiting_on = None
-        self._step(None, interrupt)
+        # Resume as if the awaited event had failed with the interrupt.
+        failed = Event(self.env)
+        failed._triggered = True
+        failed._exc = interrupt
+        self._waiting_on = failed
+        self._resume(failed)
 
     def _resume(self, event: Optional[Event]) -> None:
-        # This is :meth:`_step` inlined: one resume per delivered event
-        # makes this the kernel's hottest method, and the extra frame is
-        # measurable.  The interrupt path still goes through _step.
+        # Every delivered event resumes a process here, which makes this
+        # the kernel's hottest method: add_callback() is inlined below.
         if self._triggered:
             return
         if event is not None and self._waiting_on is not event:
@@ -225,13 +226,13 @@ class Process(Event):
                 target = self._throw(event._exc)
         except StopIteration as stop:
             self.succeed(stop.value)
-            if env._tracer.enabled:
-                env._tracer.process_finished(self)
+            if env.tracer.enabled:
+                env.tracer.process_finished(self)
             return
         except BaseException as error:  # noqa: BLE001 - propagate to waiters
             self.fail(error)
-            if env._tracer.enabled:
-                env._tracer.process_finished(self)
+            if env.tracer.enabled:
+                env.tracer.process_finished(self)
             return
         finally:
             env.active_process = previous
@@ -246,37 +247,6 @@ class Process(Event):
             env._schedule_call(self._resume, target)
         elif target.callbacks is not None:
             target.callbacks.append(self._resume)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        # Publish which simulated process is executing so tracer spans
-        # recorded during this step attach to the right track.
-        env = self.env
-        previous = env.active_process
-        env.active_process = self
-        try:
-            if exc is None:
-                target = self._send(value)
-            else:
-                target = self._throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            if env._tracer.enabled:
-                env._tracer.process_finished(self)
-            return
-        except BaseException as error:  # noqa: BLE001 - propagate to waiters
-            self.fail(error)
-            if env._tracer.enabled:
-                env._tracer.process_finished(self)
-            return
-        finally:
-            env.active_process = previous
-        if not isinstance(target, Event):
-            self._gen.close()
-            self.fail(SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected an Event"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
 
 
 #: One scheduled entry: ``(time, seq, target, args)``.  ``args is None``
@@ -300,53 +270,41 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, tracer: Any = None,
                  sanitize: bool = False):
-        self._now = float(initial_time)
+        #: Current virtual time, in seconds; only the loops write it.
+        self.now = float(initial_time)
         self._queue: List[_Entry] = []
-        #: Same-tick FIFO: every entry has ``time == self._now`` and a
+        #: Same-tick FIFO: every entry has ``time == self.now`` and a
         #: seq greater than any earlier same-time entry, so its head
         #: competes with the heap head by plain tuple comparison.
         self._ready: Deque[_Entry] = deque()
         self._seq = 0
         #: The simulated process currently being stepped (or None).
         self.active_process: Optional[Process] = None
-        self._tracer = NULL_TRACER
+        #: The installed :mod:`repro.obs` tracer (NULL_TRACER when off);
+        #: only a tracer's ``attach(env)`` installs one, binding its clock.
+        self.tracer: Any = NULL_TRACER
         if tracer is not None:
-            self.tracer = tracer
+            tracer.attach(self)
         #: Lockdep + data-race checker (:mod:`repro.analysis.sanitizer`);
         #: the shared NULL_SANITIZER when sanitize mode is off, so hot
         #: paths guard with a single ``enabled`` attribute read.
         self.sanitizer = Sanitizer(self) if sanitize else NULL_SANITIZER
-
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
-
-    @property
-    def tracer(self) -> Any:
-        """The installed :mod:`repro.obs` tracer (NULL_TRACER when off)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Any) -> None:
-        """Attach ``tracer`` to this environment (None disables)."""
-        self._tracer = tracer.attach(self)
 
     # -- scheduling ----------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         if delay == 0.0:
-            self._ready.append((self._now, seq, event, None))
+            self._ready.append((self.now, seq, event, None))
         else:
-            heappush(self._queue, (self._now + delay, seq, event, None))
+            heappush(self._queue, (self.now + delay, seq, event, None))
 
     def _schedule_call(self, func: Callable, arg: Any, delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         if delay == 0.0:
-            self._ready.append((self._now, seq, func, (arg,)))
+            self._ready.append((self.now, seq, func, (arg,)))
         else:
-            heappush(self._queue, (self._now + delay, seq, func, (arg,)))
+            heappush(self._queue, (self.now + delay, seq, func, (arg,)))
 
     # -- event constructors --------------------------------------------
 
@@ -380,40 +338,36 @@ class Environment:
         A failure of any child fails the aggregate immediately.
         """
         events = list(events)
-        done = self.event()
+        done = Event(self)
         if not events:
             done.succeed([])
             return done
-        remaining = [len(events)]
-        values: List[Any] = [None] * len(events)
+        remaining = len(events)
 
-        def make_callback(index: int) -> Callable[[Event], None]:
-            """Build the completion callback for child ``index``."""
-            def on_child(child: Event) -> None:
-                """Resolve the aggregate once every child has completed."""
-                if done.triggered:
-                    return
-                if child._exc is not None:
-                    done.fail(child._exc)
-                    return
-                values[index] = child._value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done.succeed(list(values))
-            return on_child
+        def on_child(child: Event) -> None:
+            """Resolve the aggregate once every child has completed."""
+            nonlocal remaining
+            if done._triggered:
+                return
+            if child._exc is not None:
+                done.fail(child._exc)
+                return
+            remaining -= 1
+            if remaining == 0:
+                done.succeed([event._value for event in events])
 
-        for i, child in enumerate(events):
-            child.add_callback(make_callback(i))
+        for child in events:  # one callback serves every child
+            child.add_callback(on_child)
         return done
 
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event that succeeds as soon as any child event succeeds."""
         events = list(events)
-        done = self.event()
+        done = Event(self)
 
         def on_child(child: Event) -> None:
             """Resolve the aggregate with the first child result."""
-            if done.triggered:
+            if done._triggered:
                 return
             if child._exc is not None:
                 done.fail(child._exc)
@@ -426,17 +380,14 @@ class Environment:
 
     # -- execution -----------------------------------------------------
 
-    def _pop_next(self) -> _Entry:
-        """Remove and return the next entry in (time, seq) order."""
-        ready = self._ready
-        if ready and (not self._queue or ready[0] <= self._queue[0]):
-            return ready.popleft()
-        return heappop(self._queue)
-
     def step(self) -> None:
-        """Process the single next queued event."""
-        time, _seq, target, args = self._pop_next()
-        self._now = time
+        """Process the single next queued event, in (time, seq) order."""
+        ready, queue = self._ready, self._queue
+        if ready and (not queue or ready[0] <= queue[0]):
+            time, _seq, target, args = ready.popleft()
+        else:
+            time, _seq, target, args = heappop(queue)
+        self.now = time
         if args is None:
             target._process()
         else:
@@ -444,10 +395,11 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time passes ``until``."""
-        # The loop body is step() inlined with the queue heads bound to
-        # locals: this is the hottest loop in the repository, and the
-        # attribute reads per event add up across tens of millions of
-        # events in a figure-scale run.
+        # The loop bodies here and in run_until() are step() inlined,
+        # Event._process() included, with the queue heads bound to
+        # locals: this is the hottest loop in the repository, and every
+        # call and attribute read per event adds up across tens of
+        # millions of events in a figure-scale run.
         queue = self._queue
         ready = self._ready
         pop = heappop
@@ -457,9 +409,14 @@ class Environment:
                     time, _seq, target, args = ready.popleft()
                 else:
                     time, _seq, target, args = pop(queue)
-                self._now = time
+                self.now = time
                 if args is None:
-                    target._process()
+                    target._processed = True
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(target)
                 else:
                     target(*args)
             return
@@ -474,13 +431,18 @@ class Environment:
                 time, _seq, target, args = pop(queue)
             else:
                 break
-            self._now = time
+            self.now = time
             if args is None:
-                target._process()
+                target._processed = True
+                callbacks = target.callbacks
+                target.callbacks = None
+                if callbacks:
+                    for callback in callbacks:
+                        callback(target)
             else:
                 target(*args)
-        if self._now < until:
-            self._now = until
+        if self.now < until:
+            self.now = until
 
     def run_until(self, event: Event, limit: float = math.inf) -> Any:
         """Run until ``event`` is processed; return its value.
@@ -507,9 +469,14 @@ class Environment:
                 raise SimulationError(
                     "event queue drained before the awaited event fired "
                     "(simulation deadlock?)")
-            self._now = time
+            self.now = time
             if args is None:
-                target._process()
+                target._processed = True
+                callbacks = target.callbacks
+                target.callbacks = None
+                if callbacks:
+                    for callback in callbacks:
+                        callback(target)
             else:
                 target(*args)
         return event.value

@@ -46,15 +46,10 @@ class Resource:
         """Number of slots currently held."""
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of acquirers queued for a slot."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that succeeds once a slot is granted."""
         self.total_acquisitions += 1
-        grant = self.env.event()
+        grant = Event(self.env)
         sanitizer = self.env.sanitizer
         if sanitizer.enabled and self.capacity == 1:
             # Capture the acquiring process now; the grant may be
@@ -133,7 +128,7 @@ class Condition:
 
     def wait(self) -> Event:
         """An event that fires at the next notify."""
-        event = self.env.event()
+        event = Event(self.env)
         self._waiters.append(event)
         return event
 
@@ -169,11 +164,6 @@ class Gate:
         self._open = open_
         self._waiters: List[Event] = []
 
-    @property
-    def is_open(self) -> bool:
-        """True while waiters pass through without blocking."""
-        return self._open
-
     def close(self) -> None:
         """Close the gate: subsequent waiters block."""
         self._open = False
@@ -187,7 +177,7 @@ class Gate:
 
     def wait(self) -> Event:
         """An event that fires once the gate is open."""
-        event = self.env.event()
+        event = Event(self.env)
         if self._open:
             event.succeed()
         else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from ..obs.tracer import NULL_SPAN
 from ..sim import Environment, Event, Resource
 
 __all__ = ["DeviceProfile", "DeviceStats", "BlockDevice", "DeviceError",
@@ -216,16 +215,6 @@ class BlockDevice:
         finally:
             self._channel.release()
 
-    def _drain_all(self) -> Generator[Event, Any, list]:
-        """Acquire every channel slot (queue depth reaches zero)."""
-        grants = [self._channel.acquire() for _ in range(self.profile.parallelism)]
-        yield self.env.all_of(grants)
-        return grants
-
-    def _release_all(self) -> None:
-        for _ in range(self.profile.parallelism):
-            self._channel.release()
-
     # -- public operations ------------------------------------------------
 
     def write(self, nbytes: int, sequential: bool = True) -> Generator[Event, Any, None]:
@@ -239,9 +228,10 @@ class BlockDevice:
         self.stats.num_writes += 1
         self.stats.bytes_written += nbytes
         tracer = self.env.tracer
-        span_ctx = (tracer.span("dev.write", cat="device", bytes=nbytes)
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
+        if tracer.enabled:
+            with tracer.span("dev.write", cat="device", bytes=nbytes):
+                yield from self._service("write", duration)
+        else:
             yield from self._service("write", duration)
 
     def read(self, nbytes: int, sequential: bool = False) -> Generator[Event, Any, None]:
@@ -255,10 +245,11 @@ class BlockDevice:
         self.stats.num_reads += 1
         self.stats.bytes_read += nbytes
         tracer = self.env.tracer
-        span_ctx = (tracer.span("dev.read", cat="device", bytes=nbytes,
-                                sequential=sequential)
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
+        if tracer.enabled:
+            with tracer.span("dev.read", cat="device", bytes=nbytes,
+                             sequential=sequential):
+                yield from self._service("read", duration)
+        else:
             yield from self._service("read", duration)
 
     def barrier(self, dirty_bytes: int = 0) -> Generator[Event, Any, None]:
@@ -269,11 +260,15 @@ class BlockDevice:
         """
         p = self.profile
         tracer = self.env.tracer
-        span_ctx = (tracer.span("dev.barrier", cat="device",
-                                dirty_bytes=dirty_bytes)
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
-            yield from self._drain_all()
+        # A span only when tracing: the disabled path pays no no-op span.
+        record = (tracer.span("dev.barrier", cat="device",
+                              dirty_bytes=dirty_bytes).__enter__()
+                  if tracer.enabled else None)
+        try:
+            # Drain: hold every channel slot (queue depth reaches zero).
+            channel = self._channel
+            yield self.env.all_of([channel.acquire()
+                                   for _ in range(p.parallelism)])
             try:
                 duration = p.barrier_latency
                 if dirty_bytes > 0:
@@ -289,7 +284,11 @@ class BlockDevice:
                 self.stats.busy_time += duration
                 yield self.env.timeout(duration)
             finally:
-                self._release_all()
+                for _ in range(p.parallelism):
+                    channel.release()
+        finally:
+            if record is not None:
+                tracer.finish_span(record)
 
     def submit_only(self) -> Generator[Event, Any, None]:
         """Queue-submission overhead only (an ordering barrier's cost:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set
 
-from ..obs.tracer import NULL_SPAN
 from ..sim import CpuMeter, Environment, Event
 from .device import BlockDevice
 from .page_cache import PAGE_SIZE, PageCache
@@ -341,10 +340,6 @@ class SimFS:
         """Sum of on-disk footprints (holes excluded) — disk usage."""
         return sum(f.allocated_bytes for f in self._files.values())
 
-    def total_logical_bytes(self) -> int:
-        """Sum of every file's logical size."""
-        return sum(f.size for f in self._files.values())
-
     # -- capacity (ENOSPC model) -------------------------------------------
 
     def set_capacity(self, capacity_bytes: Optional[int]) -> None:
@@ -394,14 +389,16 @@ class SimFS:
         whole, so a full disk never leaves part of one behind.
         """
         file = handle._file
-        offset = file.size
-        self._charge_capacity(file, offset, len(data))
-        file.mark_dirty_range(offset, len(data), self.epoch)  # pre-images first
+        offset = len(file.data)
+        length = len(data)
+        if self.capacity_bytes is not None:
+            self._charge_capacity(file, offset, length)
+        file.mark_dirty_range(offset, length, self.epoch)  # pre-images first
         file.data.extend(data)
-        self._make_resident(file, offset, len(data))
-        self.stats.logical_bytes_written += len(data)
+        self._make_resident(file, offset, length)
+        self.stats.logical_bytes_written += length
         if meter is not None:
-            meter.charge_bytes(len(data))
+            meter.charge_bytes(length)
         return offset
 
     def write_at(self, handle: FileHandle, offset: int, data: bytes,
@@ -474,26 +471,12 @@ class SimFS:
     def fsync(self, handle: FileHandle) -> Generator[Event, Any, None]:
         """Flush the file's dirty pages and issue a device barrier."""
         self.stats.num_fsync += 1
-        file = handle._file
-        tracer = self.env.tracer
-        span_ctx = (tracer.span("fsync", cat="barrier", file=file.name,
-                                dirty_pages=len(file.dirty))
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
-            yield from self._sync(file)
-        self.fault_site("fs.barrier", file=file.name)
+        return self._sync(handle._file, "fsync")
 
     def fdatasync(self, handle: FileHandle) -> Generator[Event, Any, None]:
         """Like :meth:`fsync`; metadata laziness is not distinguished."""
         self.stats.num_fdatasync += 1
-        file = handle._file
-        tracer = self.env.tracer
-        span_ctx = (tracer.span("fdatasync", cat="barrier", file=file.name,
-                                dirty_pages=len(file.dirty))
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
-            yield from self._sync(file)
-        self.fault_site("fs.barrier", file=file.name)
+        return self._sync(handle._file, "fdatasync")
 
     def fdatabarrier(self, handle: FileHandle) -> Generator[Event, Any, None]:
         """BarrierFS's ordering-only barrier (paper §5).
@@ -515,39 +498,54 @@ class SimFS:
         if self.env.sanitizer.enabled:
             self.env.sanitizer.barrier("fdatabarrier")
         tracer = self.env.tracer
-        span_ctx = (tracer.span("fdatabarrier", cat="ordering",
-                                file=file.name, pages=len(pending))
-                    if tracer.enabled else NULL_SPAN)
-        with span_ctx:
+        record = (tracer.span("fdatabarrier", cat="ordering", file=file.name,
+                              pages=len(pending)).__enter__()
+                  if tracer.enabled else None)
+        try:
             if pending:
                 # Background dispatch: occupies the device, counts the bytes.
                 self.env.process(
                     self.device.write(len(pending) * PAGE_SIZE, sequential=True),
                     name="fdatabarrier-writeback")
             yield from self.device.submit_only()
+        finally:
+            if record is not None:
+                tracer.finish_span(record)
         self.fault_site("fs.fdatabarrier", file=file.name)
 
-    def _sync(self, file: _SimFile) -> Generator[Event, Any, None]:
-        dirty_bytes = len(file.dirty) * PAGE_SIZE
-        yield from self.device.barrier(dirty_bytes)
-        file.dirty.clear()
-        file.dirty_epoch.clear()
-        file.submitted.clear()
-        file.durable_size = file.size
-        self.epoch += 1
-        if self.env.sanitizer.enabled:
-            self.env.sanitizer.barrier("fsync")
-        # A FLUSH drains the whole device cache: every page previously
-        # dispatched by an ordering barrier is durable now too.
-        if self._submitted_files:
-            for other in self._submitted_files:
-                if other.submitted:
-                    for page in other.submitted:
-                        other.dirty.pop(page, None)
-                        other.dirty_epoch.pop(page, None)
-                    other.submitted.clear()
-                    other.durable_size = other.size
-            self._submitted_files.clear()
+    def _sync(self, file: _SimFile, span_name: str
+              ) -> Generator[Event, Any, None]:
+        """The barrier behind :meth:`fsync` / :meth:`fdatasync`."""
+        tracer = self.env.tracer
+        # A span only when tracing: the disabled path pays no no-op span.
+        record = (tracer.span(span_name, cat="barrier", file=file.name,
+                              dirty_pages=len(file.dirty)).__enter__()
+                  if tracer.enabled else None)
+        try:
+            yield from self.device.barrier(len(file.dirty) * PAGE_SIZE)
+            file.dirty.clear()
+            file.dirty_epoch.clear()
+            file.submitted.clear()
+            file.durable_size = file.size
+            self.epoch += 1
+            if self.env.sanitizer.enabled:
+                self.env.sanitizer.barrier("fsync")
+            # A FLUSH drains the whole device cache: every page previously
+            # dispatched by an ordering barrier is durable now too.
+            if self._submitted_files:
+                for other in self._submitted_files:
+                    if other.submitted:
+                        for page in other.submitted:
+                            other.dirty.pop(page, None)
+                            other.dirty_epoch.pop(page, None)
+                        other.submitted.clear()
+                        other.durable_size = other.size
+                self._submitted_files.clear()
+        finally:
+            if record is not None:
+                tracer.finish_span(record)
+        if self.faults is not None:
+            self.fault_site("fs.barrier", file=file.name)
 
     def punch_hole(self, handle: FileHandle, offset: int, length: int) -> None:
         """Deallocate whole pages inside ``[offset, offset+length)``.

@@ -206,7 +206,7 @@ class Server:
         if self._closed:
             return self._resolved(request, STATUS_REJECTED, "server closed")
         is_write = request.kind in WRITE_KINDS
-        state = self.admission_state(request.key)
+        state = self.db.admission_state(request.key)
         if is_write and state == "read_only":
             self.stats.read_only += 1
             return self._resolved(request, STATUS_READ_ONLY,
@@ -229,7 +229,7 @@ class Server:
                 self.stats.rejected += 1
                 return self._resolved(request, STATUS_REJECTED,
                                       "server closed")
-        done = self.env.event()
+        done = Event(self.env)
         record = None
         tracer = self.env.tracer
         if tracer.enabled:
@@ -283,21 +283,27 @@ class Server:
                 self._idle.notify_all()
 
     def _execute(self, request: Request) -> Generator[Event, Any, Any]:
-        """Run one operation against the engine (YCSB kinds + delete)."""
+        """The engine coroutine running one operation (YCSB kinds +
+        delete); handed back, not wrapped, so every resume of a request
+        passes one generator frame fewer."""
         db = self.db
         kind = request.kind
         if kind == "read":
-            return (yield from db.get(request.key))
+            return db.get(request.key)
         if kind == "scan":
-            return (yield from db.scan(request.key, request.payload))
+            return db.scan(request.key, request.payload)
         if kind in ("insert", "update"):
-            return (yield from db.put(request.key, request.payload))
+            return db.put(request.key, request.payload)
         if kind == "delete":
-            return (yield from db.delete(request.key))
+            return db.delete(request.key)
         if kind == "rmw":
-            yield from db.get(request.key)
-            return (yield from db.put(request.key, request.payload))
+            return self._read_modify_write(request)
         raise ValueError(f"unknown operation kind {kind!r}")
+
+    def _read_modify_write(self, request: Request
+                           ) -> Generator[Event, Any, Any]:
+        yield from self.db.get(request.key)
+        return (yield from self.db.put(request.key, request.payload))
 
     # -- lifecycle -------------------------------------------------------
 

@@ -7,8 +7,8 @@ itself runs on the host.  It pins the hot paths that
 encode/decode, skiplist insert/seek, histogram recording, the Version
 index, the merge + table-build data path of flush and compaction, the
 extent read of compaction inputs, a point read's block decode + lookup,
-and an end-to-end YCSB-A suite slice — so a regression shows up
-as a number, not as a mysteriously slower CI run.
+the synced WAL commit path, and an end-to-end YCSB-A suite slice — so a
+regression shows up as a number, not as a mysteriously slower CI run.
 
 Usage::
 
@@ -352,6 +352,57 @@ def bench_point_read() -> Tuple[float, str]:
     digest = _fingerprint({
         "raw": hashlib.sha256(b"".join(load[0] for load in loads)).hexdigest(),
         "answers": hashlib.sha256(repr(answers).encode()).hexdigest()})
+    return elapsed, digest
+
+
+@_benchmark
+def bench_commit() -> Tuple[float, str]:
+    """The WAL commit path at ``serve-mixed``'s shape: puts through
+    ``LSMEngine.write`` with ``wal_sync`` on a SATA_SSD stack — 1 500 from
+    one writer (every commit group a group of one), then 1 500 from four
+    concurrent writers (groups form).  The MemTable never fills, so
+    nothing but the commit path runs."""
+    import random
+
+    from ..lsm import LSMEngine, Options
+    from ..sim import Environment
+    from ..storage import SATA_SSD, BlockDevice, PageCache, SimFS
+
+    rng = random.Random(29)
+    keys = [b"user%019d" % rng.randrange(10 ** 18) for _ in range(3000)]
+    value = rng.randbytes(256)
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env, SATA_SSD), PageCache(4 << 20))
+    db = LSMEngine.open_sync(env, fs, Options(wal_sync=True), "db")
+    latencies: List[float] = []
+
+    def writer(first: int, stop: int, stride: int):
+        """Put keys[first:stop:stride], timing each put."""
+        for key in keys[first:stop:stride]:
+            started = env.now
+            yield from db.put(key, value)
+            latencies.append(env.now - started)
+
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    env.run_until(env.process(writer(0, 1500, 1)))
+    env.run_until(env.all_of([env.process(writer(1500 + i, 3000, 4))
+                              for i in range(4)]))
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+
+    def wal_bytes():
+        """Every WAL file's bytes, in name order."""
+        blobs = []
+        for name in fs.listdir("db/"):
+            if name.endswith(".log"):
+                handle = yield from fs.open(name)
+                blobs.append((yield from handle.read(0, handle.size)))
+        return b"".join(blobs)
+
+    digest = _fingerprint({
+        "wal": hashlib.sha256(env.run_until(env.process(wal_bytes()))).hexdigest(),
+        "last_sequence": db.versions.last_sequence,
+        "group_commits": db.stats.group_commits,
+        "latencies": [latency.hex() for latency in latencies]})
     return elapsed, digest
 
 

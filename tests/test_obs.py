@@ -158,6 +158,23 @@ class TestTracerCore:
         options = spec.options(256).copy(tracer=tracer)
         db = spec.engine_cls.open_sync(stack.env, stack.fs, options, "db")
         assert stack.env.tracer is tracer
+
+    def test_options_tracer_stamps_spans_on_the_engines_clock(self):
+        """``Options(tracer=...)`` binds the tracer to the environment
+        the engine opens on, not merely installs it there: a clock
+        already past 0 shows in every span."""
+        tracer = Tracer()
+        stack = new_stack(tiny_config())
+        stack.env.run(until=7.5)
+        spec = SYSTEMS["bolt"]
+        db = spec.engine_cls.open_sync(stack.env, stack.fs,
+                                       spec.options(256).copy(tracer=tracer),
+                                       "db")
+        db.put_sync(b"key", b"value")
+        assert stack.env.tracer is tracer
+        assert tracer.spans
+        assert min(span.start for span in tracer.spans) >= 7.5
+        assert tracer.now >= 7.5
         db.put_sync(b"k", b"v")
         assert tracer.find_spans(cat="engine") or tracer.spans  # recording
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -504,3 +506,144 @@ class TestSameTickFifoOrdering:
 def _delayed_spawn(env, delay, chain, log):
     yield env.timeout(delay)
     yield from chain(f"t{delay}", 2)
+
+
+def _event_order_mix(env, seed, log):
+    """One seeded mix of every scheduling shape the kernel has; returns
+    the root process, which is the last thing to finish.
+
+    Delays come from a small set, so equal deadlines (heap ties) and
+    same-tick work are common; the plans are drawn up front, so the
+    schedule depends on nothing but the kernel's dispatch order.
+    """
+    rng = random.Random(seed)
+    delays = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0)
+
+    def note(*what):
+        log.append((env.now, *what))
+
+    def failing(delay, tag):
+        bad = env.event()
+        env.call_later(delay, lambda: bad.fail(ValueError(tag)))
+        return bad
+
+    def sleeper(tag):
+        nap = 5.0
+        while True:
+            try:
+                yield env.timeout(nap)
+                note(tag, "slept")
+                return
+            except Interrupt as interrupt:
+                note(tag, "interrupted", interrupt.cause)
+                nap = naps[tag]
+
+    def worker(tag, plan, victim):
+        for step, (action, delay, width, fails) in enumerate(plan):
+            here = (tag, step)
+            if action == "sleep":
+                yield env.timeout(delay)
+                note(here, "woke")
+            elif action == "call":
+                env.call_later(delay, lambda here=here: note(here, "call"))
+            elif action == "event":
+                event = env.event()
+                env.call_later(delay, lambda event=event, here=here:
+                               event.succeed(here))
+                note(here, "event", (yield event))
+            elif action == "all_of":
+                children = [env.timeout(delay * i, value=i)
+                            for i in range(width)]
+                if fails and children:
+                    children[-1] = failing(delay, repr(here))
+                try:
+                    note(here, "all_of", (yield env.all_of(children)))
+                except ValueError as error:
+                    note(here, "all_of failed", str(error))
+            elif action == "any_of":
+                first = yield env.any_of([env.timeout(delay, value="slow"),
+                                          env.timeout(delay / 2, value="fast")])
+                note(here, "any_of", first)
+            elif action == "late":
+                done = env.timeout(delay)
+                yield done
+                done.add_callback(lambda _e, here=here: note(here, "late"))
+            elif action == "shared":
+                # Several waiters and watchers on one event: the order
+                # its callbacks run in is part of the schedule.
+                shared.add_callback(lambda _e, here=here: note(here, "watch"))
+                note(here, "shared", (yield shared))
+            elif action == "interrupt" and victim.is_alive:
+                yield env.timeout(delay)
+                victim.interrupt(here)
+        note(tag, "done")
+
+    actions = ("sleep", "call", "event", "all_of", "any_of", "late",
+               "shared", "interrupt")
+    shared = env.event()
+    env.call_later(rng.choice(delays) + 0.5, lambda: shared.succeed("go"))
+    naps = {}
+    workers = []
+    for index in range(6):
+        victim_tag = f"sleeper{index}"
+        naps[victim_tag] = rng.choice(delays)
+        victim = env.process(sleeper(victim_tag))
+        plan = [(rng.choice(actions), rng.choice(delays),
+                 rng.choice((0, 1, 3)), rng.random() < 0.3)
+                for _ in range(rng.randrange(3, 9))]
+        workers += [victim, env.process(worker(f"w{index}", plan, victim))]
+
+    def root():
+        note("root", "joined", len((yield env.all_of(workers))))
+        yield env.timeout(100.0)
+        note("root", "done")
+
+    return env.process(root())
+
+
+def _pending(env):
+    return bool(env._queue or env._ready)
+
+
+def _drive_run(env, root):
+    env.run()
+
+
+def _drive_sliced(env, root):
+    until = 0.0
+    while _pending(env):
+        until += 0.37
+        env.run(until=until)
+
+
+def _drive_run_until(env, root):
+    env.run_until(root)
+
+
+def _drive_step(env, root):
+    while _pending(env):
+        env.step()
+
+
+class TestEventOrderEquivalence:
+    """run(), run(until), run_until() and step() each carry a copy of
+    event dispatch; all four must process one mix in one order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drive", [_drive_sliced, _drive_run_until,
+                                       _drive_step])
+    def test_every_loop_logs_the_same_order(self, seed, drive):
+        logs = []
+        for driver in (_drive_run, drive):
+            env = Environment()
+            log = []
+            root = _event_order_mix(env, seed, log)
+            driver(env, root)
+            assert root.value is None
+            assert not _pending(env)
+            logs.append(log)
+        reference, observed = logs
+        assert observed == reference
+        kinds = {entry[2] for entry in reference if len(entry) > 2}
+        assert {"woke", "call", "event", "all_of", "late", "done",
+                "interrupted", "shared", "watch"} <= kinds

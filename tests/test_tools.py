@@ -326,13 +326,13 @@ class TestPerfBench:
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
                                    "histogram", "objstore_cache", "version",
                                    "build", "compact_read", "point_read",
-                                   "ycsb_a"}
+                                   "commit", "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""
         from repro.tools.perfbench import BENCHMARKS
         for name in ("kernel", "codec", "skiplist", "histogram", "build",
-                     "compact_read", "point_read"):
+                     "compact_read", "point_read", "commit"):
             _, first = BENCHMARKS[name]()
             _, second = BENCHMARKS[name]()
             assert first == second, name

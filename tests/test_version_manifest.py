@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bolt_engine import BoLTMixin
 from repro.lsm import FileMetaData, Options, Version, VersionEdit, VersionSet
 from repro.lsm.engine import Compaction
-from repro.lsm.version import split_by_overlap
+from repro.lsm.version import isolated, split_by_overlap, split_promotable
 
 
 def meta(number, smallest, largest, length=1000, container=None, offset=0):
@@ -158,6 +158,21 @@ def brute_split(items, others):
     return hit, [i for i in items if i not in hit]
 
 
+def brute_isolated(items):
+    return [i for i in items if not any(
+        i.overlaps(o.smallest, o.largest) for o in items if o is not i)]
+
+
+def brute_promotable(candidates, placed):
+    """The pairwise statement of a settled victim's promotion check."""
+    promoted, fallback = [], []
+    for meta in candidates:
+        safe = all(not meta.overlaps(o.smallest, o.largest)
+                   for o in list(placed) + promoted)
+        (promoted if safe else fallback).append(meta)
+    return promoted, fallback
+
+
 def assert_matches(version, brute, queries):
     """Every table-set answer of ``version`` equals the reference's."""
     assert version.files == brute.files
@@ -187,6 +202,11 @@ def assert_matches(version, brute, queries):
     for items, others in ((1, 2), (2, 1), (2, 0)):
         assert split_by_overlap(brute.files[items], brute.files[others]) == \
             brute_split(brute.files[items], brute.files[others])
+    for items, others in ((0, 1), (1, 2), (0, 0), (2, 0)):
+        assert split_promotable(brute.files[items], brute.files[others]) == \
+            brute_promotable(brute.files[items], brute.files[others])
+    for files in brute.files:
+        assert isolated(files) == brute_isolated(files)
 
 
 # Keys from an 8-letter alphabet, so equal and touching bounds are common
