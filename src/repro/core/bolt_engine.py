@@ -27,7 +27,7 @@ the HyperLevelDB base, as the paper's two integrations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Generator, List, Tuple
 
 from ..engines.hyperleveldb import HyperLevelDBEngine, hyperleveldb_options
 from ..engines.leveldb import LevelDBEngine, leveldb_options
@@ -90,8 +90,10 @@ class BoLTMixin:
         if opts.enable_settled_compaction:
             # §3.4: victims need not be contiguous — order candidates by
             # ascending next-level overlap so zero-overlap tables settle.
-            ordered = sorted(candidates, key=lambda f: (version.overlap_bytes(
-                level + 1, f.smallest, f.largest), f.number))
+            overlap_bytes = version.overlap_bytes
+            below = level + 1
+            ordered = sorted(candidates, key=lambda f: (overlap_bytes(
+                below, f.smallest, f.largest), f.number))
         else:
             # §3.3: contiguous run after the round-robin pointer.
             pointer = self.versions.compact_pointers.get(level)
@@ -133,14 +135,10 @@ class BoLTMixin:
                         ) -> Generator[Event, Any, None]:
         """Punch holes over dead logical SSTables; unlink a compaction
         file only once no live table references it."""
-        live_containers: Dict[str, int] = {}
-        for meta in self.versions.current.live_numbers().values():
-            live_containers[meta.container] = live_containers.get(
-                meta.container, 0) + 1
+        version = self.versions.current
         tracer = self.env.tracer
         for meta in metas:
-            if (self.tiering is not None
-                    and self.versions.current.is_remote(meta.container)):
+            if self.tiering is not None and version.is_remote(meta.container):
                 # Remote container: when its last table dies the tier
                 # pointer is removed *first*, then the object deleted
                 # (never the reverse — the pointer must not dangle).
@@ -152,7 +150,7 @@ class BoLTMixin:
             if not self.fs.exists(meta.container):
                 continue
             try:
-                if live_containers.get(meta.container, 0) == 0:
+                if not version.tables_in(meta.container):
                     if self.fd_cache is not None:
                         yield from self.fd_cache.evict(meta.container)
                     if tracer.enabled:

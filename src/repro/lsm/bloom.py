@@ -7,6 +7,7 @@ hashing scheme is LevelDB's double hashing over a single base hash.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable
 
 __all__ = ["BloomFilter"]
@@ -19,10 +20,13 @@ __all__ = ["BloomFilter"]
 _HASH_CACHE: dict = {}
 _HASH_CACHE_LIMIT = 1 << 20
 _DEFAULT_SEED = 0xBC9F1D34
-#: Largest bitmap :meth:`BloomFilter.add_all` accumulates as one int:
-#: ~200 keys at 10 bits per key.  Measured against per-byte updates of
-#: the bytearray: 17 % faster per key at 11-50 keys, even near 350.
-_INT_ACCUMULATE_MAX_BITS = 2048
+#: ``flag byte -> binary digit``: :meth:`BloomFilter.add_all` marks one
+#: byte per bit, then reads the flags as one base-2 numeral.
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+#: ``len(key) -> Struct`` of the key's whole little-endian 32-bit words.
+_WORDS: dict = {}
 
 
 def _base_hash(key: bytes, seed: int = _DEFAULT_SEED) -> int:
@@ -31,17 +35,19 @@ def _base_hash(key: bytes, seed: int = _DEFAULT_SEED) -> int:
         cached = _HASH_CACHE.get(key)
         if cached is not None:
             return cached
-    h = seed ^ (len(key) * 0xC6A4A793)
-    for i in range(0, len(key) - 3, 4):
-        word = int.from_bytes(key[i:i + 4], "little")
-        h = (h + word) & 0xFFFFFFFF
-        h = (h * 0xC6A4A793) & 0xFFFFFFFF
+    size = len(key)
+    words = _WORDS.get(size)
+    if words is None:
+        if len(_WORDS) >= 256:  # bounded like the hash memo
+            _WORDS.clear()
+        words = _WORDS[size] = struct.Struct("<%dI" % (size >> 2))
+    h = seed ^ (size * 0xC6A4A793)
+    for word in words.unpack_from(key):  # mod 2^32 throughout
+        h = (h + word) * 0xC6A4A793 & 0xFFFFFFFF
         h ^= h >> 16
-    tail = len(key) & 3
+    tail = size & 3
     if tail:
-        word = int.from_bytes(key[-tail:], "little")
-        h = (h + word) & 0xFFFFFFFF
-        h = (h * 0xC6A4A793) & 0xFFFFFFFF
+        h = (h + int.from_bytes(key[-tail:], "little")) * 0xC6A4A793 & 0xFFFFFFFF
         h ^= h >> 24
     if seed == _DEFAULT_SEED:
         if len(_HASH_CACHE) >= _HASH_CACHE_LIMIT:
@@ -82,27 +88,27 @@ class BloomFilter:
     def add_all(self, keys: Iterable[bytes]) -> None:
         """Insert every key of ``keys`` (the builder's batched path).
 
-        The probe bits accumulate in one Python int, OR-ed into the
-        bitmap once.  Each ``|=`` copies the whole int, so that pays
-        only while the filter is small (a fine-grained logical
-        SSTable's is 16 bytes); past :data:`_INT_ACCUMULATE_MAX_BITS`
-        the keys go through :meth:`add`.
+        Each probe marks one byte of a flag array — a small-int store,
+        where setting a bit of the bitmap would build a new int per
+        probe — and the flags are packed into the bitmap once, OR-ed
+        with the bits already set.
         """
         nbits = self._nbits
-        if nbits > _INT_ACCUMULATE_MAX_BITS:
-            for key in keys:
-                self.add(key)
-            return
+        flags = bytearray(nbits)
         probes = range(self.num_probes)
-        base = _base_hash
-        acc = 0
+        cached = _HASH_CACHE.get
         for key in keys:
-            h = base(key)
+            h = cached(key)
+            if h is None:
+                h = _base_hash(key)
             delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
             for _ in probes:
-                acc |= 1 << (h % nbits)
+                flags[h % nbits] = 1
                 h = (h + delta) & 0xFFFFFFFF
         bits = self._bits
+        # Flag p is bit p of the little-endian bitmap: the flags read
+        # last-first are that bitmap as a base-2 numeral.
+        acc = int(flags[::-1].translate(_FLAG_DIGITS), 2)
         acc |= int.from_bytes(bits, "little")
         bits[:] = acc.to_bytes(len(bits), "little")
 
@@ -133,7 +139,4 @@ class BloomFilter:
         filt.bits_per_key = data[1]
         filt._bits = bytearray(data[2:])
         filt._nbits = len(filt._bits) * 8
-        if filt._nbits == 0:
-            filt._bits = bytearray(8)
-            filt._nbits = 64
         return filt

@@ -68,6 +68,8 @@ def encode_varint(value: int) -> bytes:
             cached = bytes((value & 0x7F | 0x80, value >> 7))
             _VARINT2[value] = cached
         return cached
+    if value < 0x200000:  # offsets inside a compaction file
+        return bytes((value & 0x7F | 0x80, value >> 7 & 0x7F | 0x80, value >> 14))
     if value < 0:
         raise ValueError("varint cannot encode negative values")
     out = bytearray()
@@ -84,10 +86,15 @@ def encode_varint(value: int) -> bytes:
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     """Decode a varint; returns ``(value, next_offset)``."""
     size = len(data)
-    if offset < size:
+    if offset + 1 < size:  # one- and two-byte fast paths
         byte = data[offset]
-        if not byte & 0x80:  # single-byte fast path
+        if not byte & 0x80:
             return byte, offset + 1
+        second = data[offset + 1]
+        if not second & 0x80:
+            return byte & 0x7F | second << 7, offset + 2
+    elif offset < size and not data[offset] & 0x80:
+        return data[offset], offset + 1
     result = 0
     shift = 0
     pos = offset

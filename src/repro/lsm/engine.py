@@ -15,9 +15,10 @@ formats and cleanup, all through narrow hook methods.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..health import ErrorManager, ReadOnlyError, Scrubber
@@ -1384,33 +1385,22 @@ class LSMEngine:
         table_format = opts.table_format
         bloom_bits = opts.bloom_bits_per_key
         new_file_number = self.versions.new_file_number
-        num_cuts = len(cut_keys) if cut_keys is not None else 0
+        cut_keys = cut_keys or []
         metas: List[FileMetaData] = []
-        builder: Optional[SSTableBuilder] = None
-        number = 0
-        container = ""
-        cut_index = 0
-        # No yield between a builder's first add and its finish: the
-        # builder's single append relies on it (see SSTableBuilder).
-        for user_key, seq, value_type, value in entries:
-            # A table is only ever cut between two user keys.
-            if builder is not None and user_key != builder.current_user_key:
-                cut = False
-                if num_cuts:
-                    last_key = builder.current_user_key
-                    while cut_index < num_cuts and cut_keys[cut_index] <= last_key:
-                        cut_index += 1
-                    cut = cut_index < num_cuts and user_key >= cut_keys[cut_index]
-                if cut or (max_table_bytes is not None
-                           and builder.estimated_size >= max_table_bytes):
-                    metas.append(self._finish_builder(builder, number, container))
-                    builder = None
-            if builder is None:
-                number = new_file_number()
-                handle, container = yield from sink.next_handle(number)
-                builder = SSTableBuilder(handle, table_format, bloom_bits, meter)
-            builder.add(user_key, seq, value_type, value)
-        if builder is not None:
+        rest = iter(entries)
+        pending = next(rest, None)
+        while pending is not None:
+            # A table's only cut key is the first one past its first key:
+            # until a key reaches it, none lies between two of its keys.
+            cut_at = bisect.bisect_right(cut_keys, pending[0])
+            number = new_file_number()
+            handle, container = yield from sink.next_handle(number)
+            builder = SSTableBuilder(handle, table_format, bloom_bits, meter)
+            # No yield between a builder's first entry and its finish:
+            # the builder's single append relies on it (see SSTableBuilder).
+            pending = builder.add_run(
+                chain((pending,), rest), max_table_bytes,
+                cut_keys[cut_at] if cut_at < len(cut_keys) else None)
             metas.append(self._finish_builder(builder, number, container))
         yield from sink.seal()
         for meta in metas:
@@ -1536,8 +1526,7 @@ class LSMEngine:
                                ) -> Generator[Event, Any, None]:
         """Remove the replayed WALs (all flushed by now) and every data
         or MANIFEST file the recovered version does not reference."""
-        live_containers = {meta.container for meta in
-                           self.versions.current.live_numbers().values()}
+        live_containers = self.versions.current.live_containers()
         manifest = f"{self.dbname}/MANIFEST-{self.versions.manifest_file_number:06d}"
         for name in list(self.fs.listdir(f"{self.dbname}/")):
             if name in live_containers or name == manifest:

@@ -22,7 +22,6 @@ from .codec import (
     decode_length_prefixed,
     decode_varint,
     encode_fixed64,
-    encode_length_prefixed,
     encode_varint,
 )
 from .options import Options
@@ -95,48 +94,35 @@ class VersionEdit:
 
     def encode(self) -> bytes:
         """Serialize this edit as one MANIFEST record payload."""
-        out = bytearray()
+        v = encode_varint
+        out: List[bytes] = []
         if self.log_number is not None:
-            out.extend(encode_varint(_TAG_LOG_NUMBER))
-            out.extend(encode_varint(self.log_number))
+            out += (v(_TAG_LOG_NUMBER), v(self.log_number))
         if self.next_file_number is not None:
-            out.extend(encode_varint(_TAG_NEXT_FILE))
-            out.extend(encode_varint(self.next_file_number))
+            out += (v(_TAG_NEXT_FILE), v(self.next_file_number))
         if self.last_sequence is not None:
-            out.extend(encode_varint(_TAG_LAST_SEQUENCE))
-            out.extend(encode_fixed64(self.last_sequence))
+            out += (v(_TAG_LAST_SEQUENCE), encode_fixed64(self.last_sequence))
         for level, key in self.compact_pointers:
-            out.extend(encode_varint(_TAG_COMPACT_POINTER))
-            out.extend(encode_varint(level))
-            out.extend(encode_length_prefixed(key))
+            out += (v(_TAG_COMPACT_POINTER), v(level), v(len(key)), key)
+        tag = v(_TAG_DELETED_FILE)
         for level, number in self.deleted_files:
-            out.extend(encode_varint(_TAG_DELETED_FILE))
-            out.extend(encode_varint(level))
-            out.extend(encode_varint(number))
+            out += (tag, v(level), v(number))
+        tag = v(_TAG_NEW_FILE)
         for level, meta in self.new_files:
-            out.extend(encode_varint(_TAG_NEW_FILE))
-            out.extend(encode_varint(level))
-            out.extend(encode_varint(meta.number))
-            out.extend(encode_length_prefixed(meta.container.encode()))
-            out.extend(encode_varint(meta.offset))
-            out.extend(encode_varint(meta.length))
-            out.extend(encode_varint(meta.num_entries))
-            out.extend(encode_length_prefixed(meta.smallest))
-            out.extend(encode_length_prefixed(meta.largest))
+            container = meta.container.encode()
+            out += (tag, v(level), v(meta.number),
+                    v(len(container)), container, v(meta.offset), v(meta.length),
+                    v(meta.num_entries), v(len(meta.smallest)), meta.smallest,
+                    v(len(meta.largest)), meta.largest)
         for level, key in self.new_guards:
-            out.extend(encode_varint(_TAG_GUARD))
-            out.extend(encode_varint(level))
-            out.extend(encode_length_prefixed(key))
+            out += (v(_TAG_GUARD), v(level), v(len(key)), key)
         for number in self.quarantined_files:
-            out.extend(encode_varint(_TAG_QUARANTINE))
-            out.extend(encode_varint(number))
-        for container, tier, length, crc in self.tier_changes:
-            out.extend(encode_varint(_TAG_TIER))
-            out.extend(encode_length_prefixed(container.encode()))
-            out.extend(encode_varint(tier))
-            out.extend(encode_varint(length))
-            out.extend(encode_varint(crc))
-        return bytes(out)
+            out += (v(_TAG_QUARANTINE), v(number))
+        for container_name, tier, length, crc in self.tier_changes:
+            container = container_name.encode()
+            out += (v(_TAG_TIER), v(len(container)), container, v(tier),
+                    v(length), v(crc))
+        return b"".join(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "VersionEdit":

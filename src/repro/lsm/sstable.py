@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..sim import CpuMeter, Event
 from ..storage import PAGE_SIZE, FileHandle
@@ -54,6 +54,9 @@ EXTENT_READAHEAD = 16 * 1024
 #: (user_key, sequence, value_type, value)
 Entry = Tuple[bytes, int, int, bytes]
 
+#: ``max_bytes=None``: a size no table reaches.
+_NO_LIMIT = 1 << 62
+
 _SEQ = struct.Struct("<Q")
 #: ``count || crc`` block trailer — packed/unpacked in one struct call
 #: (byte-identical to the two fixed32 writes it replaces).
@@ -68,6 +71,9 @@ _TRAILER = struct.Struct("<II")
 #: key, so dropping them cannot change results.
 _HEADER_CACHE: Dict[Tuple[int, int, int, int], Tuple[bytes, bytes, int]] = {}
 _HEADER_CACHE_LIMIT = 1 << 16
+#: ``(stride, key offset, klen, vlen) -> Struct`` of one entry of a
+#: uniform block (:func:`_decode_uniform`); bounded the same way.
+_STRIDE_STRUCTS: Dict[Tuple[int, int, int, int], struct.Struct] = {}
 
 
 def _entry_header(cache_key: Tuple[int, int, int, int]) -> Tuple[bytes, bytes, int]:
@@ -98,7 +104,8 @@ class TableInfo:
 def _entry_parts(overhead: int, user_key: bytes, seq: int, value_type: int,
                  value: bytes) -> Tuple[Tuple[bytes, ...], int]:
     """One encoded entry as its pieces in file order, and their total
-    size — the one place the entry layout is written down."""
+    size: the pieces :meth:`SSTableBuilder.add_run` appends, for code
+    that encodes an entry outside a table (perfbench's block rows)."""
     cache_key = (len(user_key), len(value), value_type, overhead)
     prefix, pad, size = _HEADER_CACHE.get(cache_key) or _entry_header(cache_key)
     return (prefix, _SEQ.pack(seq), user_key, value, pad), size
@@ -186,6 +193,9 @@ def _open_block(raw: bytes, what: str = "block") -> Tuple[bytes, int]:
 def _decode_block(fmt: TableFormat, raw: bytes) -> List[Entry]:
     """CRC-check an encoded data block and return its entries."""
     payload, count = _open_block(raw)
+    layout = _uniform_layout(fmt, payload, count)
+    if layout is not None:
+        return _decode_uniform(payload, layout)
     entries = _decode_entries(fmt, payload)
     if len(entries) != count:
         raise CorruptionError("block entry count mismatch")
@@ -213,6 +223,22 @@ def _uniform_layout(fmt: TableFormat, payload: bytes, count: int
         if payload[at::stride] != payload[at:at + 1] * count:
             return None
     return stride, key_at, klen, vlen, payload[pos]
+
+
+def _decode_uniform(payload: bytes,
+                    layout: Tuple[int, int, int, int, int]) -> List[Entry]:
+    """The entries of a block :func:`_uniform_layout` accepted: one
+    struct per layout unpacks every stride as ``(seq, key, value)``."""
+    stride, key_at, klen, vlen, value_type = layout
+    shape = (stride, key_at, klen, vlen)
+    entry = _STRIDE_STRUCTS.get(shape)
+    if entry is None:
+        if len(_STRIDE_STRUCTS) >= _HEADER_CACHE_LIMIT:
+            _STRIDE_STRUCTS.clear()
+        entry = _STRIDE_STRUCTS[shape] = struct.Struct(
+            f"<{key_at - 8}xQ{klen}s{vlen}s{stride - key_at - klen - vlen}x")
+    return [(key, seq, value_type, value)
+            for seq, key, value in entry.iter_unpack(payload)]
 
 
 class DataBlock:
@@ -293,8 +319,8 @@ def _encode_block(payload: bytes, count: int) -> bytes:
 class SSTableBuilder:
     """Collects sorted entries and writes them to ``handle`` as one table.
 
-    The whole table is buffered — ``add`` only encodes, a full data
-    block closes with one join and one CRC — and ``finish`` hands
+    The whole table is buffered — :meth:`add_run` only encodes, a full
+    data block closes with one join and one CRC — and ``finish`` hands
     blocks, index, bloom filter and footer to the file in a single
     append (into the page cache; durability is the caller's fsync).
     So the builder holds the encoded table, and twice that for the
@@ -309,7 +335,7 @@ class SSTableBuilder:
     then its block's byte charge; index, bloom and footer bytes after
     the append.  The accumulator is a float, so the order of charges is
     part of the simulation's result.  One append is equivalent to one
-    per section only while nothing else runs between the first ``add``
+    per section only while nothing else runs between the first entry
     and ``finish`` (no barrier, no other writer to the file): callers
     must not yield in between.  Entries must arrive in internal-key
     order.
@@ -335,6 +361,13 @@ class SSTableBuilder:
         self._last_key: Optional[bytes] = None
         self._keys: List[bytes] = []  # distinct user keys, for the bloom filter
         self._bloom_bits = bloom_bits_per_key
+        #: Bytes this table will occupy: every encoded entry and closed
+        #: block trailer, plus 40 per index entry (one more than the
+        #: closed blocks), ``bits // 8 + 1`` of filter per distinct key
+        #: and the footer.  Kept as a running sum by :meth:`add_run`;
+        #: it decides where tables are cut, so it is exact, not a guess
+        #: refreshed now and then.
+        self.estimated_size = 40 + FOOTER_SIZE
         self.finished = False
 
     @property
@@ -342,40 +375,73 @@ class SSTableBuilder:
         """Number of entries added so far."""
         return self._closed_entries + self._block_count
 
-    @property
-    def estimated_size(self) -> int:
-        """Bytes this table will occupy, including index/bloom estimate."""
-        overhead = (len(self._index) + 1) * 40 + len(self._keys) * (
-            self._bloom_bits // 8 + 1) + FOOTER_SIZE
-        return self._written + self._block_bytes + overhead
-
-    @property
-    def current_user_key(self) -> Optional[bytes]:
-        """The most recently added user key, or None."""
-        return self._last_key
-
     def add(self, user_key: bytes, seq: int, value_type: int, value: bytes) -> None:
         """Append one entry; user keys must arrive in sorted order."""
+        self.add_run(iter(((user_key, seq, value_type, value),)))
+
+    def add_run(self, entries: Iterator[Entry], max_bytes: Optional[int] = None,
+                cut_key: Optional[bytes] = None) -> Optional[Entry]:
+        """Append entries from ``entries`` until the cut rule fires.
+
+        A table is cut only between two user keys, and only once it
+        holds one: before a new user key when :attr:`estimated_size` has
+        reached ``max_bytes`` (None: never) or the key is ``>= cut_key``
+        (None: never).  Returns the entry the table was cut before — not
+        added, and the rest of ``entries`` untouched — or None once
+        ``entries`` is exhausted.
+        """
         if self.finished:
             raise RuntimeError("builder already finished")
-        last_key = self._last_key
-        if user_key != last_key:
-            if last_key is None:
-                self._smallest = user_key
-            elif user_key < last_key:
-                raise ValueError("keys added out of order")
-            self._last_key = user_key
-            self._keys.append(user_key)
-        parts, size = _entry_parts(self._overhead, user_key, seq, value_type, value)
-        self._parts += parts
-        self._block_count += 1
-        self._block_bytes += size
-        if self._block_bytes >= self._block_size:
-            self._close_block()
-
-    def _close_block(self) -> None:
+        limit = max_bytes if max_bytes is not None else _NO_LIMIT
+        key_cost = self._bloom_bits // 8 + 1
+        overhead = self._overhead
+        block_size = self._block_size
+        pack_seq = _SEQ.pack
+        keys_append = self._keys.append
+        parts = self._parts
         count = self._block_count
-        raw = _encode_block(b"".join(self._parts), count)
+        block_bytes = self._block_bytes
+        estimate = self.estimated_size
+        last_key = self._last_key
+        klen = vlen = shape_type = -1  # what ``prefix, pad, size`` below encode
+        cut = None
+        for user_key, seq, value_type, value in entries:
+            if user_key != last_key:
+                if last_key is None:
+                    self._smallest = user_key
+                elif user_key < last_key:
+                    raise ValueError("keys added out of order")
+                elif estimate >= limit or (cut_key is not None
+                                           and user_key >= cut_key):
+                    cut = (user_key, seq, value_type, value)
+                    break
+                last_key = user_key
+                keys_append(user_key)
+                estimate += key_cost
+            if len(value) != vlen or len(user_key) != klen or value_type != shape_type:
+                klen, vlen, shape_type = len(user_key), len(value), value_type
+                cache_key = (klen, vlen, value_type, overhead)
+                prefix, pad, size = (_HEADER_CACHE.get(cache_key)
+                                     or _entry_header(cache_key))
+            parts += (prefix, pack_seq(seq), user_key, value, pad)
+            count += 1
+            block_bytes += size
+            estimate += size
+            if block_bytes >= block_size:
+                self._last_key = last_key
+                self._close_block(parts, count)
+                parts = []
+                count = block_bytes = 0
+                estimate += 48  # the block's trailer, its index entry
+        self._parts = parts
+        self._block_count = count
+        self._block_bytes = block_bytes
+        self.estimated_size = estimate
+        self._last_key = last_key
+        return cut
+
+    def _close_block(self, parts: List[bytes], count: int) -> None:
+        raw = _encode_block(b"".join(parts), count)
         meter = self.meter
         if meter is not None:
             meter.charge_repeat(meter.model.codec_per_record, count)
@@ -384,16 +450,14 @@ class SSTableBuilder:
         self._blocks.append(raw)
         self._written += len(raw)
         self._closed_entries += count
-        self._parts = []
-        self._block_count = 0
-        self._block_bytes = 0
 
     def finish(self) -> TableInfo:
         """Write blocks, index, bloom and footer in one append; return metadata."""
         if self.finished:
             raise RuntimeError("builder already finished")
         if self._block_count:
-            self._close_block()
+            self._close_block(self._parts, self._block_count)
+            self._block_count = 0
         if not self._closed_entries:
             raise ValueError("cannot finish an empty table")
         self.finished = True
@@ -461,12 +525,18 @@ def _parse_footer(raw_footer: bytes, length: int
 
 
 def _check_bloom(raw_bloom: bytes, bloom_len: int) -> bytes:
-    """CRC-check an encoded bloom section; returns the filter blob."""
+    """CRC-check an encoded bloom section; returns the filter blob.
+
+    A CRC-valid blob must still be one the builder could write — a
+    probe count in 1..30 and a bitmap of at least 8 bytes — or a filter
+    decoded from it would answer "absent" for keys the table holds."""
     if len(raw_bloom) != bloom_len:
         raise CorruptionError("truncated bloom filter")
     blob = raw_bloom[:-4]
     if crc32(blob) != decode_fixed32(raw_bloom, bloom_len - 4):
         raise CorruptionError("bloom checksum mismatch")
+    if len(blob) < 2 + 8 or not 1 <= blob[0] <= 30:
+        raise CorruptionError("bloom filter shape out of range")
     return blob
 
 

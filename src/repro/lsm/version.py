@@ -13,12 +13,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["FileMetaData", "Version"]
 
 _NUMBER = attrgetter("number")
+_LENGTH = attrgetter("length")
 
 
 @dataclass(eq=False)
@@ -123,6 +124,9 @@ class Version:
     for ``lo``, ``smallest`` for ``hi`` — holding every overlapping
     table; filtering it by ``largest >= lo`` is exact on overlapping
     levels too, so there is one code path and a query is O(log n + k).
+    ``overlap_bytes`` on a disjoint level is O(log n): the slice is
+    exact there, and its bytes are two entries of the level's running
+    length totals, built on the first ask after the level last changed.
     """
 
     def __init__(self, num_levels: int):
@@ -135,6 +139,13 @@ class Version:
         self._by_number: List[Dict[int, FileMetaData]] = [{} for _ in self.files]
         #: Per-level distinct-container count, None until next asked.
         self._containers: List[Optional[int]] = [None] * num_levels
+        #: Per level >= 1, None until next asked: ``[0, l0, l0 + l1, ...]``
+        #: over the tables' (immutable) lengths on a disjoint level, an
+        #: empty tuple on an overlapping one (PebblesDB).
+        self._length_sums: List[Optional[Sequence[int]]] = [None] * num_levels
+        #: ``container -> number of tables it holds``, over every level:
+        #: a container with no entry holds nothing this version reads.
+        self._container_refs: Dict[str, int] = {}
         #: Per-level byte totals, maintained incrementally — compaction
         #: scoring reads these on every write, so summing the level's
         #: file list each time is quadratic in practice.
@@ -163,6 +174,8 @@ class Version:
         version._by_number = [dict(index) for index in self._by_number]
         version._reach = [list(reach) for reach in self._reach]
         version._containers = list(self._containers)
+        version._length_sums = list(self._length_sums)
+        version._container_refs = dict(self._container_refs)
         version._level_bytes = list(self._level_bytes)
         version.quarantined = set(self.quarantined)
         version.remote_containers = dict(self.remote_containers)
@@ -189,6 +202,14 @@ class Version:
         if self._containers[level] is None:
             self._containers[level] = len({f.container for f in self.files[level]})
         return self._containers[level]
+
+    def tables_in(self, container: str) -> int:
+        """Number of tables of this version stored in ``container``."""
+        return self._container_refs.get(container, 0)
+
+    def live_containers(self) -> Set[str]:
+        """Every container holding at least one table of this version."""
+        return set(self._container_refs)
 
     def level_bytes(self, level: int) -> int:
         """Total table bytes at ``level``."""
@@ -232,8 +253,11 @@ class Version:
         """Insert ``meta`` at ``level``, keeping the level sorted."""
         files = self.files[level]
         self._containers[level] = None
+        self._length_sums[level] = None
         self._level_bytes[level] += meta.length
         self._by_number[level][meta.number] = meta
+        refs = self._container_refs
+        refs[meta.container] = refs.get(meta.container, 0) + 1
         if level == 0:
             files.append(meta)
             files.sort(key=_NUMBER)
@@ -252,7 +276,12 @@ class Version:
             return False
         files = self.files[level]
         self._containers[level] = None
+        self._length_sums[level] = None
         self._level_bytes[level] -= meta.length
+        refs = self._container_refs
+        left = refs.pop(meta.container) - 1
+        if left:
+            refs[meta.container] = left
         if level == 0:
             files.remove(meta)
         else:
@@ -343,7 +372,24 @@ class Version:
         last level."""
         if level >= len(self.files):
             return 0
+        if level:
+            sums = self._length_sums[level]
+            if sums is None:
+                sums = self._length_sums[level] = self._sum_lengths(level)
+            if sums:
+                reach = self._reach[level]
+                lo = 0 if smallest is None else bisect.bisect_left(reach, smallest)
+                hi = (len(reach) if largest is None
+                      else bisect.bisect_right(self._smallest[level], largest, lo))
+                return sums[hi] - sums[lo]
         return sum(f.length for f in self.overlapping_files(level, smallest, largest))
+
+    def _sum_lengths(self, level: int) -> Sequence[int]:
+        """Running length totals of a disjoint level (each table starts
+        past the reach of those before it); ``()`` if tables overlap."""
+        if not all(map(lt, self._reach[level], self._smallest[level][1:])):
+            return ()
+        return list(accumulate(map(_LENGTH, self.files[level]), initial=0))
 
     def check_invariants(self) -> None:
         """Assert levels >= 1 are sorted and disjoint (test helper)."""

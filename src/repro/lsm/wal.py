@@ -46,14 +46,20 @@ class WriteBatch:
 
     def __init__(self) -> None:
         self.ops: List[Tuple[int, bytes, bytes]] = []
+        #: Payload bytes of :attr:`ops` (key + value + 8 per op), kept
+        #: by every mutator: group commit sizes each queued batch on
+        #: every probe of the queue.
+        self.byte_size = 0
 
     def put(self, key: bytes, value: bytes) -> None:
         """Buffer an insert of ``key -> value`` in this batch."""
         self.ops.append((VALUE_TYPE_VALUE, key, value))
+        self.byte_size += len(key) + len(value) + 8
 
     def delete(self, key: bytes) -> None:
         """Buffer a deletion tombstone for ``key``."""
         self.ops.append((VALUE_TYPE_DELETION, key, b""))
+        self.byte_size += len(key) + 8
 
     def extend(self, other: "WriteBatch") -> None:
         """Append ``other``'s operations (group commit's record merge).
@@ -64,14 +70,10 @@ class WriteBatch:
         group commits atomically under this record's single CRC.
         """
         self.ops.extend(other.ops)
+        self.byte_size += other.byte_size
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @property
-    def byte_size(self) -> int:
-        """Encoded size of the batch payload in bytes."""
-        return sum(len(k) + len(v) + 8 for _t, k, v in self.ops)
 
     def encode(self, first_sequence: int) -> bytes:
         """Serialize with sequence numbers starting at ``first_sequence``."""
@@ -99,6 +101,7 @@ class WriteBatch:
             else:
                 value = b""
             batch.ops.append((value_type, key, value))
+            batch.byte_size += len(key) + len(value) + 8
         return first_sequence, batch
 
 

@@ -308,7 +308,7 @@ class SimFS:
         del self._files[name]
         self.stats.num_unlinks += 1
         if self.page_cache is not None:
-            self.page_cache.invalidate_file(file.file_id)
+            self.page_cache.invalidate_file(file.file_id, file.size)
 
     def rename(self, old: str, new: str) -> Generator[Event, Any, None]:
         """Atomically rename ``old`` to ``new`` (replacing ``new``)."""
@@ -317,7 +317,8 @@ class SimFS:
         file = self._lookup(old)
         del self._files[old]
         if new in self._files and self.page_cache is not None:
-            self.page_cache.invalidate_file(self._files[new].file_id)
+            replaced = self._files[new]
+            self.page_cache.invalidate_file(replaced.file_id, replaced.size)
         file.name = new
         self._files[new] = file
         self.stats.num_renames += 1

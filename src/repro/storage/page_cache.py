@@ -65,11 +65,15 @@ class PageCache:
         for page in range(first_page, last_page + 1):
             self.insert(file_id, page)
 
-    def invalidate_file(self, file_id: int) -> None:
-        """Drop every resident page of a file (unlink)."""
-        stale = [key for key in self._pages if key[0] == file_id]
-        for key in stale:
-            del self._pages[key]
+    def invalidate_file(self, file_id: int, size: int) -> None:
+        """Drop every resident page of a file ``size`` bytes long (unlink,
+        rename over it).  A page is resident only once a read or write
+        inside the file made it so, and a SimFS file never shrinks —
+        there is no truncate, and a crash empties the whole cache — so
+        the pages under its current size are all it can have here."""
+        pop = self._pages.pop
+        for page in range((size + PAGE_SIZE - 1) // PAGE_SIZE):
+            pop((file_id, page), None)
 
     def invalidate_range(self, file_id: int, first_page: int, last_page: int) -> None:
         """Drop resident pages in a range (hole punching)."""

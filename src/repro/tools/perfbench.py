@@ -5,7 +5,8 @@ device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
 encode/decode, skiplist insert/seek, histogram recording, the Version
-index, the merge + table-build data path of flush and compaction, the
+index, the pick / edit / retire bookkeeping of logical SSTables, the
+merge + table-build data path of flush and compaction, the
 extent read of compaction inputs, a point read's block decode + lookup,
 the synced WAL commit path, and an end-to-end YCSB-A suite slice — so a
 regression shows up as a number, not as a mysteriously slower CI run.
@@ -218,10 +219,78 @@ def bench_version() -> Tuple[float, str]:
 
 
 @_benchmark
+def bench_lsst_meta() -> Tuple[float, str]:
+    """LSST bookkeeping at a BoLT fill's shape: 700 level-1 LSSTs in 35
+    compaction files under 200 level-0 candidates in 10.  Each of 40
+    rounds orders the candidates as settled compaction does (next-level
+    overlap bytes, then number), applies a 225-delete / 225-add edit
+    through the MANIFEST encoder and ``VersionSet._apply``, and counts
+    the live tables left in each deleted table's container, as cleanup
+    does before it punches or unlinks."""
+    import random
+    from itertools import count
+
+    from ..core import bolt_options
+    from ..lsm.manifest import VersionEdit, VersionSet
+    from ..lsm.version import FileMetaData
+    from ..sim import Environment
+
+    rng = random.Random(31)
+    numbers = count(1)
+    containers = count(1)
+
+    def tables(n: int, los: List[int], width: int) -> List[FileMetaData]:
+        """Fresh LSSTs over ``[lo, lo + width]``, ``n`` to a container."""
+        out: List[FileMetaData] = []
+        for i, lo in enumerate(los):
+            if i % n == 0:
+                container = "db/%06d.cf" % next(containers)
+            out.append(FileMetaData(next(numbers), container, 4100 * (i % n),
+                                    4000 + lo % 97, b"user%012d" % lo,
+                                    b"user%012d" % (lo + width)))
+        return out
+
+    versions = VersionSet(Environment(), None, bolt_options(256), "db")
+    edit = VersionEdit()
+    for meta in tables(20, [i * 100 for i in range(700)], 60):
+        edit.add_file(1, meta)
+    for meta in tables(20, [rng.randrange(70_000) for _ in range(200)], 40):
+        edit.add_file(0, meta)
+    versions._apply(edit)
+    answers: List[Any] = []
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    for _ in range(40):
+        version = versions.current
+        overlap_bytes = version.overlap_bytes
+        ordered = sorted(version.files[0], key=lambda f: (overlap_bytes(
+            1, f.smallest, f.largest), f.number))
+        at = rng.randrange(500)
+        dead = [(0, meta) for meta in ordered[:25]] + [
+            (1, meta) for meta in version.files[1][at:at + 200]]
+        edit = VersionEdit()
+        for level, meta in dead:
+            edit.delete_file(level, meta.number)
+        for meta in tables(20, [int(m.smallest[4:]) for _l, m in dead[25:]], 60):
+            edit.add_file(1, meta)
+        for meta in tables(25, [rng.randrange(70_000) for _ in range(25)], 40):
+            edit.add_file(0, meta)
+        record = edit.encode()
+        versions._apply(edit)
+        live = versions.current.tables_in
+        answers.append([[meta.number for meta in ordered[:25]], len(record),
+                        hashlib.sha256(record).hexdigest(),
+                        [live(meta.container) for _level, meta in dead]])
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    answers.append([[f.number for f in level] for level in versions.current.files])
+    return elapsed, _fingerprint(answers)
+
+
+@_benchmark
 def bench_build() -> Tuple[float, str]:
     """Flush/compaction data path at a BoLT fill's shape: an 8-run merge +
     collapse, its output cut into ~600 logical SSTables of 11 records
-    (23 B keys, 256 B values) inside one SimFS file."""
+    (23 B keys, 256 B values), each handed to the builder as one run,
+    inside one SimFS file."""
     import random
 
     from ..core import bolt_options
@@ -252,8 +321,7 @@ def bench_build() -> Tuple[float, str]:
     merged = list(collapse_versions(merge_streams(runs), drop_tombstones=True))
     for first in range(0, len(merged), 11):
         builder = SSTableBuilder(handle, fmt, 10, meter)
-        for entry in merged[first:first + 11]:
-            builder.add(*entry)
+        builder.add_run(iter(merged[first:first + 11]))
         infos.append(builder.finish())
     elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
 

@@ -25,8 +25,7 @@ class TestBloomFilter:
     @given(st.sets(st.binary(min_size=1, max_size=24), min_size=1, max_size=500),
            st.sampled_from([4, 10, 16]))
     def test_add_all_equals_repeated_add(self, keys, bits_per_key):
-        # 1-500 keys straddles the filter size up to which add_all
-        # accumulates the probe bits in one int.
+        # 1-500 keys: filters from the 64-bit minimum to 5 000 bits.
         keys = sorted(keys)
         batched = BloomFilter(len(keys), bits_per_key)
         batched.add(keys[0])  # add_all ORs into what is already set

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench import SYSTEMS
 from repro.lsm import CorruptionError, LSMEngine, Options, WriteBatch
-from repro.lsm.codec import crc32, encode_fixed32
+from repro.lsm.codec import (VALUE_TYPE_DELETION, VALUE_TYPE_VALUE, crc32,
+                              encode_fixed32)
 from repro.lsm.engine import Compaction
-from repro.lsm.sstable import _FOOTER
+from repro.lsm.sstable import _FOOTER, FOOTER_SIZE, SSTableBuilder
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
@@ -582,3 +583,126 @@ class TestCompactionInputIsOneExtent:
         assert readable
         db.put_sync(b"after", b"still-writable")
         assert db.get_sync(b"after") == b"still-writable"
+
+
+def _estimated_size(builder):
+    """The builder's size estimate recomputed from its parts, as the
+    ``estimated_size`` property did before it became a running sum."""
+    overhead = (len(builder._index) + 1) * 40 + len(builder._keys) * (
+        builder._bloom_bits // 8 + 1) + FOOTER_SIZE
+    return builder._written + builder._block_bytes + overhead
+
+
+def _per_entry_build(db, entries, sink, meter, max_table_bytes=-1, cut_keys=None):
+    """The oracle: ``_build_tables`` as a per-entry loop that asks the
+    builder for its last key and its size before every entry."""
+    opts = db.options
+    if max_table_bytes == -1:
+        max_table_bytes = opts.sstable_size
+    num_cuts = len(cut_keys) if cut_keys is not None else 0
+    metas, builder, number, container, cut_index = [], None, 0, "", 0
+    for user_key, seq, value_type, value in entries:
+        if builder is not None and user_key != builder._last_key:
+            cut = False
+            if num_cuts:
+                while (cut_index < num_cuts
+                       and cut_keys[cut_index] <= builder._last_key):
+                    cut_index += 1
+                cut = cut_index < num_cuts and user_key >= cut_keys[cut_index]
+            if cut or (max_table_bytes is not None
+                       and _estimated_size(builder) >= max_table_bytes):
+                metas.append(db._finish_builder(builder, number, container))
+                builder = None
+        if builder is None:
+            number = db.versions.new_file_number()
+            handle, container = yield from sink.next_handle(number)
+            builder = SSTableBuilder(handle, opts.table_format,
+                                     opts.bloom_bits_per_key, meter)
+        builder.add(user_key, seq, value_type, value)
+        assert builder.estimated_size == _estimated_size(builder)
+    if builder is not None:
+        metas.append(db._finish_builder(builder, number, container))
+    yield from sink.seal()
+    for meta in metas:
+        db.stats.compaction_bytes_written += meta.length
+    yield from meter.drain()
+    return metas
+
+
+def _build_outcome(build, entries, max_table_bytes, cut_keys):
+    """Tables, container bytes, meter and clock after one build on a
+    fresh BoLT stack (LSSTs in one compaction file)."""
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
+    db = SYSTEMS["bolt"].engine_cls.open_sync(env, fs, SYSTEMS["bolt"].options(256), "db")
+    meter = db._bg_meter()
+    metas = env.run_until(env.process(build(
+        db, iter(entries), db._make_sink(), meter, max_table_bytes, cut_keys)))
+
+    def containers():
+        blobs = {}
+        for name in sorted({meta.container for meta in metas}):
+            handle = yield from fs.open(name)
+            blobs[name] = yield from handle.read(0, handle.size)
+        return blobs
+
+    return ([vars(meta) for meta in metas], env.run_until(env.process(containers())),
+            meter.total_charged, env.now, db.stats.compaction_bytes_written)
+
+
+@st.composite
+def _multi_version_runs(draw):
+    """Sorted multi-version entries with tombstones — one key carries
+    enough versions to span a block cut — and sorted cut keys before,
+    equal to, just past and after the entries' keys."""
+    keys = sorted(draw(st.sets(st.integers(0, 400), max_size=40)))
+    spanning = draw(st.sampled_from(keys)) if keys else None
+    seq = 10_000
+    entries = []
+    for key in keys:
+        versions = 24 if key == spanning else draw(st.integers(1, 3))
+        for _ in range(versions):
+            seq -= draw(st.integers(1, 5))
+            tombstone = draw(st.integers(0, 4)) == 0
+            size = 300 if key == spanning else draw(st.integers(0, 300))
+            entries.append((b"k%05d" % key, seq,
+                            VALUE_TYPE_DELETION if tombstone else VALUE_TYPE_VALUE,
+                            b"" if tombstone else bytes([key % 251]) * size))
+    cut_keys = set()
+    for kind in draw(st.lists(st.sampled_from(("before", "equal", "between",
+                                               "after")), max_size=8)):
+        if kind in ("before", "after") or not keys:
+            cut_keys.add(b"a" if kind == "before" else b"z")
+        else:
+            key = b"k%05d" % draw(st.sampled_from(keys))
+            cut_keys.add(key if kind == "equal" else key + b"\x00")
+    return entries, sorted(cut_keys)
+
+
+class TestBuildTablesCutRule:
+    """Where ``_build_tables`` cuts: at user-key boundaries only, at the
+    first cut key past a table's first key, and once the size estimate
+    reaches ``max_table_bytes``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=_multi_version_runs(),
+           max_table_bytes=st.sampled_from([None, 1, -1, "first-key"]))
+    def test_cuts_equal_the_per_entry_loop(self, run, max_table_bytes):
+        entries, cut_keys = run
+        if max_table_bytes == "first-key":
+            # The estimate with the first user key in: a bound met exactly.
+            env = Environment()
+            fs = SimFS(env, BlockDevice(env), PageCache(1 << 20))
+            builder = SSTableBuilder(env.run_until(env.process(fs.create("t"))),
+                                     SYSTEMS["bolt"].options(256).table_format)
+            for entry in entries:
+                if entry[0] != entries[0][0]:
+                    break
+                builder.add(*entry)
+            max_table_bytes = _estimated_size(builder)
+
+        def library(db, *args):
+            return db._build_tables(*args)
+
+        assert _build_outcome(library, entries, max_table_bytes, cut_keys) == \
+            _build_outcome(_per_entry_build, entries, max_table_bytes, cut_keys)

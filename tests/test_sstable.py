@@ -942,6 +942,17 @@ class _Matrix:
             for value in values:
                 yield (f"hostile-footer.{field}={value}",
                        *self.with_table(self.assemble(footer={field: value})))
+        # CRC-valid filters the builder never writes: read as written,
+        # each would answer "absent" for keys the table holds (or never).
+        bitmap = self.bloom_raw[2:-4]
+        hostile_blooms = {
+            "empty-bitmap": bytes([6, 10]),
+            "probes=0": bytes([0, 10]) + bitmap,
+            "probes=31": bytes([31, 10]) + bitmap,
+        }
+        for label, blob in hostile_blooms.items():
+            yield (f"hostile-bloom.{label}", *self.with_table(self.assemble(
+                bloom_raw=blob + encode_fixed32(crc32(blob)))))
         honest = _honest_index(self.last_keys, self.blocks)
         (k0, o0, n0), (k_last, o_last, n_last) = honest[0], honest[-1]
         hostile_indexes = {

@@ -127,9 +127,52 @@ class TestPageCache:
         cache = PageCache(10 * PAGE_SIZE)
         cache.insert(1, 0)
         cache.insert(2, 0)
-        cache.invalidate_file(1)
+        cache.invalidate_file(1, PAGE_SIZE)
         assert not cache.contains(1, 0)
         assert cache.contains(2, 0)
+
+        # Through SimFS: unlink and rename-over drop exactly what a scan
+        # of every resident page would, and leave the LRU order alone.
+        def scenario(fs, rng):
+            handles = {}
+            for step in range(300):
+                names = sorted(handles)
+                op = rng.choice(("create", "append", "append", "read", "read",
+                                 "punch", "unlink", "rename") if names else ("create",))
+                if op == "create":
+                    name = f"f{step}"
+                    handles[name] = yield from fs.create(name)
+                elif op == "append":
+                    handles[rng.choice(names)].append(
+                        bytes(rng.randrange(1, 3 * PAGE_SIZE)))
+                elif op == "read":
+                    handle = handles[rng.choice(names)]
+                    offset = rng.randrange(handle.size + 1)
+                    yield from handle.read(offset, rng.randrange(1, 2 * PAGE_SIZE))
+                elif op == "punch":
+                    handle = handles[rng.choice(names)]
+                    handle.punch_hole(rng.randrange(handle.size + 1), PAGE_SIZE)
+                else:
+                    victim = rng.choice(names)
+                    if op == "rename":
+                        source = rng.choice(names)
+                        if source == victim:
+                            continue
+                    dropped = handles[victim].file_id
+                    expected = [key for key in fs.page_cache.resident_pages()
+                                if key[0] != dropped]
+                    if op == "rename":
+                        yield from fs.rename(source, victim)
+                        handles[victim] = handles.pop(source)
+                    else:
+                        yield from fs.unlink(victim)
+                        del handles[victim]
+                    assert list(fs.page_cache.resident_pages()) == expected
+
+        for seed in range(6):
+            env = Environment()
+            fs = SimFS(env, BlockDevice(env), PageCache(24 * PAGE_SIZE))
+            env.run_until(env.process(scenario(fs, random.Random(seed))))
 
     def test_invalidate_range(self):
         cache = PageCache(10 * PAGE_SIZE)

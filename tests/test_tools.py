@@ -325,8 +325,8 @@ class TestPerfBench:
         from repro.tools.perfbench import BENCHMARKS
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
                                    "histogram", "objstore_cache", "version",
-                                   "build", "compact_read", "point_read",
-                                   "commit", "ycsb_a"}
+                                   "lsst_meta", "build", "compact_read",
+                                   "point_read", "commit", "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""

@@ -1,5 +1,6 @@
 """Unit tests for Version bookkeeping and MANIFEST machinery."""
 
+import collections
 import itertools
 import math
 from types import SimpleNamespace
@@ -199,6 +200,10 @@ def assert_matches(version, brute, queries):
                 assert version.overlap_bytes(level, lo, hi) == \
                     sum(f.length for f in expected)
     assert version.overlap_bytes(len(brute.files), None, None) == 0
+    held = collections.Counter(f.container for files in brute.files for f in files)
+    assert version.live_containers() == set(held)
+    for container in ("c0", "c1", "c2", "gone"):
+        assert version.tables_in(container) == held[container]
     for items, others in ((1, 2), (2, 1), (2, 0)):
         assert split_by_overlap(brute.files[items], brute.files[others]) == \
             brute_split(brute.files[items], brute.files[others])

@@ -32,13 +32,22 @@ class TestWriteBatch:
                               st.binary(min_size=1, max_size=32),
                               st.binary(max_size=64)), max_size=50))
     def test_roundtrip_property(self, ops):
+        def resum(batch):
+            return sum(len(k) + len(v) + 8 for _t, k, v in batch.ops)
+
         batch = WriteBatch()
         for is_put, key, value in ops:
             if is_put:
                 batch.put(key, value)
             else:
                 batch.delete(key)
+            assert batch.byte_size == resum(batch)
         _seq, decoded = WriteBatch.decode(batch.encode(1))
+        assert decoded.byte_size == resum(decoded) == batch.byte_size
+        merged = WriteBatch()
+        for part in (batch, decoded, WriteBatch()):
+            merged.extend(part)
+            assert merged.byte_size == resum(merged)
         assert len(decoded.ops) == len(ops)
         for (is_put, key, value), (vt, dk, dv) in zip(ops, decoded.ops):
             assert dk == key
