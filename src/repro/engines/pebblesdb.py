@@ -61,13 +61,6 @@ class PebblesDBEngine(LSMEngine):
                 self._guard_index(level, meta.smallest), []).append(meta)
         return buckets
 
-    # -- read path -----------------------------------------------------------
-
-    def _scan_level_sets(self, version: Version, level: int,
-                         start_key: bytes) -> List[List[FileMetaData]]:
-        """Every table is its own stream: level files may interleave."""
-        return [[f] for f in version.files[level] if f.largest >= start_key]
-
     # -- compaction picking ----------------------------------------------------
 
     def _expand_same_level(self, version: Version, level: int,

@@ -152,7 +152,15 @@ class CrashChecker:
             violations.extend(self._check_reads(db, state, label))
             violations.extend(self._check_group_atomicity(db, image, state,
                                                           label))
-        violations.extend(self._check_manifest_refs(env, fs, db, label))
+        # Clause 3's walk drives the simulation, so compaction and
+        # demotion run under it: count it as an in-flight read, which
+        # defers their unlinks and hole punches until it ends.
+        db._inflight_reads += 1
+        try:
+            violations.extend(self._check_manifest_refs(env, fs, db, label))
+        finally:
+            db._inflight_reads -= 1
+            db._maybe_run_deferred_cleanup()
         violations.extend(self._check_tier_refs(fs, db, label))
         violations.extend(self._check_fixed_point(env, fs, db, state, label))
         return violations

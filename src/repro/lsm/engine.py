@@ -16,6 +16,7 @@ formats and cleanup, all through narrow hook methods.
 from __future__ import annotations
 
 import bisect
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -25,8 +26,8 @@ from ..health import ErrorManager, ReadOnlyError, Scrubber
 from ..sim import Condition, CpuMeter, Environment, Event, Interrupt, Resource
 from ..storage import DeviceError, DiskFullError, FileHandle, SimFS
 from .cache import BlockCache, TableCache
-from .codec import CorruptionError
-from .iterators import collapse_versions, merge_scan, merge_streams
+from .codec import MAX_SEQUENCE, VALUE_TYPE_DELETION, CorruptionError
+from .iterators import collapse_versions, merge_streams
 from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
@@ -899,17 +900,6 @@ class LSMEngine:
             self._inflight_reads -= 1
             self._maybe_run_deferred_cleanup()
 
-    def _scan_level_sets(self, version: Version, level: int,
-                         start_key: bytes) -> List[List[FileMetaData]]:
-        """Hook: group a level's tables into internally-sorted streams
-        for a range scan.  Level 0 tables overlap, so each is its own
-        stream; deeper levels are disjoint and form one sorted stream."""
-        files = [f for f in version.files[level] if f.largest >= start_key]
-        if level == 0:
-            return [[f] for f in files]
-        files.sort(key=lambda f: f.smallest)
-        return [files] if files else []
-
     def _maybe_seek_compact(self, first_probed, probes, found_at) -> None:
         """LevelDB's seek-compaction accounting: a get that had to probe
         more than one table charges the first table's seek budget."""
@@ -926,7 +916,19 @@ class LSMEngine:
     def scan(self, start_key: bytes, count: int,
              snapshot: Optional[Snapshot] = None
              ) -> Generator[Event, Any, List[Tuple[bytes, bytes]]]:
-        """Range scan of the first ``count`` live keys >= ``start_key``."""
+        """Range scan of the first ``count`` live keys >= ``start_key``.
+
+        One lazy heap merge (LevelDB's MergingIterator) over the memtable
+        tails and every table of the pinned version that reaches
+        ``start_key``.  A table enters the heap unopened, keyed ahead of
+        every version of ``max(smallest, start_key)``; it is opened when
+        the merge first reaches it and then read one data block at a
+        time, so a short scan reads only the blocks its rows come from.
+        Heap items are ``(user_key, MAX_SEQUENCE - seq, rank, entries,
+        pos, table)``: ``rank`` (memtables first, then level and table
+        number) breaks ties deterministically, and ``entries`` is None
+        while ``table`` waits for its next block.
+        """
         meter = self._meter()
         self.stats.scans += 1
         if snapshot is not None and snapshot.released:
@@ -936,46 +938,88 @@ class LSMEngine:
         try:
             snapshot = (snapshot.sequence if snapshot is not None
                         else self.versions.last_sequence)
-            streams: List[List[Entry]] = [
-                list(self._memtable.entries_from(start_key))]
+            tails = [list(self._memtable.entries_from(start_key))]
             if self._imm is not None:
-                streams.append(list(self._imm.entries_from(start_key)))
+                tails.append(list(self._imm.entries_from(start_key)))
             version = self.versions.current
         finally:
             if self.read_lock:
                 self._mutex.release()
 
+        heap: List[tuple] = [
+            (tail[0][0], MAX_SEQUENCE - tail[0][1], (-1, i), tail, 0, None)
+            for i, tail in enumerate(tails) if tail]
+        for level in range(version.num_levels):
+            for meta in version.files[level]:
+                if meta.largest >= start_key:
+                    heap.append((max(meta.smallest, start_key), -1,
+                                 (level, meta.number), None, 0,
+                                 [meta, None, 0]))
+        heapq.heapify(heap)
+        results: List[Tuple[bytes, bytes]] = []
+        last_key: Optional[bytes] = None
         self._inflight_reads += 1
         try:
-            for level in range(version.num_levels):
-                for file_set in self._scan_level_sets(version, level, start_key):
-                    collected: List[Entry] = []
-                    for meta in file_set:
-                        if meta.number in self._quarantined:
-                            raise CorruptionError(
-                                f"table {meta.number:06d} ({meta.container}) "
-                                f"is quarantined")
-                        try:
-                            reader = yield from self.table_cache.find_table(
-                                meta.number, meta.container, meta.offset,
-                                meta.length, meter)
-                            part = yield from reader.iter_entries_from(
-                                start_key, meter, max_entries=count)
-                        except CorruptionError as exc:
-                            self._quarantine(meta, f"scan: {exc}")
-                            self.health.report("read", exc)
-                            raise
-                        collected.extend(part)
-                        if len(collected) >= count:
-                            break
-                    if collected:
-                        streams.append(collected)
-            results = merge_scan(streams, start_key, count, snapshot)
+            while heap and len(results) < count:
+                user_key, inv_seq, rank, entries, pos, table = heap[0]
+                if entries is None:
+                    block = yield from self._scan_block(table, start_key, meter)
+                    if block:
+                        heapq.heapreplace(heap, (
+                            block[0][0], MAX_SEQUENCE - block[0][1], rank,
+                            block, 0, table))
+                    else:
+                        heapq.heappop(heap)
+                    continue
+                entry = entries[pos]
+                if pos + 1 < len(entries):
+                    following = entries[pos + 1]
+                    heapq.heapreplace(heap, (
+                        following[0], MAX_SEQUENCE - following[1], rank,
+                        entries, pos + 1, table))
+                elif table is not None:
+                    # Block used up: the next one is fetched only if the
+                    # merge gets this far again.
+                    heapq.heapreplace(heap, (user_key, inv_seq, rank,
+                                             None, 0, table))
+                else:
+                    heapq.heappop(heap)
+                if (user_key < start_key or entry[1] > snapshot
+                        or user_key == last_key):
+                    continue
+                last_key = user_key
+                if entry[2] != VALUE_TYPE_DELETION:
+                    results.append((user_key, entry[3]))
             yield from meter.drain()
             return results
         finally:
             self._inflight_reads -= 1
             self._maybe_run_deferred_cleanup()
+
+    def _scan_block(self, table: list, start_key: bytes, meter: CpuMeter
+                    ) -> Generator[Event, Any, List[Entry]]:
+        """The next data block of a scan's ``table`` cursor
+        (``[meta, reader, block index]``), opening the table on first
+        use; ``[]`` once the table is exhausted."""
+        meta, reader, index = table
+        if reader is None and meta.number in self._quarantined:
+            raise CorruptionError(f"table {meta.number:06d} ({meta.container}) "
+                                  f"is quarantined")
+        try:
+            if reader is None:
+                reader = yield from self.table_cache.find_table(
+                    meta.number, meta.container, meta.offset, meta.length,
+                    meter)
+                index = bisect.bisect_left(reader.index_keys, start_key)
+            if index >= len(reader.index):
+                return []
+            block = yield from reader.read_block(index, meter)
+        except CorruptionError as exc:
+            self._quarantine(meta, f"scan: {exc}")
+            self.health.report("read", exc)
+            raise
+        table[1:] = reader, index + 1
+        return block
 
     # ------------------------------------------------------------------
     # background work

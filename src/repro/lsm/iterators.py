@@ -1,24 +1,22 @@
-"""Merging helpers for compaction and range scans.
+"""Merging helpers for compaction.
 
 Entry streams are lists of ``(user_key, seq, value_type, value)`` in
 internal-key order.  :func:`merge_streams` merges them eagerly for
 compaction, with a newest-first tie-break on user keys, and
 :func:`collapse_versions` keeps only the newest visible version of
 each user key, optionally dropping tombstones (safe only at the bottom
-of the tree).  :func:`merge_scan` merges lazily instead: a range scan
-stops after ``count`` results, and its memtable stream can be far
-longer than that.
+of the tree).  A range scan merges lazily instead, in
+:meth:`repro.lsm.engine.LSMEngine.scan`.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .codec import MAX_SEQUENCE, VALUE_TYPE_DELETION
 
-__all__ = ["merge_streams", "collapse_versions", "merge_scan"]
+__all__ = ["merge_streams", "collapse_versions"]
 
 Entry = Tuple[bytes, int, int, bytes]
 
@@ -91,33 +89,3 @@ def collapse_versions(entries: Iterable[Entry], drop_tombstones: bool,
                 and seq <= oldest_snapshot):
             continue
         yield entry
-
-
-def merge_scan(streams: Iterable[Iterable[Entry]], start_key: bytes,
-               count: int, snapshot_seq: int) -> List[Tuple[bytes, bytes]]:
-    """Range scan: first ``count`` live user keys at/after ``start_key``.
-
-    Entries newer than ``snapshot_seq`` are invisible; tombstones hide
-    older versions of their key.  The merge is a lazy heap merge, not
-    :func:`merge_streams`: the loop stops after ``count`` results, so
-    the cost follows the entries consumed, not the length of the
-    longest stream (the whole memtable tail past ``start_key``).
-    """
-    results: List[Tuple[bytes, bytes]] = []
-    if count <= 0:
-        return results
-    last_key: bytes = None  # type: ignore[assignment]
-    first = True
-    for user_key, seq, value_type, value in heapq.merge(*streams, key=_internal_order):
-        if user_key < start_key or seq > snapshot_seq:
-            continue
-        if not first and user_key == last_key:
-            continue
-        first = False
-        last_key = user_key
-        if value_type == VALUE_TYPE_DELETION:
-            continue
-        results.append((user_key, value))
-        if len(results) >= count:
-            break
-    return results

@@ -646,32 +646,20 @@ class SSTableReader:
             idx += 1
         return (NOT_FOUND, None)
 
-    def iter_entries_from(self, user_key: bytes,
-                          meter: Optional[CpuMeter] = None,
-                          max_entries: Optional[int] = None
-                          ) -> Generator[Event, Any, List[Entry]]:
-        """Entries with key >= ``user_key`` (range-scan seek path).
+    def read_block(self, index: int, meter: Optional[CpuMeter] = None
+                   ) -> Generator[Event, Any, List[Entry]]:
+        """Decode data block ``index`` of this table (the range-scan step).
 
-        ``max_entries`` bounds how far past the seek point the scan
-        reads: blocks stop being fetched once at least that many
-        qualifying entries are in hand, so a short scan of a 64 MB
-        table reads a few blocks, not the table's whole tail.
+        One sequential read, fully decoded and charged per record; the
+        block cache is neither consulted nor filled.
         """
-        start = bisect.bisect_left(self.index_keys, user_key)
-        entries: List[Entry] = []
-        qualifying = 0
-        for _key, off, length in self.index[start:]:
-            raw = yield from self.handle.read(
-                self.base_offset + off, length, meter, sequential=True)
-            block = _decode_block(self.fmt, raw)
-            if meter is not None:
-                meter.charge(meter.model.codec_per_record * len(block))
-            entries += block
-            if max_entries is not None:
-                qualifying += sum(1 for e in block if e[0] >= user_key)
-                if qualifying >= max_entries:
-                    break
-        return [e for e in entries if e[0] >= user_key]
+        _key, off, length = self.index[index]
+        raw = yield from self.handle.read(
+            self.base_offset + off, length, meter, sequential=True)
+        block = _decode_block(self.fmt, raw)
+        if meter is not None:
+            meter.charge(meter.model.codec_per_record * len(block))
+        return block
 
 
 def read_table_extent(handle: FileHandle, fmt: TableFormat, base_offset: int,

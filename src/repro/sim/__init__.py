@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel used by every subsystem in repro.
 
 See :mod:`repro.sim.kernel` for the event loop, process and event types,
-:mod:`repro.sim.resources` for locks/conditions/gates, and
+:mod:`repro.sim.resources` for locks and conditions, and
 :mod:`repro.sim.cpu` for host CPU cost accounting.
 """
 
@@ -14,7 +14,7 @@ from .kernel import (
     SimulationError,
     Timeout,
 )
-from .resources import Condition, Gate, Resource
+from .resources import Condition, Resource
 from .cpu import CostModel, CpuMeter
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "Condition",
-    "Gate",
     "Resource",
     "CostModel",
     "CpuMeter",

@@ -14,7 +14,7 @@ from typing import Any, Deque, Generator, List
 
 from .kernel import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Condition", "Gate"]
+__all__ = ["Resource", "Condition"]
 
 
 class Resource:
@@ -147,39 +147,3 @@ class Condition:
     def waiting(self) -> int:
         """Number of events currently waiting on this condition."""
         return len(self._waiters)
-
-
-class Gate:
-    """A re-armable level-triggered signal.
-
-    ``yield gate.wait()`` returns immediately while the gate is open and
-    blocks while it is closed.  The LSM engines use this to model the
-    L0Stop governor: the gate closes when level 0 overflows and reopens
-    when compaction catches up.
-    """
-
-    def __init__(self, env: Environment, open_: bool = True, name: str = ""):
-        self.env = env
-        self.name = name
-        self._open = open_
-        self._waiters: List[Event] = []
-
-    def close(self) -> None:
-        """Close the gate: subsequent waiters block."""
-        self._open = False
-
-    def open(self) -> None:
-        """Open the gate, releasing every blocked waiter."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
-
-    def wait(self) -> Event:
-        """An event that fires once the gate is open."""
-        event = Event(self.env)
-        if self._open:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event

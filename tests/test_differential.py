@@ -131,6 +131,41 @@ class TestAllEnginesAgree:
             result = db.scan_sync(b"user", len(expected) + 10)
             assert result == expected, engine_cls.name
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_short_scans_match_model(self, seed):
+        """Scans asking for fewer rows than exist, from seeded start keys,
+        after a delete-heavy prefix: tombstones and shadowed versions
+        must not eat the row budget.  Live, and through a snapshot taken
+        mid-stream against the model as it stood then."""
+        rng = random.Random(seed)
+        keys = [b"user%08d" % i for i in range(400)]
+        prefix = [("put", key, b"p%d" % i) for i, key in enumerate(keys)]
+        prefix += [("flush", None, None)]
+        prefix += [("del", key, None) for key in keys if rng.random() < 0.8]
+        ops = prefix + generate_history(seed, n=600)
+        cut = len(ops) * 3 // 4
+        frozen = sorted(model_of(ops[:cut]).items())
+        ops = ops[:cut] + [("snap", None, None)] + ops[cut:]
+        live = sorted(model_of(ops).items())
+        starts = [b"user"] + rng.sample(keys, 8)
+        for engine_cls, factory in ENGINES:
+            snapshots = []
+            env, _fs, db = run_history(engine_cls, factory, ops, snapshots)
+            (snapshot,) = snapshots
+
+            def verify():
+                for start in starts:
+                    for count in (1, 5, 20):
+                        for snap, model in ((None, live), (snapshot, frozen)):
+                            got = yield from db.scan(start, count, snap)
+                            want = [row for row in model
+                                    if row[0] >= start][:count]
+                            assert got == want, (engine_cls.name, start,
+                                                 count, snap is not None)
+
+            env.run_until(env.process(verify()))
+            snapshot.release()
+
     @pytest.mark.parametrize("seed", [11])
     def test_recovery_matches_model(self, seed):
         ops = generate_history(seed, n=800)

@@ -382,6 +382,16 @@ class TestSweep:
             plan=FaultPlan(models=DEFAULT_MODELS[:2])))
         assert report.ok, "\n".join(report.summary_lines())
 
+    def test_tiered_sweep_passes_at_default_seed(self):
+        """Clause 3's MANIFEST walk drives the simulation, so compaction
+        and demotion run under it.  Unless the walk counts as an
+        in-flight read, they unlink or punch the containers it is still
+        walking: SweepConfig's own seed then reported 44 corrupt-table
+        and 16 dangling-table violations."""
+        report = crash_sweep(SweepConfig(engines=("bolt",), num_ops=140,
+                                         tiered=True))
+        assert report.ok, "\n".join(report.summary_lines())
+
     def test_sweep_passes_all_engines(self):
         """Acceptance: the CI smoke sweep is green for all four families."""
         report = crash_sweep(smoke_config())

@@ -1,12 +1,19 @@
-"""Unit and property tests for the merge/collapse/scan helpers."""
+"""Unit and property tests for the merge/collapse helpers, and the
+range scan's lazy merge through the engine."""
 
 import heapq
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.lsm import CorruptionError, LSMEngine, Options
 from repro.lsm.codec import MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
-from repro.lsm.iterators import (_internal_order, collapse_versions, merge_scan,
-                                 merge_streams)
+from repro.lsm.iterators import _internal_order, collapse_versions, merge_streams
+from repro.lsm.sstable import SSTableReader
+from repro.sim import Environment
+from repro.storage import BlockDevice, PageCache, SimFS
+
+KB = 1 << 10
 
 
 def put(key, seq, value=b"v"):
@@ -110,48 +117,119 @@ class TestCollapseVersions:
                                           snapshots=[MAX_SEQUENCE])))
 
 
+def open_db(memtable_size=32 * KB, sstable_size=8 * KB):
+    env = Environment()
+    fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
+    options = Options(memtable_size=memtable_size, sstable_size=sstable_size,
+                      level1_max_bytes=4 * sstable_size, max_open_files=128)
+    return LSMEngine.open_sync(env, fs, options, "db")
+
+
+def flush(db):
+    db.env.run_until(db.env.process(db.flush_all()))
+
+
 class TestMergeScan:
+    """The range scan's lazy merge, through ``LSMEngine.scan``: memtable
+    tails and tables merged newest-first, ``count`` live keys out."""
+
     def test_basic_range(self):
-        stream = [put(b"a", 1), put(b"b", 2), put(b"c", 3), put(b"d", 4)]
-        result = merge_scan([stream], b"b", 2, MAX_SEQUENCE)
-        assert result == [(b"b", b"v"), (b"c", b"v")]
+        db = open_db()
+        for key in (b"a", b"b"):
+            db.put_sync(key, b"v")
+        flush(db)
+        for key in (b"c", b"d"):
+            db.put_sync(key, b"v")
+        assert db.scan_sync(b"b", 2) == [(b"b", b"v"), (b"c", b"v")]
+
+    def test_newest_version_wins(self):
+        db = open_db()
+        for value in (b"old", b"mid"):
+            db.put_sync(b"k", value)
+            db.put_sync(b"k%s" % value, b"x")
+            flush(db)  # one table per version
+        assert db.scan_sync(b"k", 1) == [(b"k", b"mid")]
+        db.put_sync(b"k", b"new")
+        assert db.scan_sync(b"k", 2) == [(b"k", b"new"), (b"kmid", b"x")]
 
     def test_tombstones_hide_older_versions(self):
-        new = [tomb(b"b", 9)]
-        old = [put(b"a", 1), put(b"b", 2), put(b"c", 3)]
-        result = merge_scan([new, old], b"a", 10, MAX_SEQUENCE)
-        assert result == [(b"a", b"v"), (b"c", b"v")]
+        db = open_db()
+        for key in (b"a", b"b", b"c"):
+            db.put_sync(key, b"v")
+        flush(db)
+        db.delete_sync(b"b")
+        assert db.scan_sync(b"a", 10) == [(b"a", b"v"), (b"c", b"v")]
+        flush(db)  # the tombstone in a table of its own
+        assert db.scan_sync(b"a", 2) == [(b"a", b"v"), (b"c", b"v")]
 
     def test_snapshot_filters_future_writes(self):
-        stream = [put(b"k", 9, b"future"), put(b"k", 2, b"past")]
-        result = merge_scan([stream], b"a", 10, snapshot_seq=5)
-        assert result == [(b"k", b"past")]
+        db = open_db()
+        db.put_sync(b"k", b"past")
+        snapshot = db.snapshot()
+        db.put_sync(b"k", b"future")
+        flush(db)
+        assert db.scan_sync(b"a", 10, snapshot) == [(b"k", b"past")]
+        assert db.scan_sync(b"a", 10) == [(b"k", b"future")]
+        snapshot.release()
 
     def test_count_limit(self):
-        stream = [put(b"%03d" % i, i + 1) for i in range(100)]
-        result = merge_scan([stream], b"000", 7, MAX_SEQUENCE)
-        assert len(result) == 7
+        db = open_db()
+        for i in range(100):
+            db.put_sync(b"%03d" % i, b"v")
+        flush(db)
+        assert [k for k, _v in db.scan_sync(b"000", 7)] == [
+            b"%03d" % i for i in range(7)]
+        assert db.scan_sync(b"000", 0) == []
+        assert db.scan_sync(b"000", -1) == []
 
-    def test_stops_consuming_after_count(self):
-        # engine.scan hands over the whole memtable tail; a short scan
-        # must not pay for it (an eager merge would sort all of it).
-        consumed = [0, 0]
+    def test_stops_consuming_after_count(self, monkeypatch):
+        # A short scan reads a block or two of each table it reaches and
+        # never a table's tail: 5 000 keys in tables of ~80 blocks, newer
+        # keys interleaved in the memtable around both start keys.
+        db = open_db(memtable_size=128 * KB, sstable_size=64 * KB)
+        for i in range(1, 10_000, 2):
+            db.put_sync(b"%05d" % i, b"v" * 20)
+        flush(db)
+        for i in [*range(0, 200, 2), *range(5_000, 5_200, 2)]:
+            db.put_sync(b"%05d" % i, b"v" * 20)
+        reads = []
+        read_block = SSTableReader.read_block
 
-        def counted(index, entries):
-            for entry in entries:
-                consumed[index] += 1
-                yield entry
+        def counted(reader, index, meter=None):
+            reads.append((reader.uid, index, len(reader.index)))
+            return read_block(reader, index, meter)
 
-        memtable = [put(b"%05d" % i, 20_000 + i) for i in range(0, 10_000, 2)]
-        table = [put(b"%05d" % i, i + 1) for i in range(1, 10_000, 2)]
-        result = merge_scan([counted(0, memtable), counted(1, table)],
-                            b"00000", 10, MAX_SEQUENCE)
-        assert [key for key, _value in result] == [b"%05d" % i for i in range(10)]
-        assert sum(consumed) <= 12  # the results plus one look-ahead per stream
+        monkeypatch.setattr(SSTableReader, "read_block", counted)
+        for start in (0, 5_000):
+            reads.clear()
+            result = db.scan_sync(b"%05d" % start, 20)
+            assert [k for k, _v in result] == [
+                b"%05d" % i for i in range(start, start + 20)]
+            assert reads and all(index < blocks - 1
+                                 for _uid, index, blocks in reads)
+            assert len(reads) <= 2 * len({uid for uid, _i, _n in reads})
+
+    def test_corrupt_block_quarantines_only_the_table_reached(self):
+        db = open_db()
+        for lo in (0, 150):
+            for i in range(lo, lo + 150):
+                db.put_sync(b"%03d" % i, b"v" * 64)
+            flush(db)
+        (meta,) = [m for m in db.versions.current.live_numbers().values()
+                   if m.smallest == b"150"]
+        handle = db.env.run_until(db.env.process(db.fs.open(meta.container)))
+        handle.write_at(meta.offset + 12, b"\xde\xad\xbe\xef")
+        assert len(db.scan_sync(b"000", 20)) == 20  # never reaches it
+        with pytest.raises(CorruptionError):
+            db.scan_sync(b"140", 20)
+        assert db._quarantined == {meta.number}
 
     def test_start_key_inclusive(self):
-        stream = [put(b"a", 1), put(b"b", 2)]
-        assert merge_scan([stream], b"b", 5, MAX_SEQUENCE) == [(b"b", b"v")]
+        db = open_db()
+        db.put_sync(b"a", b"v")
+        flush(db)
+        db.put_sync(b"b", b"v")
+        assert db.scan_sync(b"b", 5) == [(b"b", b"v")]
 
     @settings(max_examples=25, deadline=None)
     @given(st.dictionaries(st.binary(min_size=1, max_size=4),
@@ -159,9 +237,11 @@ class TestMergeScan:
            st.binary(min_size=1, max_size=4),
            st.integers(1, 20))
     def test_matches_sorted_dict(self, model, start, count):
-        stream = sorted(
-            (put(k, i + 1, v) for i, (k, v) in enumerate(model.items())),
-            key=lambda e: (e[0], MAX_SEQUENCE - e[1]))
-        result = merge_scan([stream], start, count, MAX_SEQUENCE)
+        db = open_db()
+        items = list(model.items())
+        for i, (key, value) in enumerate(items):
+            db.put_sync(key, value)
+            if i == len(items) // 2:
+                flush(db)
         expected = sorted((k, v) for k, v in model.items() if k >= start)[:count]
-        assert result == expected
+        assert db.scan_sync(start, count) == expected

@@ -10,7 +10,6 @@ from repro.sim import (
     CostModel,
     CpuMeter,
     Environment,
-    Gate,
     Interrupt,
     Resource,
     SimulationError,
@@ -331,35 +330,6 @@ class TestCondition:
         env.run(until=10.0)
         assert woken == ["first"]
         assert cond.waiting == 1
-
-
-class TestGate:
-    def test_open_gate_passes_immediately(self):
-        env = Environment()
-        gate = Gate(env, open_=True)
-
-        def worker():
-            yield gate.wait()
-            return env.now
-
-        assert env.run_until(env.process(worker())) == 0.0
-
-    def test_closed_gate_blocks_until_open(self):
-        env = Environment()
-        gate = Gate(env, open_=False)
-
-        def worker():
-            yield gate.wait()
-            return env.now
-
-        proc = env.process(worker())
-
-        def opener():
-            yield env.timeout(3.0)
-            gate.open()
-
-        env.process(opener())
-        assert env.run_until(proc) == 3.0
 
 
 class TestCpuMeter:

@@ -127,15 +127,25 @@ class TestBuilderReader:
         # 223 vs 141 bytes in the paper: a 1.4-1.7x gap.
         assert 1.3 < per_ldb / per_rdb < 1.9
 
-    def test_iter_entries_from(self, fs, run):
+    def test_read_block(self, fs, run):
+        """The scan step: block ``i`` alone, in one sequential read of
+        exactly its extent."""
         entries = simple_entries(300)
         _info, reader = build_table(fs, run, entries)
+        reads = []
+        fs_read = fs.read
 
-        def scenario():
-            return (yield from reader.iter_entries_from(b"key000250"))
+        def counted(handle, offset, length, meter=None, sequential=False):
+            reads.append((offset, length, sequential))
+            return fs_read(handle, offset, length, meter, sequential)
 
-        result = run(scenario())
-        assert result == entries[250:]
+        fs.read = counted
+        blocks = [run(reader.read_block(i)) for i in range(len(reader.index))]
+        assert len(blocks) > 2
+        assert [e for block in blocks for e in block] == entries
+        assert [block[-1][0] for block in blocks] == reader.index_keys
+        assert reads == [(reader.base_offset + off, length, True)
+                         for _key, off, length in reader.index]
 
     def test_index_size_proportional_to_table(self, fs, run):
         small_info, _ = build_table(fs, run, simple_entries(50), name="s")
