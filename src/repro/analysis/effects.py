@@ -201,9 +201,9 @@ def _classify_call(project: Project, fn: FunctionInfo, node: ast.Call,
             return [Event(line, col, "ack")]
         return []
     if (isinstance(func, ast.Attribute)
-            and name in ("acquire", "try_acquire", "release")):
+            and name in ("acquire", "try_acquire", "acquire_in_place", "release")):
         key = ast.unparse(func.value)
-        kind = "try_acquire" if name == "try_acquire" else name
+        kind = "try_acquire" if name in ("try_acquire", "acquire_in_place") else name
         return [Event(line, col, kind, key=key, node=node)]
     resolved = project.resolve_call(fn, node, types)
     if name in DURABLE_FS_METHODS:

@@ -517,7 +517,8 @@ class LSMEngine:
         meter = self._meter()
         meter.charge(meter.model.write_mutex_overhead)
         writer = _Writer(batch)
-        yield self._write_queue_lock.acquire()
+        if not self._write_queue_lock.acquire_in_place():
+            yield self._write_queue_lock.acquire()
         try:
             self._write_queue.append(writer)
             if self._write_queue[0] is not writer:
@@ -547,7 +548,8 @@ class LSMEngine:
         queue lock is never taken under it), so a failing leader can
         never strand the queue.
         """
-        yield self._mutex.acquire()
+        if not self._mutex.acquire_in_place():
+            yield self._mutex.acquire()
         group = [leader]
         failure: Optional[BaseException] = None
         waited = 0.0
@@ -567,7 +569,8 @@ class LSMEngine:
         finally:
             self._mutex.release()
         self.stats.write_wait_time += waited
-        yield self._write_queue_lock.acquire()
+        if not self._write_queue_lock.acquire_in_place():
+            yield self._write_queue_lock.acquire()
         try:
             for _ in group:
                 self._write_queue.popleft()
@@ -840,7 +843,7 @@ class LSMEngine:
         self.stats.gets += 1
         if snapshot is not None and snapshot.released:
             raise ValueError("read through a released snapshot")
-        if self.read_lock:
+        if self.read_lock and not self._mutex.acquire_in_place():
             yield self._mutex.acquire()
         try:
             snapshot = (snapshot.sequence if snapshot is not None
@@ -933,7 +936,7 @@ class LSMEngine:
         self.stats.scans += 1
         if snapshot is not None and snapshot.released:
             raise ValueError("read through a released snapshot")
-        if self.read_lock:
+        if self.read_lock and not self._mutex.acquire_in_place():
             yield self._mutex.acquire()
         try:
             snapshot = (snapshot.sequence if snapshot is not None

@@ -104,4 +104,5 @@ class CpuMeter:
         """Pay all accumulated CPU time as one virtual-time delay."""
         if self._accumulated > 0.0:
             delay, self._accumulated = self._accumulated, 0.0
-            yield self.env.timeout(delay)
+            if not self.env.sleep_in_place(delay):
+                yield self.env.timeout(delay)

@@ -136,7 +136,7 @@ class Event:
 
     def _process(self) -> None:
         # The statement of event dispatch.  step() calls it; run(),
-        # run(until) and run_until() inline it, and
+        # run(until) and run_until() inline it, counting siblings, and
         # tests/test_sim_kernel.py holds all four to one event order.
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None
@@ -270,7 +270,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0, tracer: Any = None,
                  sanitize: bool = False):
-        #: Current virtual time, in seconds; only the loops write it.
+        #: Current virtual time, in seconds; the loops and sleep_in_place write it.
         self.now = float(initial_time)
         self._queue: List[_Entry] = []
         #: Same-tick FIFO: every entry has ``time == self.now`` and a
@@ -278,6 +278,11 @@ class Environment:
         #: competes with the heap head by plain tuple comparison.
         self._ready: Deque[_Entry] = deque()
         self._seq = 0
+        # continues_in_place() state: the running loop's last dispatch time (-inf
+        # outside loops), run_until()'s event, callbacks still to run this dispatch.
+        self._horizon = -math.inf
+        self._awaited: Optional[Event] = None
+        self._siblings = 0
         #: The simulated process currently being stepped (or None).
         self.active_process: Optional[Process] = None
         #: The installed :mod:`repro.obs` tracer (NULL_TRACER when off);
@@ -305,6 +310,27 @@ class Environment:
             self._ready.append((self.now, seq, func, (arg,)))
         else:
             heappush(self._queue, (self.now + delay, seq, func, (arg,)))
+
+    def continues_in_place(self, at: float) -> bool:
+        """True if an entry scheduled now for ``at`` would be the running loop's next dispatch."""
+        return (not self._ready and not self._siblings and at <= self._horizon
+                and (not self._queue or self._queue[0][0] > at)
+                and (self._awaited is None or not self._awaited._processed))
+
+    def sleep_in_place(self, delay: float) -> bool:
+        """``if not env.sleep_in_place(d): yield env.timeout(d)`` skips the queue."""
+        if delay < 0:
+            raise ValueError(f"negative sleep delay: {delay!r}")
+        at = self.now + delay  # the expression _schedule() uses
+        if self.continues_in_place(at):
+            self.now = at
+            return True
+        return False
+
+    def _dispatch_shared(self, event: Event, callbacks: List[Callable]) -> None:
+        for left, callback in zip(range(len(callbacks) - 1, -1, -1), callbacks):
+            self._siblings = left
+            callback(event)
 
     # -- event constructors --------------------------------------------
 
@@ -363,6 +389,8 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> Event:
         """An event that succeeds as soon as any child event succeeds."""
         events = list(events)
+        if not events:
+            raise ValueError("any_of() needs at least one event")
         done = Event(self)
 
         def on_child(child: Event) -> None:
@@ -388,6 +416,7 @@ class Environment:
         else:
             time, _seq, target, args = heappop(queue)
         self.now = time
+        self._horizon = -math.inf  # nothing continues in place in step()
         if args is None:
             target._process()
         else:
@@ -398,49 +427,61 @@ class Environment:
         # The loop bodies here and in run_until() are step() inlined,
         # Event._process() included, with the queue heads bound to
         # locals: this is the hottest loop in the repository, and every
-        # call and attribute read per event adds up across tens of
-        # millions of events in a figure-scale run.
+        # call and attribute read per event adds up across tens of millions
+        # of events in a figure-scale run (so a lone callback is unpacked).
         queue = self._queue
         ready = self._ready
         pop = heappop
-        if until is None:
-            while queue or ready:
+        self._horizon, self._awaited = math.inf if until is None else until, None
+        try:
+            if until is None:
+                while queue or ready:
+                    if ready and (not queue or ready[0] <= queue[0]):
+                        time, _seq, target, args = ready.popleft()
+                    else:
+                        time, _seq, target, args = pop(queue)
+                    self.now = time
+                    if args is None:
+                        target._processed = True
+                        callbacks = target.callbacks
+                        target.callbacks = None
+                        if callbacks:
+                            try:
+                                (callback,) = callbacks
+                            except ValueError:
+                                self._dispatch_shared(target, callbacks)
+                            else:
+                                callback(target)
+                    else:
+                        target(*args)
+                return
+            while True:
                 if ready and (not queue or ready[0] <= queue[0]):
+                    if ready[0][0] > until:
+                        break
                     time, _seq, target, args = ready.popleft()
-                else:
+                elif queue:
+                    if queue[0][0] > until:
+                        break
                     time, _seq, target, args = pop(queue)
+                else:
+                    break
                 self.now = time
                 if args is None:
                     target._processed = True
                     callbacks = target.callbacks
                     target.callbacks = None
                     if callbacks:
-                        for callback in callbacks:
+                        try:
+                            (callback,) = callbacks
+                        except ValueError:
+                            self._dispatch_shared(target, callbacks)
+                        else:
                             callback(target)
                 else:
                     target(*args)
-            return
-        while True:
-            if ready and (not queue or ready[0] <= queue[0]):
-                if ready[0][0] > until:
-                    break
-                time, _seq, target, args = ready.popleft()
-            elif queue:
-                if queue[0][0] > until:
-                    break
-                time, _seq, target, args = pop(queue)
-            else:
-                break
-            self.now = time
-            if args is None:
-                target._processed = True
-                callbacks = target.callbacks
-                target.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(target)
-            else:
-                target(*args)
+        finally:
+            self._horizon, self._awaited, self._siblings = -math.inf, None, 0
         if self.now < until:
             self.now = until
 
@@ -454,31 +495,39 @@ class Environment:
         ready = self._ready
         pop = heappop
         no_limit = limit == math.inf
-        while not event._processed:
-            if ready and (not queue or ready[0] <= queue[0]):
-                if not no_limit and ready[0][0] > limit:
+        self._horizon, self._awaited = limit, event
+        try:
+            while not event._processed:
+                if ready and (not queue or ready[0] <= queue[0]):
+                    if not no_limit and ready[0][0] > limit:
+                        raise SimulationError(
+                            f"virtual time limit {limit} exceeded")
+                    time, _seq, target, args = ready.popleft()
+                elif queue:
+                    if not no_limit and queue[0][0] > limit:
+                        raise SimulationError(
+                            f"virtual time limit {limit} exceeded")
+                    time, _seq, target, args = pop(queue)
+                else:
                     raise SimulationError(
-                        f"virtual time limit {limit} exceeded")
-                time, _seq, target, args = ready.popleft()
-            elif queue:
-                if not no_limit and queue[0][0] > limit:
-                    raise SimulationError(
-                        f"virtual time limit {limit} exceeded")
-                time, _seq, target, args = pop(queue)
-            else:
-                raise SimulationError(
-                    "event queue drained before the awaited event fired "
-                    "(simulation deadlock?)")
-            self.now = time
-            if args is None:
-                target._processed = True
-                callbacks = target.callbacks
-                target.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(target)
-            else:
-                target(*args)
+                        "event queue drained before the awaited event fired "
+                        "(simulation deadlock?)")
+                self.now = time
+                if args is None:
+                    target._processed = True
+                    callbacks = target.callbacks
+                    target.callbacks = None
+                    if callbacks:
+                        try:
+                            (callback,) = callbacks
+                        except ValueError:
+                            self._dispatch_shared(target, callbacks)
+                        else:
+                            callback(target)
+                else:
+                    target(*args)
+        finally:
+            self._horizon, self._awaited, self._siblings = -math.inf, None, 0
         return event.value
 
 

@@ -67,16 +67,21 @@ class Resource:
             self._waiters.append(grant)
         return grant
 
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True if a slot was granted synchronously."""
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            self.total_acquisitions += 1
+    def try_acquire(self, slots: int = 1) -> bool:
+        """Non-blocking acquire; True if ``slots`` were granted synchronously."""
+        if self._in_use + slots <= self.capacity and not self._waiters:
+            self._in_use += slots
+            self.total_acquisitions += slots
             sanitizer = self.env.sanitizer
             if sanitizer.enabled and self.capacity == 1:
                 sanitizer.note_acquired(self, self.env.active_process)
             return True
         return False
+
+    def acquire_in_place(self, slots: int = 1) -> bool:
+        """Take ``slots`` free slots now if their grants would be dispatched
+        next: ``if not lock.acquire_in_place(): yield lock.acquire()``."""
+        return self.env.continues_in_place(self.env.now) and self.try_acquire(slots)
 
     def release(self) -> None:
         """Release a slot, waking the oldest waiter if any."""

@@ -198,11 +198,13 @@ class BlockDevice:
         error is treated as persistent and :class:`DeviceError` raised.
         """
         attempts = 0
-        yield self._channel.acquire()
+        if not self._channel.acquire_in_place():
+            yield self._channel.acquire()
         try:
             while True:
                 self.stats.busy_time += duration
-                yield self.env.timeout(duration)
+                if not self.env.sleep_in_place(duration):
+                    yield self.env.timeout(duration)
                 hook = self.fault_hook
                 if hook is None or not hook(op):
                     return
@@ -267,8 +269,8 @@ class BlockDevice:
         try:
             # Drain: hold every channel slot (queue depth reaches zero).
             channel = self._channel
-            yield self.env.all_of([channel.acquire()
-                                   for _ in range(p.parallelism)])
+            if not channel.acquire_in_place(p.parallelism):
+                yield self.env.all_of([channel.acquire() for _ in range(p.parallelism)])
             try:
                 duration = p.barrier_latency
                 if dirty_bytes > 0:
@@ -282,7 +284,8 @@ class BlockDevice:
                 self.stats.num_barriers += 1
                 self.stats.barrier_time += duration
                 self.stats.busy_time += duration
-                yield self.env.timeout(duration)
+                if not self.env.sleep_in_place(duration):
+                    yield self.env.timeout(duration)
             finally:
                 for _ in range(p.parallelism):
                     channel.release()

@@ -8,8 +8,9 @@ encode/decode, skiplist insert/seek, histogram recording, the Version
 index, the pick / edit / retire bookkeeping of logical SSTables, the
 merge + table-build data path of flush and compaction, the
 extent read of compaction inputs, a point read's block decode + lookup,
-the synced WAL commit path, and an end-to-end YCSB-A suite slice — so a
-regression shows up as a number, not as a mysteriously slower CI run.
+the synced WAL commit path, open-loop serving over a sharded cluster,
+and an end-to-end YCSB-A suite slice — so a regression shows up as a
+number, not as a mysteriously slower CI run.
 
 Usage::
 
@@ -472,6 +473,34 @@ def bench_commit() -> Tuple[float, str]:
         "group_commits": db.stats.group_commits,
         "latencies": [latency.hex() for latency in latencies]})
     return elapsed, digest
+
+
+@_benchmark
+def bench_serve_cluster() -> Tuple[float, str]:
+    """2 000 open-loop YCSB-A requests through ``svc.Server`` over a 2-shard
+    x 1-replica ``ClusterStore`` (``wal_sync``) holding 1 000 records."""
+    from ..bench.report import unified_snapshot
+    from ..cluster import ClusterConfig, ClusterStore
+    from ..lsm import LSMEngine, Options
+    from ..sim import Environment
+    from ..svc import Server, run_open_loop
+    from ..ycsb import WORKLOADS, build_key
+
+    env = Environment()
+    cluster = ClusterStore(env, LSMEngine, Options(wal_sync=True),
+                           ClusterConfig(num_shards=2, replicas_per_shard=1))
+    for i in range(1000):
+        cluster.put_sync(build_key(i), bytes(100))
+    server = Server(env, cluster, num_workers=4)
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    report = run_open_loop(env, server, WORKLOADS["a"], num_clients=2,
+                           requests_per_client=1000, rate=5000.0,
+                           record_count=1000, seed=31)
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    rows = [dict(c.summary(), mean=c.latency.mean, max=c.latency.max,
+                 queue_mean=c.queue_delay.mean) for c in report.clients]
+    return elapsed, _fingerprint({"clients": rows, "counters": unified_snapshot(
+        None, db=cluster, server=server)})
 
 
 @_benchmark

@@ -91,6 +91,27 @@ class TestLockdep:
         self._ordered_acquire(env, b, a)
         assert [r.kind for r in env.sanitizer.reports] == ["lock-cycle"]
 
+    def test_inversion_is_reported_when_both_locks_are_granted_in_place(self):
+        env = Kernel(sanitize=True)
+        a = Resource(env, 1, name="A")
+        b = Resource(env, 1, name="B")
+        fired = []
+
+        def proc(first, second):
+            for lock in (first, second):
+                fired.append(lock.acquire_in_place())
+                if not fired[-1]:
+                    yield lock.acquire()
+            yield env.timeout(1.0)
+            second.release()
+            first.release()
+
+        for first, second in ((a, b), (b, a)):
+            env.process(proc(first, second))
+            env.run()
+        assert fired == [True] * 4
+        assert [r.kind for r in env.sanitizer.reports] == ["lock-cycle"]
+
     def test_semaphore_slots_are_not_lock_edges(self):
         # The device channel acquires several slots of ONE capacity>1
         # resource (_acquire_all); that must not look like lock nesting.

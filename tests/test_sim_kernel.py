@@ -473,6 +473,15 @@ class TestSameTickFifoOrdering:
         assert order == ["first", "second", "third"]
 
 
+def _nap(env, delay, fired=None):
+    """``yield env.timeout(delay)``, in place when it can be."""
+    in_place = env.sleep_in_place(delay)
+    if fired is not None:
+        fired.append(in_place)
+    if not in_place:
+        yield env.timeout(delay)
+
+
 def _delayed_spawn(env, delay, chain, log):
     yield env.timeout(delay)
     yield from chain(f"t{delay}", 2)
@@ -546,15 +555,37 @@ def _event_order_mix(env, seed, log):
             elif action == "interrupt" and victim.is_alive:
                 yield env.timeout(delay)
                 victim.interrupt(here)
+            elif action == "lock":
+                # One mutex for every worker: granted free or contended.
+                if not mutex.acquire_in_place():
+                    yield mutex.acquire()
+                note(here, "locked")
+                yield from _nap(env, delay)
+                mutex.release()
+            elif action == "slots":
+                # Several slots of one semaphore at once, as a barrier
+                # takes a device's channels: all free, some, or none.
+                slots = width or 2
+                if not channel.acquire_in_place(slots):
+                    yield env.all_of([channel.acquire() for _ in range(slots)])
+                note(here, "slots", slots)
+                yield from _nap(env, delay)
+                for _ in range(slots):
+                    channel.release()
+            elif action == "nap":
+                yield from _nap(env, delay)
+                note(here, "napped")
         note(tag, "done")
 
     actions = ("sleep", "call", "event", "all_of", "any_of", "late",
-               "shared", "interrupt")
+               "shared", "interrupt", "lock", "slots", "nap")
+    mutex = Resource(env, 1, name="mutex")
+    channel = Resource(env, 3, name="channel")
     shared = env.event()
     env.call_later(rng.choice(delays) + 0.5, lambda: shared.succeed("go"))
     naps = {}
     workers = []
-    for index in range(6):
+    for index in range(8):
         victim_tag = f"sleeper{index}"
         naps[victim_tag] = rng.choice(delays)
         victim = env.process(sleeper(victim_tag))
@@ -565,7 +596,7 @@ def _event_order_mix(env, seed, log):
 
     def root():
         note("root", "joined", len((yield env.all_of(workers))))
-        yield env.timeout(100.0)
+        yield from _nap(env, 100.0)
         note("root", "done")
 
     return env.process(root())
@@ -595,25 +626,217 @@ def _drive_step(env, root):
         env.step()
 
 
-class TestEventOrderEquivalence:
-    """run(), run(until), run_until() and step() each carry a copy of
-    event dispatch; all four must process one mix in one order."""
+def _never(_env, _at):
+    return False
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("drive", [_drive_sliced, _drive_run_until,
-                                       _drive_step])
-    def test_every_loop_logs_the_same_order(self, seed, drive):
-        logs = []
-        for driver in (_drive_run, drive):
+
+def _with_and_without_in_place(scenario, monkeypatch):
+    """Run ``scenario(env, log, fired)`` on the reference kernel (nothing
+    continues in place) and then as shipped; both logs, and ``fired``
+    of the second run."""
+    logs = []
+    for in_place in (False, True):
+        fired = []
+        with monkeypatch.context() as patch:
+            if not in_place:
+                patch.setattr(Environment, "continues_in_place", _never)
             env = Environment()
             log = []
-            root = _event_order_mix(env, seed, log)
-            driver(env, root)
+            scenario(env, log, fired)
+        logs.append(log)
+    return logs[0], logs[1], fired
+
+
+class TestEventOrderEquivalence:
+    """run(), run(until), run_until() and step() each carry a copy of
+    event dispatch; all four must process one mix in the order the
+    reference — run() with nothing continuing in place — processes it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drive", [_drive_run, _drive_sliced,
+                                       _drive_run_until, _drive_step])
+    def test_every_loop_logs_the_same_order(self, seed, drive, monkeypatch):
+        runs = []
+        for driver, patched in ((_drive_run, True), (drive, False)):
+            with monkeypatch.context() as patch:
+                if patched:
+                    patch.setattr(Environment, "continues_in_place", _never)
+                env = Environment()
+                log = []
+                root = _event_order_mix(env, seed, log)
+                driver(env, root)
             assert root.value is None
             assert not _pending(env)
-            logs.append(log)
-        reference, observed = logs
+            runs.append((log, env._seq))
+        (reference, reference_entries), (observed, entries) = runs
         assert observed == reference
+        # Nothing continues in place inside step(); the unbounded loops
+        # skip entries in every mix (at least the root's last nap).
+        if drive is _drive_step:
+            assert entries == reference_entries
+        elif drive is _drive_sliced:
+            assert entries <= reference_entries
+        else:
+            assert entries < reference_entries
         kinds = {entry[2] for entry in reference if len(entry) > 2}
         assert {"woke", "call", "event", "all_of", "late", "done",
-                "interrupted", "shared", "watch"} <= kinds
+                "interrupted", "shared", "watch", "locked", "slots",
+                "napped"} <= kinds
+
+
+class TestContinueInPlace:
+    """The edges of ``continues_in_place``: each scenario logs the same
+    under the reference kernel and as shipped, and ``fired`` shows which
+    continuations ran in place."""
+
+    def test_a_sleep_may_land_exactly_on_the_run_bound(self, monkeypatch):
+        def scenario(env, log, fired):
+            def sleeper():
+                yield env.timeout(0.5)
+                for _ in range(3):
+                    yield from _nap(env, 0.5, fired)
+                    log.append((env.now, "woke"))
+
+            env.process(sleeper())
+            for until in (1.0, 1.5):
+                env.run(until=until)
+                log.append((env.now, "returned"))
+            env.run()
+
+        reference, observed, fired = _with_and_without_in_place(
+            scenario, monkeypatch)
+        assert observed == reference
+        assert reference[:2] == [(1.0, "woke"), (1.0, "returned")]
+        assert fired == [True, False, False]
+
+    def test_a_sleep_onto_an_equal_heap_deadline_yields(self, monkeypatch):
+        def scenario(env, log, fired):
+            def early():
+                yield env.timeout(1.0)
+                log.append((env.now, "early"))
+                yield env.timeout(5.0)
+
+            def late():
+                yield env.timeout(0.5)
+                yield from _nap(env, 0.5, fired)
+                log.append((env.now, "late"))
+                yield from _nap(env, 0.5, fired)
+                log.append((env.now, "later"))
+
+            env.process(early())
+            env.process(late())
+            env.run()
+
+        reference, observed, fired = _with_and_without_in_place(
+            scenario, monkeypatch)
+        assert observed == reference == [
+            (1.0, "early"), (1.0, "late"), (1.5, "later")]
+        assert fired == [False, True]
+
+    def test_run_until_stops_once_its_event_is_processed(self, monkeypatch):
+        def scenario(env, log, fired):
+            gate = env.event()
+
+            def opener():
+                yield env.timeout(1.0)
+                gate.succeed("open")
+                yield env.timeout(5.0)
+
+            def waiter():
+                value = yield gate
+                log.append((env.now, "gate", value))
+                yield from _nap(env, 0.0, fired)
+                log.append((env.now, "after"))
+
+            env.process(opener())
+            env.process(waiter())
+            env.run_until(gate)
+            log.append((env.now, "returned"))
+            env.run()
+
+        reference, observed, fired = _with_and_without_in_place(
+            scenario, monkeypatch)
+        assert observed == reference == [
+            (1.0, "gate", "open"), (1.0, "returned"), (1.0, "after")]
+        assert fired == [False]
+
+    def test_only_the_last_callback_of_a_shared_event_continues(
+            self, monkeypatch):
+        def scenario(env, log, fired):
+            shared, solo = env.event(), env.event()
+
+            def waiter(tag, event):
+                value = yield event
+                log.append((env.now, tag, value))
+                yield from _nap(env, 0.25, fired)
+                log.append((env.now, tag, "slept"))
+
+            env.process(waiter("a", shared))
+            env.process(waiter("b", shared))
+            env.call_later(0.5, lambda: shared.add_callback(
+                lambda _e: log.append((env.now, "watch"))))
+            env.call_later(1.0, lambda: shared.succeed("go"))
+            solo.add_callback(lambda _e: log.append((env.now, "first")))
+            env.process(waiter("c", solo))
+            env.call_later(2.0, lambda: solo.succeed("solo"))
+            env.run()
+
+        reference, observed, fired = _with_and_without_in_place(
+            scenario, monkeypatch)
+        assert observed == reference
+        assert reference[:4] == [(1.0, "a", "go"), (1.0, "b", "go"),
+                                 (1.0, "watch"), (1.25, "a", "slept")]
+        # a and b each had a sibling still to run; c's was done.
+        assert fired == [False, False, True]
+
+    def test_never_in_place_inside_step_or_outside_a_loop(self):
+        env = Environment()
+        seen = []
+
+        def probe():
+            seen.append(env.continues_in_place(env.now))
+            yield env.timeout(1.0)
+            seen.append(env.continues_in_place(env.now))
+
+        env.process(probe())
+        assert not env.continues_in_place(env.now)
+        env.step()
+        env.run()
+        assert seen == [False, True]
+        assert not env.continues_in_place(env.now)
+
+        env.call_later(0.5, lambda: 1 / 0)  # escapes the loop
+        with pytest.raises(ZeroDivisionError):
+            env.run()
+        assert not env.continues_in_place(env.now)
+
+    def test_acquire_in_place_takes_only_free_uncontended_slots(self):
+        env = Environment()
+        lock = Resource(env, 1)
+        channel = Resource(env, 3)
+        got = []
+
+        def proc():
+            got.append(lock.acquire_in_place())
+            got.append(lock.acquire_in_place())
+            got.append(channel.acquire_in_place(2))
+            got.append(channel.acquire_in_place(2))
+            yield env.timeout(1.0)
+
+        env.process(proc())
+        env.run()
+        assert got == [True, False, True, False]
+        assert (lock.in_use, lock.total_acquisitions) == (1, 1)
+        assert (channel.in_use, channel.total_acquisitions) == (2, 2)
+        assert lock.total_contended == channel.total_contended == 0
+
+    def test_negative_sleep_is_rejected_like_a_negative_timeout(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.sleep_in_place(-0.5)
+        with pytest.raises(ValueError):
+            env.timeout(-0.5)
+
+    def test_any_of_nothing_is_rejected_instead_of_never_firing(self):
+        with pytest.raises(ValueError):
+            Environment().any_of([])

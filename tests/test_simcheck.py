@@ -399,6 +399,39 @@ class TestSIM007SleepWhileHoldingLock:
             "            self._chan.release()\n")
 
 
+#: A lock taken in place (fast path) or through the queue (fallback).
+IN_PLACE_POOL = (
+    "class Pool:\n"
+    "    def __init__(self, env):\n"
+    "        self.env = env\n"
+    "        self._lock = Resource(env)\n"
+    "    def fill(self):\n"
+    "        if not self._lock.acquire_in_place():\n"
+    "            yield self._lock.acquire()\n"
+    "        try:\n"
+    "            yield self.env.timeout(0.5)\n"
+    "        finally:\n"
+    "            self._lock.release()\n"
+    "    def peek(self):\n"
+    "        if self._lock.acquire_in_place():\n"
+    "            self._lock.release()\n"
+    "        yield self.env.timeout(0.1)\n")
+
+
+class TestInPlaceGrants:
+    def test_in_place_grant_is_modelled_as_try_acquire(self, tmp_path, capsys):
+        path = tmp_path / "pool.py"
+        path.write_text(IN_PLACE_POOL)
+        assert main([str(path), "--effects"]) == 0
+        peek = json.loads(capsys.readouterr().out)["pool.Pool.peek"]
+        assert peek["acquires"] == ["self._lock"]
+        assert peek["sleep_shield"] == ["self._lock"]
+
+    def test_sleep_under_a_lock_with_an_in_place_fast_path_is_flagged(self):
+        findings = [f for f in check_source(IN_PLACE_POOL) if f.rule == "SIM007"]
+        assert [f.line for f in findings] == [9]
+
+
 class TestSIM008ExceptionUnsafeRelease:
     def test_flags_release_outside_finally(self):
         assert "SIM008" in rules_hit(SIM008_BROKEN)

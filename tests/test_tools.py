@@ -326,7 +326,8 @@ class TestPerfBench:
         assert set(BENCHMARKS) == {"kernel", "codec", "skiplist",
                                    "histogram", "objstore_cache", "version",
                                    "lsst_meta", "build", "compact_read",
-                                   "point_read", "commit", "ycsb_a"}
+                                   "point_read", "commit", "serve_cluster",
+                                   "ycsb_a"}
 
     def test_fingerprints_stable_across_runs(self):
         """Each benchmark's fingerprint is a pure function of the code."""
