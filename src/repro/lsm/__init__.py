@@ -4,7 +4,7 @@ the baseline engines are built from.
 Module map:
 
 * :mod:`~repro.lsm.codec` — varints, CRC framing, value-type tags.
-* :mod:`~repro.lsm.skiplist` / :mod:`~repro.lsm.memtable` — write buffer.
+* :mod:`~repro.lsm.memtable` — write buffer.
 * :mod:`~repro.lsm.wal` — write-ahead log and :class:`WriteBatch`.
 * :mod:`~repro.lsm.bloom` / :mod:`~repro.lsm.sstable` — table format.
 * :mod:`~repro.lsm.cache` — TableCache / BlockCache (§2.5–2.6).
@@ -21,7 +21,6 @@ from .engine import (Compaction, EngineStats, LSMEngine, OutputSink,
 from .manifest import VersionEdit, VersionSet
 from .memtable import DELETED, FOUND, MemTable, NOT_FOUND
 from .options import LEVELDB_FORMAT, Options, ROCKSDB_FORMAT, TableFormat
-from .skiplist import SkipList
 from .sstable import DataBlock, SSTableBuilder, SSTableReader, TableInfo
 from .version import FileMetaData, Version
 from .wal import LogWriter, WriteBatch, read_log_records
@@ -51,7 +50,6 @@ __all__ = [
     "TableFormat",
     "LEVELDB_FORMAT",
     "ROCKSDB_FORMAT",
-    "SkipList",
     "DataBlock",
     "SSTableBuilder",
     "SSTableReader",

@@ -235,7 +235,7 @@ class LSMEngine:
         #: BoLT engines when ``options.enable_fd_cache``; None elsewhere.
         self.fd_cache: Optional[Any] = None
 
-        self._memtable = MemTable(seed=options.seed)
+        self._memtable = MemTable()
         self._imm: Optional[MemTable] = None
         self._wal_handle: Optional[FileHandle] = None
         self._wal_writer: Optional[LogWriter] = None
@@ -745,7 +745,7 @@ class LSMEngine:
         self._imm = self._memtable
         self._imm_wal_name = self._wal_name(self._wal_number)
         self._imm_wal_seq = self.versions.last_sequence
-        self._memtable = MemTable(seed=self.options.seed)
+        self._memtable = MemTable()
         if self.env.sanitizer.enabled:
             self.env.sanitizer.note_write(self, "memtable_switch")
         yield from self._new_wal()
@@ -1566,7 +1566,7 @@ class LSMEngine:
         yet, and the replayed WALs stay until :meth:`_delete_obsolete_files`."""
         self._imm = self._memtable
         self._imm_wal_name = None
-        self._memtable = MemTable(seed=self.options.seed)
+        self._memtable = MemTable()
         yield from self._flush_memtable()
 
     def _delete_obsolete_files(self, replayed: List[str]

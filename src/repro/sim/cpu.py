@@ -27,7 +27,9 @@ class CostModel:
     operations are orders of magnitude cheaper than device barriers.
     """
 
-    #: Cost of one MemTable (SkipList) insert, excluding the WAL append.
+    #: Cost of one MemTable insert, excluding the WAL append.  It models
+    #: LevelDB's skip-list insert; the host-side index (a dict plus a
+    #: lazily sorted key run, :mod:`repro.lsm.memtable`) does not set it.
     memtable_insert: float = 1.0e-6
     #: Cost of one MemTable / block-cache lookup.
     memtable_lookup: float = 0.5e-6

@@ -249,6 +249,38 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
+class _AnyOf(Event):
+    """:meth:`Environment.any_of`'s aggregate: takes the first child's
+    result, then detaches from every child not yet processed.
+
+    A loser may never fire (a shard's ``primary_down`` while its primary
+    lives), so a callback left on it would stay for good, one per race.
+    The callback is a bound method: ``list.remove`` finds it by ``==``,
+    and no reference cycle outlives the resolution.
+    """
+
+    __slots__ = ("_children",)
+
+    def __init__(self, env: "Environment", children: List[Event]):
+        super().__init__(env)
+        self._children: Optional[List[Event]] = children
+        for child in children:
+            child.add_callback(self._on_child)
+
+    def _on_child(self, child: Event) -> None:
+        if self._triggered:
+            return  # a child processed before the race began, delivered late
+        if child._exc is not None:
+            self.fail(child._exc)
+        else:
+            self.succeed(child._value)
+        children, self._children = self._children, None
+        on_child = self._on_child
+        for other in children:
+            if other.callbacks:  # None once processed: nothing to detach
+                other.callbacks.remove(on_child)
+
+
 #: One scheduled entry: ``(time, seq, target, args)``.  ``args is None``
 #: means ``target`` is an Event to ``_process()``; otherwise ``target``
 #: is called with ``*args``.  Flat tuples keep heap pushes allocation-
@@ -391,20 +423,7 @@ class Environment:
         events = list(events)
         if not events:
             raise ValueError("any_of() needs at least one event")
-        done = Event(self)
-
-        def on_child(child: Event) -> None:
-            """Resolve the aggregate with the first child result."""
-            if done._triggered:
-                return
-            if child._exc is not None:
-                done.fail(child._exc)
-            else:
-                done.succeed(child._value)
-
-        for child in events:
-            child.add_callback(on_child)
-        return done
+        return _AnyOf(self, events)
 
     # -- execution -----------------------------------------------------
 

@@ -4,7 +4,7 @@ Where :mod:`repro.tools.dbbench` reports **virtual** time (the modelled
 device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
-encode/decode, skiplist insert/seek, histogram recording, the Version
+encode/decode, MemTable add/get/seek, histogram recording, the Version
 index, the pick / edit / retire bookkeeping of logical SSTables, the
 merge + table-build data path of flush and compaction, the
 extent read of compaction inputs, a point read's block decode + lookup,
@@ -110,19 +110,24 @@ def bench_codec() -> Tuple[float, str]:
 
 @_benchmark
 def bench_skiplist() -> Tuple[float, str]:
-    """Skiplist: 40k seeded inserts plus a seek sweep."""
-    from ..lsm.skiplist import SkipList
-    sl = SkipList(seed=11)
-    keys = [(b"user%019d" % ((i * 2654435761) % 10 ** 18), i)
+    """MemTable index: 40k seeded adds plus a lookup and seek sweep.
+
+    Keeps the name of the skip list it replaced, which the ledger's
+    ``lsm.probe_skiplist_s`` probe reads."""
+    from ..lsm.codec import VALUE_TYPE_VALUE
+    from ..lsm.memtable import MemTable
+    mem = MemTable()
+    keys = [(b"user%019d" % ((i * 2654435761) % 10 ** 18 % 30_011), i + 1)
             for i in range(40_000)]
     started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
-    for key in keys:
-        sl.insert(key, b"v")
-    seeks = [sl.seek(key) for key in keys[::7]]
+    for key, seq in keys:
+        mem.add(seq, VALUE_TYPE_VALUE, key, b"v%d" % seq)
+    gets = [mem.get(key, seq) for key, seq in keys[::7]]
+    seeks = [next(mem.entries_from(key, seq)) for key, seq in keys[::7]]
     elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
-    first = next(iter(sl))
-    digest = _fingerprint({"size": len(sl), "first": first,
-                           "seeks": seeks[:64], "nseeks": len(seeks)})
+    digest = _fingerprint({"size": len(mem), "first": next(mem.entries()),
+                           "gets": gets[:64], "seeks": seeks[:64],
+                           "nseeks": len(seeks)})
     return elapsed, digest
 
 

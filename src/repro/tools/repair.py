@@ -167,7 +167,7 @@ def repair_database(env: Environment, fs: SimFS, options: Options,
             report.tables_recovered += 1
 
     # 2. Salvage WAL records into a fresh memtable -> one more table.
-    salvage = MemTable(seed=0)
+    salvage = MemTable()
     wals = [name for _number, name in list_wal_files(fs, dbname)]
     for name in wals:
         handle = yield from fs.open(name)

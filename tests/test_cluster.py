@@ -600,6 +600,34 @@ class TestServerOverCluster:
         cluster.close_sync()
 
 
+    def test_served_requests_do_not_pile_up_on_primary_down(self):
+        """Each operation races its shard's ``primary_down``, which never
+        fires while the primary lives; a finished race must detach."""
+        env, cluster = make_cluster(num_shards=2, replicas=1)
+        for i in range(50):
+            cluster.put_sync(b"user%019d" % i, b"u" * 32)
+        server = Server(env, cluster, num_workers=4, queue_depth=32)
+        seen = []
+
+        def sampler():
+            while True:
+                seen.append(max(len(shard.primary_down.callbacks)
+                                for shard in cluster.shards))
+                yield env.timeout(0.0005)
+
+        env.process(sampler(), name="sampler")
+        report = run_open_loop(env, server, WORKLOADS["a"], num_clients=2,
+                               requests_per_client=150, rate=2000.0,
+                               record_count=50, value_size=32, seed=5)
+        server.close_sync()
+        totals = report.totals()
+        assert totals["ok"] == totals["submitted"] == 300
+        assert len(seen) > 100 and max(seen) <= 4  # at most one per worker
+        assert [len(shard.primary_down.callbacks)
+                for shard in cluster.shards] == [0, 0]
+        cluster.close_sync()
+
+
 class TestAnalysisCleanliness:
     def test_simcheck_clean_over_cluster(self):
         assert check_paths([CLUSTER_DIR]) == []

@@ -208,6 +208,49 @@ class TestEvent:
         assert env.run_until(proc) == "fast"
         assert env.now == 1.0
 
+    def test_any_of_detaches_from_its_losers(self):
+        env = Environment()
+        never, slow = env.event(), env.timeout(5.0, "slow")
+
+        def wait():
+            yield never
+
+        watcher = env.process(wait())  # an unrelated waiter stays
+        first = env.any_of([never, slow, env.timeout(1.0, "fast")])
+        assert env.run_until(first) == "fast"
+        assert never.callbacks == [watcher._resume]
+        assert slow.callbacks == []
+        env.run()  # the slow loser fires late: no re-trigger, no raise
+        never.succeed("late")
+        env.run()
+        assert first.value == "fast" and watcher.value is None
+
+    def test_any_of_detaches_on_failure_too(self):
+        env = Environment()
+        never, broken = env.event(), env.event()
+        first = env.any_of([never, broken, never])
+        broken.fail(ValueError("boom"))
+
+        def waiter():
+            try:
+                yield first
+            except ValueError as error:
+                return str(error)
+
+        assert env.run_until(env.process(waiter())) == "boom"
+        assert never.callbacks == []
+        never.succeed()
+        env.run()
+
+    def test_any_of_over_an_already_processed_child(self):
+        env = Environment()
+        done, never = env.event(), env.event()
+        done.succeed("early")
+        env.run()
+        first = env.any_of([never, done])
+        assert env.run_until(first) == "early"
+        assert never.callbacks == []
+
 
 class TestResource:
     def test_mutex_serializes(self):
