@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: check test smoke crash-sweep ledger-smoke ledger-compare loc simcheck effects doccheck
+.PHONY: check test smoke crash-sweep parity ledger-smoke ledger-compare loc simcheck effects doccheck
 
 ## All static gates (ruff + simcheck + doccheck) in one command.
 check:
@@ -19,11 +19,19 @@ test:
 SMOKE_OUT := .smoke_out
 DBBENCH := $(PY) -m repro.tools.dbbench
 
-# $(call twice,NAME,ARGV): NAME.txt from one run must equal a second run.
+# $(call twice,NAME): NAME.txt from one run of $(TWICE_NAME) must equal
+# a second run.  `make parity` replays the same list against a parent.
 define twice
-$(DBBENCH) $(2) > $(SMOKE_OUT)/$(1).txt
-$(DBBENCH) $(2) | cmp - $(SMOKE_OUT)/$(1).txt
+$(DBBENCH) $(TWICE_$(1)) > $(SMOKE_OUT)/$(1).txt
+$(DBBENCH) $(TWICE_$(1)) | cmp - $(SMOKE_OUT)/$(1).txt
 endef
+
+TWICE_RUNS := server cluster-chaos nemesis cluster tiered
+TWICE_server := --server --engine bolt --num 300 --clients 2 --arrival-rate 50000 --seed 11
+TWICE_cluster-chaos := --cluster --chaos --num 400
+TWICE_nemesis := --cluster --nemesis
+TWICE_cluster := --cluster --num 400 --shards 4 --replicas 1 --clients 2 --workload a
+TWICE_tiered := --engine bolt --tiered --num 10000
 
 # The crash sweep sweeps: a range of sizes per engine, because where
 # replay ends relative to a MemTable overflow depends on --num (ROADMAP
@@ -54,23 +62,54 @@ smoke: crash-sweep
 	mkdir -p $(SMOKE_OUT)
 	$(DBBENCH) --chaos --num 300
 	$(DBBENCH) --engine bolt --num 300 --sanitize
-	$(call twice,server,--server --engine bolt --num 300 --clients 2 --arrival-rate 50000 --seed 11)
+	$(call twice,server)
 	grep -E 'barriers_saved: [1-9][0-9]*$$' $(SMOKE_OUT)/server.txt
-	$(call twice,cluster-chaos,--cluster --chaos --num 400)
+	$(call twice,cluster-chaos)
 	grep -E 'availability 1\.000000$$' $(SMOKE_OUT)/cluster-chaos.txt
 	grep -E '[1-9][0-9]* WAL tail records replayed' $(SMOKE_OUT)/cluster-chaos.txt
 	grep -Fx 'cluster chaos: PASS' $(SMOKE_OUT)/cluster-chaos.txt
-	$(call twice,nemesis,--cluster --nemesis)
+	$(call twice,nemesis)
 	grep -E 'fenced_writes [1-9][0-9]*' $(SMOKE_OUT)/nemesis.txt
 	grep -E 'availability 1\.000000$$' $(SMOKE_OUT)/nemesis.txt
 	grep -E 'history: [1-9][0-9]* ops checked, 0 violations' $(SMOKE_OUT)/nemesis.txt
 	grep -Fx 'nemesis: PASS' $(SMOKE_OUT)/nemesis.txt
-	$(call twice,cluster,--cluster --num 400 --shards 4 --replicas 1 --clients 2 --workload a)
+	$(call twice,cluster)
 	grep -E 'replication: [1-9][0-9]* records applied' $(SMOKE_OUT)/cluster.txt
 	grep -E 'sends_refused 0 ' $(SMOKE_OUT)/cluster.txt
-	$(call twice,tiered,--engine bolt --tiered --num 10000)
+	$(call twice,tiered)
 	grep -E 'tier demotions: +[1-9]' $(SMOKE_OUT)/tiered.txt
 	grep -E 'tier remote: +[1-9][0-9]* GETs' $(SMOKE_OUT)/tiered.txt
+
+## Byte-identity against a parent: `make parity PARENT=<rev>` checks
+## PARENT out as a detached worktree under .parity_out/ (removed on exit)
+## and runs one list in both trees: `perfbench --digest`, the `twice`
+## runs above, and benchmarks/parity.py (fig11, fig12 on both bases, the
+## suite over every system).  This tree's parity.py runs against the
+## parent's src, so a parent without the script still works.  Exits 1
+## unless every output is byte-equal (~1 min).  A change that declares a
+## model change is expected to fail it, and says why in CHANGES.md.
+PARITY_OUT := .parity_out
+PARITY_PARENT := $(PARITY_OUT)/parent-worktree
+
+parity:
+	@test -n "$(PARENT)" || { echo "usage: make parity PARENT=<rev>"; exit 2; }
+	@set -e; rm -rf $(PARITY_OUT)/parent $(PARITY_OUT)/change; mkdir -p $(PARITY_OUT); \
+	git worktree add --detach $(PARITY_PARENT) $(PARENT); \
+	trap 'git worktree remove --force $(PARITY_PARENT)' EXIT; \
+	for side in parent change; do \
+		src=src; [ $$side = change ] || src=$(PARITY_PARENT)/src; \
+		out=$(PARITY_OUT)/$$side; mkdir -p $$out; \
+		PYTHONPATH=$$src python -m repro.tools.perfbench --digest > $$out/perfbench-digest.txt; \
+		$(foreach run,$(TWICE_RUNS),PYTHONPATH=$$src python -m repro.tools.dbbench $(TWICE_$(run)) > $$out/$(run).txt; ) \
+		PYTHONPATH=$$src python benchmarks/parity.py > $$out/parity.txt; \
+	done; \
+	status=0; \
+	for name in $$(ls $(PARITY_OUT)/change); do \
+		cmp $(PARITY_OUT)/parent/$$name $(PARITY_OUT)/change/$$name || status=1; \
+	done; \
+	if [ $$status = 0 ]; then echo "parity: every output byte-equal to $(PARENT)"; \
+	else echo "parity: FAILED against $(PARENT)"; fi; \
+	exit $$status
 
 ## The perf ledger's self-test at smoke scale (benchmarks/ledger is
 ## outside pytest's testpaths, so `make test` does not reach it; ~15 s).

@@ -9,7 +9,8 @@ The package builds, from scratch, every system the paper touches:
   baselines — LevelDB, HyperLevelDB, RocksDB, PebblesDB
   (:mod:`repro.engines`);
 * BoLT itself — compaction files, logical SSTables, group compaction,
-  settled compaction, FD cache (:mod:`repro.core`);
+  settled compaction, FD cache — as options the engine reads, with
+  their factories in :mod:`repro.core`;
 * the YCSB workload generator (:mod:`repro.ycsb`) and a benchmark
   harness regenerating every figure of the evaluation
   (:mod:`repro.bench`);

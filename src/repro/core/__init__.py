@@ -1,18 +1,13 @@
-"""BoLT — the paper's contribution (§3).
+"""BoLT — the paper's contribution (§3), as configuration.
 
-* :mod:`~repro.core.compaction_file` — one file + one fsync per
-  compaction (§3.1).
-* :mod:`~repro.core.fd_cache` — per-compaction-file descriptor cache
-  (§3.2.1).
-* :mod:`~repro.core.bolt_engine` — logical SSTables, group compaction,
-  settled compaction, and the ``BoLTEngine`` / ``HyperBoLTEngine``
-  classes plus ablation option factories (§3.2–3.4, Fig 12).
+:mod:`~repro.core.bolt_engine` holds the option factories that switch
+BoLT's techniques on (Fig 12's stages included) and the engine classes
+naming the paper's integrations.  :mod:`repro.lsm` implements them.
 """
 
 from .bolt_engine import (
     ABLATION_STAGES,
     BoLTEngine,
-    BoLTMixin,
     HyperBoLTEngine,
     RocksBoLTEngine,
     bolt_ablation_options,
@@ -20,20 +15,14 @@ from .bolt_engine import (
     hyperbolt_options,
     rocksbolt_options,
 )
-from .compaction_file import CompactionFileSink, container_name
-from .fd_cache import FileDescriptorCache
 
 __all__ = [
     "ABLATION_STAGES",
     "BoLTEngine",
-    "BoLTMixin",
     "HyperBoLTEngine",
     "RocksBoLTEngine",
     "bolt_ablation_options",
     "bolt_options",
     "hyperbolt_options",
     "rocksbolt_options",
-    "CompactionFileSink",
-    "container_name",
-    "FileDescriptorCache",
 ]

@@ -17,10 +17,7 @@ reproduction must preserve.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..lsm import LSMEngine, Options
-from ..lsm.version import FileMetaData, Version
 from ..sim import CostModel
 
 __all__ = ["HyperLevelDBEngine", "hyperleveldb_options"]
@@ -33,16 +30,9 @@ class HyperLevelDBEngine(LSMEngine):
 
     name = "hyperleveldb"
     read_lock = True
-
-    def _pick_victims(self, version: Version, level: int) -> List[FileMetaData]:
-        """Choose the victim whose next-level overlap is cheapest."""
-        candidates = [f for f in version.files[level]
-                      if f.number not in self._busy_tables]
-        if not candidates:
-            return []
-        best = min(candidates, key=lambda f: (version.overlap_bytes(
-            level + 1, f.smallest, f.largest), f.number))
-        return [best]
+    #: Smarter victim selection: the table whose next-level overlap is
+    #: cheapest, one per compaction (see ``LSMEngine._pick_victims``).
+    min_overlap_victims = True
 
 
 def hyperleveldb_options(scale: int = 1, **overrides) -> Options:

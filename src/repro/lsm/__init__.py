@@ -7,20 +7,24 @@ Module map:
 * :mod:`~repro.lsm.memtable` — write buffer.
 * :mod:`~repro.lsm.wal` — write-ahead log and :class:`WriteBatch`.
 * :mod:`~repro.lsm.bloom` / :mod:`~repro.lsm.sstable` — table format.
-* :mod:`~repro.lsm.cache` — TableCache / BlockCache (§2.5–2.6).
+* :mod:`~repro.lsm.cache` — TableCache / BlockCache (§2.5–2.6) and
+  BoLT's per-compaction-file descriptor cache (§3.2.1).
+* :mod:`~repro.lsm.sink` — output sinks: a file per table, or BoLT's
+  one compaction file per job (§3.1).
 * :mod:`~repro.lsm.version` / :mod:`~repro.lsm.manifest` — the table
   tree and its commit-mark log (§2.4).
-* :mod:`~repro.lsm.engine` — the full leveled engine.
+* :mod:`~repro.lsm.engine` — the full leveled engine, BoLT's
+  techniques included as options (§3).
 """
 
 from .bloom import BloomFilter
 from .cache import BlockCache, LRUCache, TableCache
 from .codec import CorruptionError, MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
-from .engine import (Compaction, EngineStats, LSMEngine, OutputSink,
-                     PerTableFileSink, Snapshot)
+from .engine import Compaction, EngineStats, LSMEngine, Snapshot
 from .manifest import VersionEdit, VersionSet
 from .memtable import DELETED, FOUND, MemTable, NOT_FOUND
 from .options import LEVELDB_FORMAT, Options, ROCKSDB_FORMAT, TableFormat
+from .sink import OutputSink, PerTableFileSink
 from .sstable import DataBlock, SSTableBuilder, SSTableReader, TableInfo
 from .version import FileMetaData, Version
 from .wal import LogWriter, WriteBatch, read_log_records

@@ -8,9 +8,11 @@ implements LevelDB's MakeRoomForWrite governors (L0SlowDown, L0Stop,
 immutable-MemTable wait) so write stalls emerge from the same dynamics
 the paper describes in §2.3.
 
-Subclasses (HyperLevelDB / RocksDB baselines, and BoLT in
-:mod:`repro.core`) specialize victim selection, output sinks, table
-formats and cleanup, all through narrow hook methods.
+BoLT (paper §3) is a configuration of this engine: each technique is an
+:class:`Options` switch read here (output sink, victim picker, settled
+split, FD cache, hole-punch cleanup).  Engine classes differ only in
+class attributes, except PebblesDB, which overrides the ``Hook:``
+methods to pick and place compactions by guards.
 """
 
 from __future__ import annotations
@@ -24,20 +26,21 @@ from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Set, T
 
 from ..health import ErrorManager, ReadOnlyError, Scrubber
 from ..sim import Condition, CpuMeter, Environment, Event, Interrupt, Resource
-from ..storage import DeviceError, DiskFullError, FileHandle, SimFS
-from .cache import BlockCache, TableCache
+from ..storage import (DeviceError, DiskFullError, FileHandle,
+                       FileSystemError, SimFS)
+from .cache import BlockCache, FileDescriptorCache, TableCache
 from .codec import MAX_SEQUENCE, VALUE_TYPE_DELETION, CorruptionError
 from .iterators import collapse_versions, merge_streams
 from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
+from .sink import CompactionFileSink, OutputSink, PerTableFileSink
 from .sstable import SSTableBuilder, read_table_extent
-from .version import (FileMetaData, Version, key_range, split_by_overlap,
-                      split_promotable)
+from .version import (FileMetaData, Version, isolated, key_range,
+                      split_by_overlap, split_promotable)
 from .wal import LogWriter, WriteBatch, list_wal_files, read_log_records
 
-__all__ = ["LSMEngine", "EngineStats", "Compaction", "OutputSink",
-           "PerTableFileSink", "Snapshot"]
+__all__ = ["LSMEngine", "EngineStats", "Compaction", "Snapshot"]
 
 Entry = Tuple[bytes, int, int, bytes]
 
@@ -155,56 +158,6 @@ class _Writer:
         self.exc: Optional[BaseException] = None
 
 
-class OutputSink:
-    """Where compaction/flush outputs are written.
-
-    The stock implementation creates one physical file per table and
-    fsyncs each (Fig 3a); BoLT's sink (repro.core) writes every table
-    into a single compaction file and fsyncs once (Fig 3b).
-    """
-
-    def next_handle(self, table_number: int
-                    ) -> Generator[Event, Any, Tuple[FileHandle, str]]:
-        """Return ``(handle, container_name)`` for the next table."""
-        raise NotImplementedError
-
-    def seal(self) -> Generator[Event, Any, None]:
-        """Make every written table durable (the data barrier(s))."""
-        raise NotImplementedError
-
-
-class PerTableFileSink(OutputSink):
-    """One ``.ldb`` file per SSTable; one fsync per file (stock LevelDB).
-
-    With ``ordered_only`` (the §5 BarrierFS mode) each file is sealed by
-    an fdatabarrier() instead: ordering is guaranteed, and durability
-    arrives with the MANIFEST's fsync, whose device FLUSH covers the
-    previously-dispatched data.
-    """
-
-    def __init__(self, fs: SimFS, dbname: str, ordered_only: bool = False):
-        self.fs = fs
-        self.dbname = dbname
-        self.ordered_only = ordered_only
-        self._handles: List[FileHandle] = []
-
-    def next_handle(self, table_number: int
-                    ) -> Generator[Event, Any, Tuple[FileHandle, str]]:
-        """Create one physical ``.ldb`` file for the next table."""
-        name = f"{self.dbname}/{table_number:06d}.ldb"
-        handle = yield from self.fs.create(name)
-        self._handles.append(handle)
-        return handle, name
-
-    def seal(self) -> Generator[Event, Any, None]:
-        """Seal every written file: one fsync (or fdatabarrier) each."""
-        for handle in self._handles:
-            if self.ordered_only:
-                yield from handle.fdatabarrier()
-            else:
-                yield from handle.fsync()
-
-
 class LSMEngine:
     """Leveled LSM-tree key-value store over SimFS."""
 
@@ -213,6 +166,9 @@ class LSMEngine:
     #: (LevelDB family: yes; the RocksDB baseline overrides to False to
     #: model its concurrent read path, §4.3.1).
     read_lock = True
+    #: Whether victims are ordered by ascending next-level overlap even
+    #: without settled compaction (HyperLevelDB's picker, §2.3).
+    min_overlap_victims = False
 
     def __init__(self, env: Environment, fs: SimFS, options: Options,
                  dbname: str = "db"):
@@ -231,9 +187,9 @@ class LSMEngine:
         self.versions = VersionSet(env, fs, options, dbname)
         self.table_cache = TableCache(fs, options)
         self.block_cache = BlockCache(options.block_cache_bytes)
-        #: Compaction-file descriptor cache (§3.1), installed by the
-        #: BoLT engines when ``options.enable_fd_cache``; None elsewhere.
-        self.fd_cache: Optional[Any] = None
+        #: Compaction-file descriptor cache (§3.2.1), installed at the
+        #: end of construction when ``options.enable_fd_cache``.
+        self.fd_cache: Optional[FileDescriptorCache] = None
 
         self._memtable = MemTable()
         self._imm: Optional[MemTable] = None
@@ -300,6 +256,9 @@ class LSMEngine:
             on_pause=self._on_health_pause,
             on_resume=self._on_health_resume)
         self.scrubber: Optional[Scrubber] = None
+        if options.enable_fd_cache:
+            self.fd_cache = FileDescriptorCache(fs, options.fd_cache_size)
+            self.table_cache.open_container = self.fd_cache.open
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1236,33 +1195,53 @@ class LSMEngine:
         return compaction
 
     def _pick_victims(self, version: Version, level: int) -> List[FileMetaData]:
-        """Hook: victim selection strategy.
+        """Victims: the level's idle tables in one order, taken from the
+        front up to a byte budget.
 
-        Stock LevelDB: round-robin after the per-level compact pointer,
-        one victim per compaction.
+        Order: ascending next-level overlap under settled compaction
+        (§3.4: zero-overlap tables settle) or with ``min_overlap_victims``
+        and no group budget; else round-robin after the compact pointer.
+        Budget: ``group_compaction_bytes``; else one logical SSTable when
+        settled; else one table.  So HyperBoLT's +GC stage picks
+        round-robin, and Fig 12(b)'s +GC bar is measured that way.
         """
-        files = version.files[level]
-        if not files:
+        opts = self.options
+        candidates = [f for f in version.files[level]
+                      if f.number not in self._busy_tables]
+        if not candidates:
             return []
-        pointer = self.versions.compact_pointers.get(level)
-        chosen = None
-        if pointer is not None:
-            for meta in files:
-                if meta.smallest > pointer and meta.number not in self._busy_tables:
-                    chosen = meta
-                    break
-        if chosen is None:
-            for meta in files:
-                if meta.number not in self._busy_tables:
-                    chosen = meta
-                    break
-        return [chosen] if chosen is not None else []
+        group_bytes = opts.group_compaction_bytes
+        if opts.enable_settled_compaction or (self.min_overlap_victims
+                                              and not group_bytes):
+            overlap_bytes = version.overlap_bytes
+            below = level + 1
+            ordered = sorted(candidates, key=lambda f: (overlap_bytes(
+                below, f.smallest, f.largest), f.number))
+        else:
+            pointer = self.versions.compact_pointers.get(level)
+            start = 0 if pointer is None else next(
+                (i for i, f in enumerate(candidates) if f.smallest > pointer), 0)
+            ordered = candidates[start:] + candidates[:start]
+        # A zero budget is met by the first table: exactly one victim.
+        budget = group_bytes or (opts.sstable_size
+                                 if opts.enable_settled_compaction else 0)
+        victims: List[FileMetaData] = []
+        total = 0
+        for meta in ordered:
+            victims.append(meta)
+            total += meta.length
+            if total >= budget:
+                break
+        return victims
 
     # -- compaction execution ----------------------------------------------
 
     def _make_sink(self) -> OutputSink:
-        """Hook: output sink factory (BoLT overrides with a compaction
-        file, §3.1)."""
+        """The output sink: one compaction file per job with
+        ``use_compaction_file`` (§3.1), else a file per table."""
+        if self.options.use_compaction_file:
+            return CompactionFileSink(self.fs, self.dbname,
+                                      self.versions.new_file_number())
         return PerTableFileSink(self.fs, self.dbname,
                                 ordered_only=self.options.use_barrierfs)
 
@@ -1377,11 +1356,25 @@ class LSMEngine:
 
     def _split_settled(self, compaction: Compaction
                        ) -> Tuple[List[FileMetaData], List[FileMetaData]]:
-        """Hook: split victims into (settled/promoted, to-merge).
+        """Split victims into (settled/promoted, to-merge).
 
-        Base engines implement only LevelDB's trivial move: a single
-        victim with no next-level overlap moves without rewrite.
+        Settled compaction (§3.4) promotes every victim that overlaps
+        nothing at the next level.  Without it, only LevelDB's trivial
+        move: a single victim with no next-level overlap moves without
+        rewrite.
         """
+        if self.options.enable_settled_compaction:
+            merge, settled = split_by_overlap(compaction.victims,
+                                              compaction.overlaps)
+            if settled and compaction.level == 0:
+                # Level-0 victims may share keys; a victim can only
+                # settle if it overlaps no *other* victim, or a newer
+                # version of one of its keys could end up below it.
+                alone = set(isolated(compaction.victims))
+                settled = [v for v in settled if v in alone]
+                kept = set(settled)
+                merge = [v for v in compaction.victims if v not in kept]
+            return settled, merge
         if (len(compaction.victims) == 1 and not compaction.overlaps
                 and not compaction.is_seek_compaction
                 and not compaction.in_place):
@@ -1507,14 +1500,50 @@ class LSMEngine:
 
     def _cleanup_tables(self, metas: List[FileMetaData]
                         ) -> Generator[Event, Any, None]:
-        """Hook: reclaim dead tables' space.
-
-        Stock engines unlink the per-table file; BoLT punches holes in
-        compaction files instead (§3.2).
-        """
+        """Reclaim dead tables' space: unlink a container once no live
+        table references it, else punch a hole over the dead logical
+        SSTable (§3.2).  A per-table file holds one table, so it is
+        always unlinked."""
+        version = self.versions.current
+        tracer = self.env.tracer
         for meta in metas:
-            if self.fs.exists(meta.container):
-                yield from self.fs.unlink(meta.container)
+            if self.tiering is not None and version.is_remote(meta.container):
+                # Remote container: when its last table dies the tier
+                # pointer is removed *first*, then the object deleted
+                # (never the reverse — the pointer must not dangle).
+                # While tables remain live the whole object stays; its
+                # dead spans are reclaimed only wholesale.
+                yield from self.tiering.maybe_release(meta.container,
+                                                      self._bg_meter())
+                continue
+            if not self.fs.exists(meta.container):
+                continue
+            try:
+                if not version.tables_in(meta.container):
+                    if self.fd_cache is not None:
+                        yield from self.fd_cache.evict(meta.container)
+                    if tracer.enabled:
+                        tracer.count("engine.containers_unlinked")
+                    yield from self.fs.unlink(meta.container)
+                else:
+                    # Not ``table_cache.open_handle``: on a tiered engine
+                    # that falls back to fetching the object from the
+                    # remote tier, and a container that vanished under us
+                    # is a lost race (below), not a reason to GET it back.
+                    opener = (self.fd_cache.open if self.fd_cache is not None
+                              else self.fs.open)
+                    handle = yield from opener(meta.container)
+                    # §3.2: no fsync/fdatasync when punching holes — the
+                    # lazy metadata sync is deliberately free of barriers.
+                    handle.punch_hole(meta.offset, meta.length)
+                    if tracer.enabled:
+                        tracer.count("bolt.tables_punched")
+                        tracer.count("bolt.bytes_punched", meta.length)
+            except FileSystemError:
+                # Concurrent cleanup batches may reference the same
+                # container; whoever loses the unlink race has nothing
+                # left to reclaim.
+                continue
 
     # ------------------------------------------------------------------
     # recovery

@@ -196,6 +196,11 @@ class Options:
             raise ValueError("bg_error_max_retries must be >= 1")
         if self.scrub_interval <= 0 or self.scrub_tables_per_round < 1:
             raise ValueError("scrubber interval/budget must be positive")
+        if self.use_barrierfs and self.use_compaction_file:
+            # The compaction-file sink always seals with one fsync; an
+            # ordering-only BarrierFS sink exists only per table.
+            raise ValueError(
+                "use_barrierfs does not apply to use_compaction_file")
         if self.tiering_enabled:
             if not self.use_compaction_file:
                 # Demotion moves whole compaction files; per-table engines

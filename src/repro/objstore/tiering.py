@@ -37,7 +37,7 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Dict, Generator, List
 
-from ..core.compaction_file import parse_container_number
+from ..lsm.sink import parse_container_number
 from ..sim import Event
 from ..storage import FileHandle, FileSystemError
 from .cache import LsstCache

@@ -149,6 +149,17 @@ class TestBarrierFSEngine:
                 == pytest.approx(fs_stock.stats.logical_bytes_written,
                                  rel=0.25))
 
+    def test_rejected_with_compaction_files(self):
+        """The compaction-file sink always seals with a real fsync, so
+        asking it for ordering-only barriers is an error, not a no-op."""
+        options = leveldb_options(SCALE).copy(use_barrierfs=True,
+                                              use_compaction_file=True)
+        with pytest.raises(ValueError, match="use_barrierfs"):
+            options.validate()
+        env, fs = fresh_stack()
+        with pytest.raises(ValueError, match="use_barrierfs"):
+            LevelDBEngine.open_sync(env, fs, options, "db")
+
     def test_recovery_after_ordered_crash(self):
         env, fs, db, model = self._load(
             leveldb_options(SCALE).copy(use_barrierfs=True))

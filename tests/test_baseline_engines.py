@@ -110,30 +110,67 @@ class TestHyperLevelDB:
     def test_l0_stop_disabled(self):
         assert hyperleveldb_options().enable_l0_stop is False
 
-    def test_min_overlap_victim_choice(self):
-        """The engine must pick the victim with the cheapest next-level
-        overlap rather than round-robin."""
-        env, fs = fresh_stack()
-        db = HyperLevelDBEngine.open_sync(env, fs, hyperleveldb_options(SCALE), "db")
-        from repro.lsm.version import FileMetaData, Version
-        version = Version(4)
-        cheap = FileMetaData(number=1, container="a", offset=0, length=100,
-                             smallest=b"x1", largest=b"x2")
-        costly = FileMetaData(number=2, container="b", offset=0, length=100,
-                              smallest=b"a", largest=b"m")
-        blocker = FileMetaData(number=3, container="c", offset=0, length=9999,
-                               smallest=b"a", largest=b"m")
-        version.add_file(1, cheap)
-        version.add_file(1, costly)
-        version.add_file(2, blocker)
-        victims = db._pick_victims(version, 1)
-        assert [v.number for v in victims] == [1]
-
     def test_cheaper_write_path_than_leveldb(self):
         hyper = hyperleveldb_options()
         stock = leveldb_options()
         assert (hyper.cost_model.write_mutex_overhead
                 < stock.cost_model.write_mutex_overhead)
+
+
+def _picker_version():
+    """Level 1 of six tables, ``(number, keys, length, next-level
+    overlap bytes)``: 1 a-b 40000 50000, 2 c-d 400 0, 3 e-f 40000 100,
+    4 g-h 400 0, 5 i-j 40000 0, 6 k-l 400 20000."""
+    from repro.lsm.version import FileMetaData, Version
+    version = Version(4)
+    level1 = [(1, b"a", b"b", 40000), (2, b"c", b"d", 400),
+              (3, b"e", b"f", 40000), (4, b"g", b"h", 400),
+              (5, b"i", b"j", 40000), (6, b"k", b"l", 400)]
+    level2 = [(11, b"a", b"b", 50000), (12, b"e", b"f", 100),
+              (13, b"k", b"l", 20000)]
+    for level, tables in ((1, level1), (2, level2)):
+        for number, smallest, largest, length in tables:
+            version.add_file(level, FileMetaData(
+                number=number, container=f"{number}.ldb", offset=0,
+                length=length, smallest=smallest, largest=largest))
+    return version
+
+
+class TestVictimPicker:
+    """The one victim picker, pinned per configuration.  At 1/1024 a
+    group budget is 64 KB and a logical SSTable 1 KB; the compact
+    pointer after "j" makes round-robin start at table 6."""
+
+    CASES = [
+        ("leveldb", "stock", [6]),             # round-robin, one table
+        ("hyperleveldb", "stock", [2]),        # least overlap, one table
+        ("leveldb", "+LS", [6]),
+        ("leveldb", "+GC", [6, 1, 2, 3]),      # round-robin to 64 KB
+        ("leveldb", "+STL", [2, 4, 5, 3]),     # least overlap to 64 KB
+        ("hyperleveldb", "+LS", [2]),
+        ("hyperleveldb", "+GC", [6, 1, 2, 3]),  # a group budget wins
+        ("hyperleveldb", "+STL", [2, 4, 5, 3]),
+        ("leveldb", "settled-gc0", [2, 4, 5]),  # least overlap to 1 KB
+    ]
+
+    @pytest.mark.parametrize("system,stage,expected", CASES,
+                             ids=[f"{c[0]}-{c[1]}" for c in CASES])
+    def test_victims(self, system, stage, expected):
+        from repro.core import (BoLTEngine, HyperBoLTEngine,
+                                bolt_ablation_options, bolt_options)
+        if stage == "settled-gc0":
+            options = bolt_options(SCALE, group_bytes=0)
+        else:
+            options = bolt_ablation_options(stage, SCALE, base=system)
+        engines = {("leveldb", True): LevelDBEngine,
+                   ("hyperleveldb", True): HyperLevelDBEngine,
+                   ("leveldb", False): BoLTEngine,
+                   ("hyperleveldb", False): HyperBoLTEngine}
+        env, fs = fresh_stack()
+        db = engines[system, stage == "stock"].open_sync(env, fs, options, "db")
+        db.versions.compact_pointers[1] = b"j"
+        victims = db._pick_victims(_picker_version(), 1)
+        assert [v.number for v in victims] == expected
 
 
 class TestRocksDB:

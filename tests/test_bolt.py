@@ -8,11 +8,14 @@ from repro.core import (
     ABLATION_STAGES,
     BoLTEngine,
     HyperBoLTEngine,
+    RocksBoLTEngine,
     bolt_ablation_options,
     bolt_options,
     hyperbolt_options,
+    rocksbolt_options,
 )
-from repro.engines import LevelDBEngine, leveldb_options
+from repro.engines import (HyperLevelDBEngine, LevelDBEngine, RocksDBEngine,
+                           leveldb_options)
 from repro.lsm.engine import Compaction
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
@@ -41,6 +44,31 @@ def load_random(env, db, n=2500, keyspace=1200, seed=11, value_size=80):
 
     env.run_until(env.process(writer()))
     return model
+
+
+class TestBoltIsAConfiguration:
+    """BoLT's techniques are options the engine reads: a base engine
+    opened with BoLT's options is the BoLT engine, bit for bit."""
+
+    @pytest.mark.parametrize("base_cls,bolt_cls,factory", [
+        (LevelDBEngine, BoLTEngine, bolt_options),
+        (HyperLevelDBEngine, HyperBoLTEngine, hyperbolt_options),
+        (RocksDBEngine, RocksBoLTEngine, rocksbolt_options),
+    ], ids=["leveldb", "hyperleveldb", "rocksdb"])
+    def test_base_engine_with_bolt_options_is_bolt(self, base_cls, bolt_cls,
+                                                    factory):
+        def run(engine_cls):
+            env, fs = fresh_stack()
+            db = engine_cls.open_sync(env, fs, factory(SCALE), "db")
+            load_random(env, db, n=2000, keyspace=1500)
+            files = {name: bytes(fs._files[name].data)
+                     for name in fs.listdir()}
+            return env.now, vars(fs.stats), vars(db.stats), files
+
+        base, bolt = run(base_cls), run(bolt_cls)
+        assert bolt[2]["compactions"] > 0
+        assert any(name.endswith(".cf") for name in bolt[3])
+        assert base == bolt
 
 
 class TestCompactionFile:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.compaction_file import CompactionFileSink, container_name
-from repro.core.fd_cache import FileDescriptorCache
+from repro.lsm.sink import CompactionFileSink, container_name
+from repro.lsm.cache import FileDescriptorCache
 
 
 class TestContainerName:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.report import unified_snapshot
 from repro.core import BoLTEngine, bolt_options
-from repro.core.compaction_file import parse_container_number
+from repro.lsm.sink import parse_container_number
 from repro.faults.checker import CrashChecker
 from repro.objstore import (
     LsstCache,

@@ -8,9 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bolt_engine import BoLTMixin
 from repro.lsm import FileMetaData, Options, Version, VersionEdit, VersionSet
-from repro.lsm.engine import Compaction
+from repro.lsm.engine import Compaction, LSMEngine
 from repro.lsm.version import isolated, split_by_overlap, split_promotable
 
 
@@ -323,7 +322,7 @@ class TestVersionComplexity:
             options=SimpleNamespace(enable_settled_compaction=True))
         budget = 2 * len(overlaps) + len(victims) * (math.log2(len(overlaps)) + 3)
         CountingKey.compares = 0
-        settled, merge = BoLTMixin._split_settled(
+        settled, merge = LSMEngine._split_settled(
             settled_shape, Compaction(1, victims, overlaps))
         assert CountingKey.compares <= budget
         assert (merge, settled) == brute_split(victims, overlaps)
