@@ -3,8 +3,9 @@
 The injector piggybacks on a normal ("golden") run: durability-critical
 code paths announce named *crash sites* through
 :meth:`repro.storage.SimFS.fault_site`, and an armed
-:class:`CrashInjector` captures a :class:`CrashImage` — a deep copy of
-the entire on-disk state *including* unsynced dirty-page bookkeeping —
+:class:`CrashInjector` captures a :class:`CrashImage` — a copy of the
+entire on-disk state *including* unsynced dirty-page bookkeeping, whose
+file bytes share the live files' immutable chunks —
 at each armed site.  The golden run itself is never perturbed; each
 image is later materialized into a fresh simulated machine, a
 :class:`FaultModel` is applied (which unsynced state the power loss
@@ -145,7 +146,12 @@ class FaultPlan:
 
 def _copy_file(file: _SimFile) -> _SimFile:
     copy = _SimFile(file.file_id, file.name)
-    copy.data = bytearray(file.data)
+    # Chunks are immutable and shared, except a coalescing tail.
+    copy.chunks = list(file.chunks)
+    if copy.chunks and type(copy.chunks[-1]) is bytearray:
+        copy.chunks[-1] = bytes(copy.chunks[-1])
+    copy.starts = list(file.starts)
+    copy.size = file.size
     copy.dirty = dict(file.dirty)
     copy.dirty_epoch = dict(file.dirty_epoch)
     copy.submitted = set(file.submitted)

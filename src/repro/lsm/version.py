@@ -20,6 +20,7 @@ __all__ = ["FileMetaData", "Version"]
 
 _NUMBER = attrgetter("number")
 _LENGTH = attrgetter("length")
+_SMALLEST = attrgetter("smallest")
 
 
 @dataclass(eq=False)
@@ -139,6 +140,12 @@ class Version:
         self._by_number: List[Dict[int, FileMetaData]] = [{} for _ in self.files]
         #: Per-level distinct-container count, None until next asked.
         self._containers: List[Optional[int]] = [None] * num_levels
+        #: Level 0 grouped by container (a flush unit, in BoLT), None
+        #: until next asked: per container its tables sorted by
+        #: ``smallest``, those keys, and their running maximum of
+        #: ``largest`` — a level >= 1's index, one per container.
+        self._l0_index: Optional[List[Tuple[List[bytes], List[bytes],
+                                            List[FileMetaData]]]] = None
         #: Per level >= 1, None until next asked: ``[0, l0, l0 + l1, ...]``
         #: over the tables' (immutable) lengths on a disjoint level, an
         #: empty tuple on an overlapping one (PebblesDB).
@@ -174,6 +181,7 @@ class Version:
         version._by_number = [dict(index) for index in self._by_number]
         version._reach = [list(reach) for reach in self._reach]
         version._containers = list(self._containers)
+        version._l0_index = self._l0_index  # rebuilt, never mutated
         version._length_sums = list(self._length_sums)
         version._container_refs = dict(self._container_refs)
         version._level_bytes = list(self._level_bytes)
@@ -259,6 +267,7 @@ class Version:
         refs = self._container_refs
         refs[meta.container] = refs.get(meta.container, 0) + 1
         if level == 0:
+            self._l0_index = None
             files.append(meta)
             files.sort(key=_NUMBER)
         else:
@@ -283,6 +292,7 @@ class Version:
         if left:
             refs[meta.container] = left
         if level == 0:
+            self._l0_index = None
             files.remove(meta)
         else:
             keys = self._smallest[level]
@@ -310,23 +320,50 @@ class Version:
 
         Level 0 tables overlap and must all be consulted (§2.1); so must
         the tables of a PebblesDB guard.  A disjoint level yields at
-        most one table.
+        most one table.  Level 0 is searched one container at a time,
+        each indexed like a level >= 1 (a BoLT flush's tables share a
+        container and are disjoint, so each yields at most one).
         """
         files = self.files[level]
         if not files:
             return []
+        # In each slice every table starts at or before the key; a lone
+        # candidate is a hit (reach[lo - 1] < key <= reach[lo] makes its
+        # largest the reach), more are filtered on largest.
         if level:
             lo = bisect.bisect_left(self._reach[level], user_key)
             hi = bisect.bisect_right(self._smallest[level], user_key, lo)
-            files = files[lo:hi]
             if hi - lo < 2:
-                # A lone candidate is a hit: reach[lo - 1] < key <=
-                # reach[lo] makes its largest the reach.
-                return files
-        hits = [f for f in files if f.smallest <= user_key <= f.largest]
+                return files[lo:hi]
+            hits = [f for f in files[lo:hi] if f.largest >= user_key]
+        else:
+            index = self._l0_index
+            if index is None:
+                index = self._l0_index = self._index_level0()
+            hits = []
+            for smallest, reach, group in index:
+                lo = bisect.bisect_left(reach, user_key)
+                hi = bisect.bisect_right(smallest, user_key, lo)
+                if hi - lo == 1:
+                    hits.append(group[lo])
+                elif hi > lo:
+                    hits += [f for f in group[lo:hi] if f.largest >= user_key]
         if len(hits) > 1:
             hits.sort(key=_NUMBER, reverse=True)
         return hits
+
+    def _index_level0(self) -> List[Tuple[List[bytes], List[bytes],
+                                          List[FileMetaData]]]:
+        groups: Dict[str, List[FileMetaData]] = {}
+        for meta in self.files[0]:
+            groups.setdefault(meta.container, []).append(meta)
+        index = []
+        for group in groups.values():
+            group.sort(key=_SMALLEST)
+            index.append(([f.smallest for f in group],
+                          list(accumulate((f.largest for f in group), max)),
+                          group))
+        return index
 
     def overlapping_files(self, level: int, smallest: Optional[bytes],
                           largest: Optional[bytes]) -> List[FileMetaData]:

@@ -3,7 +3,7 @@
 SimFS gives the LSM engines exactly the POSIX behaviours the paper's
 argument rests on:
 
-* **Writes are buffered.** ``append``/``write_at`` copy into the page
+* **Writes are buffered.** ``append``/``write_at`` land in the page
   cache and cost (almost) nothing; nothing is durable until a barrier.
 * **Barriers are expensive.** ``fsync``/``fdatasync`` drain the device
   queue, write back the file's dirty pages, and pay the FLUSH latency.
@@ -23,6 +23,7 @@ real encoded bytes, so recovery and corruption detection are real too.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set
 
@@ -87,15 +88,30 @@ class FSStats:
 
 
 class _SimFile:
-    """Internal per-file state: bytes, dirty pages, punched holes."""
+    """Internal per-file state: the file as written, dirty pages, holes.
 
-    __slots__ = ("file_id", "name", "data", "dirty", "dirty_epoch",
-                 "submitted", "punched", "partial_punches", "durable_size")
+    The bytes are ``chunks`` in offset order; ``starts[i]`` is where
+    ``chunks[i]`` begins and :attr:`size` is where the last one ends.  A
+    chunk is the ``bytes`` a caller appended, the one ``bytearray`` that
+    sub-page appends (WAL and MANIFEST records) coalesce into — always
+    the last chunk, at most a page long — or an ``int``: the length of a
+    run that reads as zeros (punched pages, pages a crash reverted to
+    nothing) and holds no memory.  No chunk but that tail is ever
+    mutated; a write or punch replaces chunks (slicing at most its two
+    edge chunks), so a crash image shares them with the live file.
+    """
+
+    __slots__ = ("file_id", "name", "chunks", "starts", "size", "dirty",
+                 "dirty_epoch", "submitted", "punched", "partial_punches",
+                 "durable_size")
 
     def __init__(self, file_id: int, name: str):
         self.file_id = file_id
         self.name = name
-        self.data = bytearray()
+        self.chunks: List[Any] = []
+        self.starts: List[int] = []
+        #: Current logical file size in bytes.
+        self.size = 0
         #: page index -> pre-image bytes of that page as of the last
         #: barrier (None when the page did not exist durably).
         self.dirty: Dict[int, Optional[bytes]] = {}
@@ -113,14 +129,104 @@ class _SimFile:
         self.durable_size = 0
 
     @property
-    def size(self) -> int:
-        """Current logical file size in bytes."""
-        return len(self.data)
+    def data(self) -> bytes:
+        """The whole file as one read-only ``bytes`` (for tests and tools)."""
+        return self.slice(0, self.size)
 
     @property
     def allocated_bytes(self) -> int:
         """On-disk footprint: size minus fully punched pages."""
         return max(0, self.size - len(self.punched) * PAGE_SIZE)
+
+    def slice(self, start: int, end: int) -> bytes:
+        """Bytes ``[start, end)``; ``end`` must not exceed :attr:`size`."""
+        if start >= end:
+            return b""
+        starts = self.starts
+        i = bisect_right(starts, start) - 1
+        chunk = self.chunks[i]
+        base = starts[i]
+        if type(chunk) is bytes and end - base <= len(chunk):
+            return chunk[start - base:end - base]
+        chunks = self.chunks
+        count = len(chunks)
+        parts = []
+        while start < end:
+            chunk = chunks[i]
+            stop = starts[i + 1] if i + 1 < count else self.size
+            if stop > end:
+                stop = end
+            if type(chunk) is int:
+                parts.append(bytes(stop - start))
+            else:
+                base = starts[i]
+                parts.append(chunk[start - base:stop - base])
+            start = stop
+            i += 1
+        return b"".join(parts)
+
+    def extend(self, data: bytes) -> None:
+        """Append ``data``: kept as given (a page or more) or coalesced."""
+        length = len(data)
+        if not length:
+            return
+        chunks = self.chunks
+        tail = chunks[-1] if chunks else None
+        if length < PAGE_SIZE:
+            if type(tail) is bytearray and len(tail) + length <= PAGE_SIZE:
+                tail += data
+                self.size += length
+                return
+            chunk: Any = bytearray(data)
+        else:
+            chunk = data if type(data) is bytes else bytes(data)
+        if type(tail) is bytearray:
+            chunks[-1] = bytes(tail)
+        chunks.append(chunk)
+        self.starts.append(self.size)
+        self.size += length
+
+    def splice(self, start: int, end: int, piece: Any) -> None:
+        """Replace ``[start, end)`` (inside the file) with ``piece``.
+
+        ``piece`` is ``bytes`` of length ``end - start``, or the ``int``
+        ``end - start`` for zeros.  Only the chunks at the two edges are
+        sliced; runs of zeros merge with zero neighbours.
+        """
+        if start >= end:
+            return
+        chunks, starts = self.chunks, self.starts
+        i = bisect_right(starts, start) - 1
+        j = bisect_left(starts, end, i + 1)  # chunks[i:j] meet the range
+        if j == len(chunks) and type(chunks[-1]) is bytearray:
+            chunks[-1] = bytes(chunks[-1])  # sliced pieces stay immutable
+        new_chunks: List[Any] = []
+        new_starts: List[int] = []
+        base = starts[i]
+        if base < start:
+            head = chunks[i]
+            new_chunks.append(start - base if type(head) is int
+                              else head[:start - base])
+            new_starts.append(base)
+        new_chunks.append(piece)
+        new_starts.append(start)
+        stop = starts[j] if j < len(starts) else self.size
+        if stop > end:
+            last = chunks[j - 1]
+            new_chunks.append(stop - end if type(last) is int
+                              else last[end - starts[j - 1]:])
+            new_starts.append(end)
+        chunks[i:j] = new_chunks
+        starts[i:j] = new_starts
+        k = max(i, 1)
+        hi = min(i + len(new_chunks) + 1, len(chunks))
+        while k < hi:
+            if type(chunks[k]) is int and type(chunks[k - 1]) is int:
+                chunks[k - 1] += chunks[k]
+                del chunks[k], starts[k]
+                hi -= 1
+            else:
+                k += 1
 
     def _remember_preimage(self, page: int) -> None:
         if page in self.dirty:
@@ -129,8 +235,8 @@ class _SimFile:
         if start >= self.durable_size:
             self.dirty[page] = None
         else:
-            end = min(start + PAGE_SIZE, self.durable_size)
-            self.dirty[page] = bytes(self.data[start:end])
+            self.dirty[page] = self.slice(
+                start, min(start + PAGE_SIZE, self.durable_size))
 
     def mark_dirty_range(self, offset: int, length: int,
                          epoch: int = 0) -> None:
@@ -390,12 +496,12 @@ class SimFS:
         whole, so a full disk never leaves part of one behind.
         """
         file = handle._file
-        offset = len(file.data)
+        offset = file.size
         length = len(data)
         if self.capacity_bytes is not None:
             self._charge_capacity(file, offset, length)
         file.mark_dirty_range(offset, length, self.epoch)  # pre-images first
-        file.data.extend(data)
+        file.extend(data)
         self._make_resident(file, offset, length)
         self.stats.logical_bytes_written += length
         if meter is not None:
@@ -414,8 +520,8 @@ class SimFS:
         self._charge_capacity(file, offset, len(data))
         file.mark_dirty_range(offset, len(data), self.epoch)  # pre-images first
         if end > file.size:
-            file.data.extend(b"\x00" * (end - file.size))
-        file.data[offset:end] = data
+            file.extend(bytes(end - file.size))
+        file.splice(offset, end, bytes(data))
         self._make_resident(file, offset, len(data))
         self.stats.logical_bytes_written += len(data)
         if meter is not None:
@@ -431,7 +537,7 @@ class SimFS:
         per-page latency.
         """
         file = handle._file
-        size = len(file.data)
+        size = file.size
         if length <= 0 or offset >= size:
             return b""
         length = min(length, size - offset)
@@ -458,7 +564,15 @@ class SimFS:
                 cache.insert_range(file.file_id, start_page, end_page)
         if meter is not None:
             meter.charge_bytes(length)
-        return bytes(file.data[offset:offset + length])
+        # A table or block read lies inside one appended chunk: one slice.
+        end = offset + length
+        starts = file.starts
+        i = bisect_right(starts, offset) - 1
+        chunk = file.chunks[i]
+        base = starts[i]
+        if type(chunk) is bytes and end - base <= len(chunk):
+            return chunk[offset - base:end - base]
+        return file.slice(offset, end)
 
     def _make_resident(self, file: _SimFile, offset: int, length: int) -> None:
         if self.page_cache is None or length <= 0:
@@ -552,8 +666,9 @@ class SimFS:
         """Deallocate whole pages inside ``[offset, offset+length)``.
 
         Matches ``fallocate(FALLOC_FL_PUNCH_HOLE)``: only pages fully
-        covered by the range are freed; reads of punched pages return
-        zeros.  No barrier is issued (§3.2's lazy metadata sync).
+        covered by the range are freed; their bytes are dropped and reads
+        of them return zeros.  No barrier is issued (§3.2's lazy metadata
+        sync).
 
         Partially covered edge pages are not freed by one call, but their
         coverage accumulates: once the union of punched ranges spans a
@@ -586,10 +701,14 @@ class SimFS:
                 self.stats.bytes_punched += PAGE_SIZE
             file.partial_punches.pop(page, None)
             file.dirty.pop(page, None)
-            start = page * PAGE_SIZE
-            file.data[start:start + PAGE_SIZE] = b"\x00" * PAGE_SIZE
             if self.page_cache is not None:
                 self.page_cache.invalidate_range(file.file_id, page, page)
+        if to_free:
+            # Drop the freed bytes.  The interior run and the edge pages
+            # next to it are contiguous, so they become one zero run.
+            start = min(to_free) * PAGE_SIZE
+            stop = (max(to_free) + 1) * PAGE_SIZE
+            file.splice(start, stop, stop - start)
         self.stats.num_hole_punches += 1
         tracer = self.env.tracer
         if tracer.enabled:
@@ -678,16 +797,12 @@ class SimFS:
                 end = min(start + PAGE_SIZE, file.size)
                 new_prefix = b""
                 if torn == (id(file), page):
-                    new_prefix = bytes(file.data[start:min(start + torn_keep, end)])
-                if preimage is None:
-                    file.data[start:end] = b"\x00" * (end - start)
-                else:
-                    file.data[start:start + len(preimage)] = preimage
-                    if start + len(preimage) < end:
-                        tail = end - (start + len(preimage))
-                        file.data[start + len(preimage):end] = b"\x00" * tail
-                if new_prefix:
-                    file.data[start:start + len(new_prefix)] = new_prefix
+                    new_prefix = file.slice(start, min(start + torn_keep, end))
+                # The page reads: the torn prefix of the new content, then
+                # the preimage, then zeros.
+                kept = new_prefix + (preimage or b"")[len(new_prefix):]
+                file.splice(start, end, kept + bytes(end - start - len(kept))
+                            if kept else end - start)
             file.dirty.clear()
             file.dirty_epoch.clear()
             file.submitted.clear()

@@ -258,6 +258,51 @@ class TestVersionIndex:
         for old, snapshot in frozen + [(version, brute)]:
             assert_matches(old, snapshot, _EVERY_QUERY)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_KEY, min_size=1, max_size=8),
+                              st.sampled_from(["flush", "flush", "remove", "clone"]),
+                              st.integers(0, 40)),
+                    min_size=3, max_size=12))
+    def test_level0_flush_units_match_brute_force(self, steps):
+        """Level 0 as BoLT builds it: each flush is one container of
+        disjoint tables with consecutive numbers, and flushes overlap
+        one another.  Removing single tables (a compaction taking part
+        of a container) and cloning leave every key's answer, newest
+        first, equal to the linear scan's."""
+        version, brute = Version(3), BruteVersion([[], [], []])
+        frozen, number = [], 0
+        for flush, (keys, op, pick) in enumerate(steps):
+            if op == "flush":
+                bounds = sorted(set(keys))
+                for lo_key, hi_key in zip(bounds[::2], bounds[1::2] + bounds[-1:]):
+                    number += 1
+                    table = meta(number, lo_key, hi_key, container=f"flush{flush}")
+                    version.add_file(0, table)
+                    brute.add(0, table)
+            elif op == "remove" and brute.files[0]:
+                victim = brute.files[0][pick % len(brute.files[0])].number
+                assert version.remove_file(0, victim) == brute.remove(0, victim)
+            elif op == "clone":
+                frozen.append((version, BruteVersion(brute.files)))
+                version = version.clone()
+            assert_matches(version, brute, [(key, None) for key in keys])
+        for old, snapshot in frozen + [(version, brute)]:
+            assert_matches(old, snapshot, _EVERY_QUERY)
+
+    def test_level0_containers_are_searched_separately(self):
+        """Two flushes of three disjoint tables each, interleaved in key
+        order: a key hits one table per flush, newest first."""
+        v = Version(2)
+        for number, (lo, hi) in enumerate([(b"a", b"c"), (b"d", b"f"), (b"g", b"i")], 1):
+            v.add_file(0, meta(number, lo, hi, container="c1"))
+        for number, (lo, hi) in enumerate([(b"b", b"d"), (b"e", b"h"), (b"i", b"k")], 4):
+            v.add_file(0, meta(number, lo, hi, container="c2"))
+        assert [f.number for f in v.tables_for_key(0, b"d")] == [4, 2]
+        assert [f.number for f in v.tables_for_key(0, b"i")] == [6, 3]
+        assert [f.number for f in v.tables_for_key(0, b"l")] == []
+        v.remove_file(0, 2)
+        assert [f.number for f in v.tables_for_key(0, b"d")] == [4]
+
     def test_overlapping_level_needs_the_running_maximum(self):
         """A wide early table hides behind narrower later ones: bisecting
         ``largest`` itself (not its running maximum) would miss it."""
