@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: check test smoke crash-sweep parity ledger-smoke ledger-compare loc simcheck effects doccheck
+.PHONY: check test smoke crash-sweep parity ledger-smoke ledger-compare opcount loc simcheck effects doccheck
 
 ## All static gates (ruff + simcheck + doccheck) in one command.
 check:
@@ -130,6 +130,15 @@ ledger-compare:
 	git worktree add --detach $(LEDGER_PARENT) $(PARENT); \
 	trap 'git worktree remove --force $(LEDGER_PARENT)' EXIT; \
 	python3 benchmarks/ledger/run.py compare --pairs $(PAIRS) --seed $(SEED) $(LEDGER_PARENT) .
+
+## Bytecodes per operation per layer over one ledger workload's timed
+## section at --smoke scale, as JSON: `make opcount [WORKLOAD=read-uniform]`
+## (~2 s).  Exact, so two runs of one tree print the same bytes; a
+## host-only change quotes the per-layer delta against its parent.
+WORKLOAD ?= read-uniform
+
+opcount:
+	@$(PY) benchmarks/opcount.py --workload $(WORKLOAD)
 
 ## Library size, the one number line budgets quote.
 loc:

@@ -116,9 +116,11 @@ class BloomFilter:
         """True if ``key`` may be present; False is definitive."""
         h = _base_hash(key)
         delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
+        bits = self._bits
+        nbits = self._nbits
         for _ in range(self.num_probes):
-            pos = h % self._nbits
-            if not self._bits[pos // 8] & (1 << (pos % 8)):
+            pos = h % nbits
+            if not bits[pos >> 3] >> (pos & 7) & 1:
                 return False
             h = (h + delta) & 0xFFFFFFFF
         return True

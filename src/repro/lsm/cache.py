@@ -24,12 +24,12 @@ after pushing out the readers point queries are using.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Generator, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Hashable, Optional, Tuple
 
 from ..sim import CpuMeter, Event, Resource
 from ..storage import FileHandle, SimFS
 from .options import Options
-from .sstable import SSTableReader
+from .sstable import Sections, SSTableReader, release_sections
 
 __all__ = ["LRUCache", "BlockCache", "TableCache", "FileDescriptorCache"]
 
@@ -112,6 +112,13 @@ class TableCache:
     ``max_open_files`` option, counted in **tables**.  On a miss the
     table is re-opened: :meth:`open_handle` plus device reads of
     footer, index block and bloom filter.
+
+    Apart from that model, the cache keeps each live table's verified
+    sections (:data:`~repro.lsm.sstable.Sections`) — what a reopening
+    or a block read reuses instead of re-checking and re-parsing while
+    SimFS holds the same bytes.  That host-side memo outlives the
+    reader's LRU slot and is dropped by :meth:`forget` once the table is
+    deleted; it changes no hit, miss, read or charge.
     """
 
     def __init__(self, fs: SimFS, options: Options):
@@ -123,6 +130,7 @@ class TableCache:
         #: ``options.enable_fd_cache`` (+FC, §3.2.1); tiering wraps it.
         self.open_container: Optional[Callable] = None
         self.index_bytes_loaded = 0
+        self._sections: Dict[int, Sections] = {}
 
     @property
     def hits(self) -> int:
@@ -158,8 +166,12 @@ class TableCache:
         if reader is not None:
             return reader
         handle = yield from self.open_handle(container_name)
+        sections = self._sections.get(uid)
+        if sections is None:
+            sections = self._sections[uid] = {}
         reader = yield from SSTableReader.open(
-            uid, handle, self.options.table_format, base_offset, length, meter)
+            uid, handle, self.options.table_format, base_offset, length, meter,
+            sections)
         self.index_bytes_loaded += reader.index_size
         self._cache.put(uid, reader)
         return reader
@@ -167,6 +179,17 @@ class TableCache:
     def evict(self, uid: int) -> None:
         """Drop the cached reader for table ``uid``, if any."""
         self._cache.remove(uid)
+
+    def forget(self, uid: int) -> None:
+        """Drop table ``uid``'s verified sections, and the chunks they
+        hold: once the table is deleted and no read can reach it any more
+        (a get still running on an older version may reopen it after
+        :meth:`evict`), or once the file they were read from is gone.
+        Its data blocks still in the BlockCache keep copies of their own
+        bytes, not the chunk (:func:`~repro.lsm.sstable.release_sections`)."""
+        sections = self._sections.pop(uid, None)
+        if sections is not None:
+            release_sections(sections)
 
     def clear(self) -> None:
         """Drop every cached reader."""

@@ -1481,6 +1481,8 @@ class LSMEngine:
             return
         batch, self._deferred_cleanup = self._deferred_cleanup, []
         demoted, self._deferred_demotions = self._deferred_demotions, []
+        for meta in batch:  # no read in flight can reach these any more
+            self.table_cache.forget(meta.number)
         proc = self.env.process(self._cleanup_and_poke(batch, demoted),
                                 name=f"{self.dbname}-cleanup")
         proc.add_callback(self._on_worker_exit)

@@ -9,7 +9,9 @@ one compaction file (§3.2): a logical SSTable is simply a table whose
 base offset is nonzero.
 
 Every block carries a CRC so that crash tests detect pages lost by an
-unsynced write, and every structure is real bytes in SimFS.
+unsynced write, and every structure is real bytes in SimFS.  The CRC is
+checked on every load of bytes not already verified: a point read keeps
+what it parsed while SimFS still holds the same chunk (SSTableReader).
 """
 
 from __future__ import annotations
@@ -177,23 +179,24 @@ def _decode_entries(fmt: TableFormat, data: bytes) -> List[Entry]:
     return entries
 
 
-def _open_block(raw: bytes, what: str = "block") -> Tuple[bytes, int]:
-    """CRC-check an encoded data or index block; its payload and the
-    trailer's entry count."""
-    end = len(raw) - 8
-    if end < 0:
+def _open_block(raw: bytes, start: int, end: int, what: str = "block") -> int:
+    """CRC-check the encoded data or index block ``raw[start:end]`` in
+    place; the trailer's entry count.  The payload is
+    ``raw[start:end - 8]``."""
+    stop = end - 8
+    if stop < start:
         raise CorruptionError(f"{what} too short")
-    payload = raw[:end]
-    count, stored_crc = _TRAILER.unpack_from(raw, end)
-    if crc32(payload) != stored_crc:
+    count, stored_crc = _TRAILER.unpack_from(raw, stop)
+    if crc32(memoryview(raw)[start:stop]) != stored_crc:
         raise CorruptionError(f"{what} checksum mismatch")
-    return payload, count
+    return count
 
 
 def _decode_block(fmt: TableFormat, raw: bytes) -> List[Entry]:
     """CRC-check an encoded data block and return its entries."""
-    payload, count = _open_block(raw)
-    layout = _uniform_layout(fmt, payload, count)
+    count = _open_block(raw, 0, len(raw))
+    payload = raw[:-8]
+    layout = _uniform_layout(fmt, payload, 0, len(payload), count)
     if layout is not None:
         return _decode_uniform(payload, layout)
     entries = _decode_entries(fmt, payload)
@@ -202,27 +205,30 @@ def _decode_block(fmt: TableFormat, raw: bytes) -> List[Entry]:
     return entries
 
 
-def _uniform_layout(fmt: TableFormat, payload: bytes, count: int
-                    ) -> Optional[Tuple[int, int, int, int, int]]:
-    """``(stride, key offset, klen, vlen, value type)`` when ``payload``
-    is ``count`` entries of one stride under one ``klen || vlen || type``
-    prefix — the blocks ``_decode_entries`` would take on its stride
-    fast path from the second entry on — else None."""
+def _uniform_layout(fmt: TableFormat, raw: bytes, start: int, stop: int,
+                    count: int) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(stride, key offset, klen, vlen, value type)`` when the payload
+    ``raw[start:stop]`` is ``count`` entries of one stride under one
+    ``klen || vlen || type`` prefix — the blocks ``_decode_entries``
+    would take on its stride fast path from the second entry on — else
+    None.  The key offset is relative to ``start``."""
+    if not count:
+        return None
     try:
-        klen, pos = decode_varint(payload, 0)
-        vlen, pos = decode_varint(payload, pos)
+        klen, pos = decode_varint(raw, start)
+        vlen, pos = decode_varint(raw, pos)
     except CorruptionError:
         return None  # the full decoder names the fault
-    key_at = pos + 9  # type byte, fixed64 sequence
+    key_at = pos - start + 9  # type byte, fixed64 sequence
     stride = max(key_at, fmt.per_record_overhead) + klen + vlen
     # count x stride == len puts entry i at i x stride, the first one
     # wholly inside the payload, and every strided slice at count bytes.
-    if count * stride != len(payload):
+    if count * stride != stop - start:
         return None
-    for at in range(pos + 1):
-        if payload[at::stride] != payload[at:at + 1] * count:
+    for at in range(start, pos + 1):
+        if raw[at:stop:stride] != raw[at:at + 1] * count:
             return None
-    return stride, key_at, klen, vlen, payload[pos]
+    return stride, key_at, klen, vlen, raw[pos]
 
 
 def _decode_uniform(payload: bytes,
@@ -245,37 +251,75 @@ class DataBlock:
     """One verified data block, as a point read searches it.
 
     ``decode`` checks the CRC and the trailer's entry count on every
-    load.  A uniform block (:func:`_uniform_layout`: what fixed-size
-    keys and values produce) keeps its bytes and is searched in place —
-    a bisect over the keys at their fixed offsets, a sequence number
+    load of bytes not already verified (:class:`SSTableReader` keeps a
+    uniform block it decoded and reuses it while SimFS hands back the
+    same chunk).  A uniform block (:func:`_uniform_layout`: what
+    fixed-size keys and values produce) is a view: it keeps the buffer
+    it was read from, copies nothing, and is searched in place — a
+    bisect over the keys at their fixed offsets, a sequence number
     unpacked only under a matching key, one value sliced out.  Any
     other block (tombstones among values, mixed sizes, a hostile
     header) is decoded whole by ``_decode_entries``, the one statement
     of the entry layout, into ``entries``.  The bytes choose the
-    representation; the answers are the same.
+    representation; the answers are the same.  A uniform block's
+    ``keys`` is None until :meth:`build_keys` lists them for a block
+    that is searched again.
     """
 
-    __slots__ = ("count", "entries", "_payload", "_layout")
+    __slots__ = ("count", "entries", "keys", "_data", "_start", "_layout")
 
-    def __init__(self, count: int, payload: bytes = b"",
+    def __init__(self, count: int, data: bytes = b"", start: int = 0,
                  layout: Optional[Tuple[int, int, int, int, int]] = None,
                  entries: Optional[List[Entry]] = None):
         self.count = count
-        self._payload = payload
+        #: The buffer a uniform block lies in, its payload from
+        #: ``_start`` on; ``_layout``'s key offset is the first key's
+        #: position in it.
+        self._data = data
+        self._start = start
         self._layout = layout
         self.entries = entries
+        self.keys: Optional[List[bytes]] = None
 
     @classmethod
-    def decode(cls, fmt: TableFormat, raw: bytes) -> "DataBlock":
-        """Parse and CRC-check an encoded block."""
-        payload, count = _open_block(raw)
-        layout = _uniform_layout(fmt, payload, count)
+    def decode(cls, fmt: TableFormat, raw: bytes, start: int = 0,
+               length: Optional[int] = None) -> "DataBlock":
+        """Parse and CRC-check the encoded block ``raw[start:start +
+        length]`` (all of ``raw`` by default), without copying it."""
+        end = len(raw) if length is None else min(start + length, len(raw))
+        count = _open_block(raw, start, end)
+        stop = end - 8
+        layout = _uniform_layout(fmt, raw, start, stop, count)
         if layout is not None:
-            return cls(count, payload, layout)
-        entries = _decode_entries(fmt, payload)
+            stride, key_at, klen, vlen, value_type = layout
+            return cls(count, raw, start,
+                       (stride, start + key_at, klen, vlen, value_type))
+        entries = _decode_entries(fmt, raw[start:stop])
         if len(entries) != count:
             raise CorruptionError("block entry count mismatch")
         return cls(count, entries=entries)
+
+    def build_keys(self) -> None:
+        """List a uniform block's user keys, so later lookups bisect in
+        C.  Called when a verified block is searched again: a block
+        searched once never pays for the list."""
+        stride, key_at, klen, _vlen, _type = self._layout
+        data = self._data
+        self.keys = [data[pos:pos + klen]
+                     for pos in range(key_at, key_at + self.count * stride, stride)]
+
+    def detach(self) -> None:
+        """Point a uniform block at a copy of just its own payload, so
+        that a copy left in the BlockCache does not keep the whole SimFS
+        chunk it was read from alive once that chunk is punched away or
+        its file unlinked.  The answers do not change."""
+        if self._layout is None:
+            return
+        start = self._start
+        stride, key_at, klen, vlen, value_type = self._layout
+        self._data = self._data[start:start + self.count * stride]
+        self._start = 0
+        self._layout = (stride, key_at - start, klen, vlen, value_type)
 
     def lookup(self, user_key: bytes, snapshot_seq: int) -> Tuple[str, Optional[bytes]]:
         """Newest visible version of ``user_key`` within this block."""
@@ -291,18 +335,23 @@ class DataBlock:
                     return (FOUND, value)
                 idx += 1
             return (NOT_FOUND, None)
-        data = self._payload
+        data = self._data
         stride, key_at, klen, vlen, value_type = self._layout
-        lo, hi = 0, self.count
-        end = hi * stride
-        while lo < hi:  # bisect_left over the keys where they lie
-            mid = (lo + hi) // 2
-            pos = mid * stride + key_at
-            if data[pos:pos + klen] < user_key:
-                lo = mid + 1
-            else:
-                hi = mid
+        count = self.count
+        keys = self.keys
+        if keys is not None:
+            lo = bisect.bisect_left(keys, user_key)
+        else:
+            lo, hi = 0, count
+            while lo < hi:  # bisect_left over the keys where they lie
+                mid = (lo + hi) // 2
+                pos = mid * stride + key_at
+                if data[pos:pos + klen] < user_key:
+                    lo = mid + 1
+                else:
+                    hi = mid
         pos = lo * stride + key_at
+        end = count * stride + key_at
         while pos < end and data[pos:pos + klen] == user_key:
             if _SEQ.unpack_from(data, pos - 8)[0] <= snapshot_seq:
                 if value_type == VALUE_TYPE_DELETION:
@@ -544,7 +593,8 @@ def _decode_index(raw: bytes, fmt: TableFormat, index_off: int
                   ) -> List[Tuple[bytes, int, int]]:
     """CRC-check and parse the index block.  The data blocks it names
     must tile ``[0, index_off)`` exactly, as the builder wrote them."""
-    payload, count = _open_block(raw, "index block")
+    count = _open_block(raw, 0, len(raw), "index block")
+    payload = raw[:-8]
     entries: List[Tuple[bytes, int, int]] = []
     pos = 0
     next_off = 0
@@ -564,48 +614,123 @@ def _decode_index(raw: bytes, fmt: TableFormat, index_off: int
     return entries
 
 
+#: ``relative offset -> (buf, start, length, parsed form)``: one table's
+#: verified sections — footer, index, bloom filter, uniform data blocks —
+#: each with the SimFS chunk :meth:`~repro.storage.SimFS.read_view`
+#: handed back.
+Sections = Dict[int, Tuple[bytes, int, int, Any]]
+
+
+def _reused(sections: Sections, at: int, buf: bytes, start: int,
+            length: int) -> Any:
+    """The parsed form of section ``at`` if it was parsed from these very
+    bytes — the same immutable chunk object at the same place — else None.
+    Holding ``buf`` keeps the object alive, so ``is`` cannot be fooled by
+    a recycled address."""
+    entry = sections.get(at)
+    if (entry is not None and entry[0] is buf and entry[1] == start
+            and entry[2] == length):
+        return entry[3]
+    return None
+
+
+def _release(parsed: Any) -> None:
+    if type(parsed) is DataBlock:
+        parsed.detach()
+
+
+def _remember(sections: Sections, at: int, buf: bytes, start: int,
+              length: int, parsed: Any) -> None:
+    """Record ``parsed`` as section ``at``, read as ``buf[start:start +
+    length]``, in place of what was parsed from bytes no longer there.
+    A fresh join (``start`` 0, no longer than the range) is never handed
+    back again, so it is not kept."""
+    old = sections.pop(at, None)
+    if old is not None:
+        _release(old[3])
+    if start or len(buf) > length:
+        sections[at] = (buf, start, length, parsed)
+
+
+def release_sections(sections: Sections) -> None:
+    """Empty ``sections``, first detaching every data block in it: a
+    block may live on in the BlockCache after its table's file is
+    punched or unlinked, and must not keep the table's chunk alive."""
+    for entry in sections.values():
+        _release(entry[3])
+    sections.clear()
+
+
 class SSTableReader:
-    """Random and sequential access to one (possibly logical) SSTable."""
+    """Random and sequential access to one (possibly logical) SSTable.
+
+    ``sections`` is the table's memo of verified sections, which the
+    :class:`~repro.lsm.cache.TableCache` keeps for a live table across
+    reopenings.  Every section is still read through SimFS each time —
+    the same page-cache probes, device requests and CPU charges — but
+    one whose read hands back the chunk it was parsed from is not
+    CRC-checked or parsed again: a SimFS chunk never changes, so the
+    verdict and the parse carry over exactly.
+    """
 
     def __init__(self, uid: int, handle: FileHandle, fmt: TableFormat,
                  base_offset: int, length: int,
-                 index: List[Tuple[bytes, int, int]],
-                 bloom: BloomFilter, num_entries: int, index_size: int):
+                 footer: Tuple[int, int, int, int, int],
+                 index: Tuple[List[Tuple[bytes, int, int]], List[bytes]],
+                 bloom: BloomFilter, sections: Sections):
         self.uid = uid
         self.handle = handle
         self.fmt = fmt
         self.base_offset = base_offset
         self.length = length
-        self.index = index
-        self.index_keys = [e[0] for e in index]
+        self.index, self.index_keys = index
         self.bloom = bloom
-        self.num_entries = num_entries
-        self.index_size = index_size
+        self.num_entries = footer[4]
+        self.index_size = footer[1]
+        self._sections = sections
 
     # -- opening ---------------------------------------------------------
 
     @classmethod
     def open(cls, uid: int, handle: FileHandle, fmt: TableFormat,
              base_offset: int, length: int,
-             meter: Optional[CpuMeter] = None
+             meter: Optional[CpuMeter] = None,
+             sections: Optional[Sections] = None
              ) -> Generator[Event, Any, "SSTableReader"]:
         """Read footer, index block and bloom filter (the §2.6 miss cost).
 
         The index read is proportional to the table size — this is the
-        TableCache miss penalty the paper measures in Fig 6.
+        TableCache miss penalty the paper measures in Fig 6.  Each
+        section is verified and parsed unless ``sections`` holds it
+        parsed from the bytes just read.
         """
-        raw_footer = yield from handle.read(
-            base_offset + length - FOOTER_SIZE, FOOTER_SIZE, meter)
-        index_off, index_len, bloom_off, bloom_len, num_entries = _parse_footer(
-            raw_footer, length)
-        raw_index = yield from handle.read(
+        if sections is None:
+            sections = {}
+        at = length - FOOTER_SIZE
+        buf, start = yield from handle.read_view(
+            base_offset + at, FOOTER_SIZE, meter)
+        footer = _reused(sections, at, buf, start, FOOTER_SIZE)
+        if footer is None:
+            release_sections(sections)  # the footer placed every section
+            footer = _parse_footer(buf[start:start + FOOTER_SIZE], length)
+            _remember(sections, at, buf, start, FOOTER_SIZE, footer)
+        index_off, index_len, bloom_off, bloom_len, _count = footer
+        buf, start = yield from handle.read_view(
             base_offset + index_off, index_len, meter, sequential=True)
-        index = _decode_index(raw_index, fmt, index_off)
-        raw_bloom = yield from handle.read(
+        index = _reused(sections, index_off, buf, start, index_len)
+        if index is None:
+            entries = _decode_index(buf[start:start + index_len], fmt, index_off)
+            index = (entries, [entry[0] for entry in entries])
+            _remember(sections, index_off, buf, start, index_len, index)
+        buf, start = yield from handle.read_view(
             base_offset + bloom_off, bloom_len, meter)
-        bloom = BloomFilter.decode(_check_bloom(raw_bloom, bloom_len))
-        return cls(uid, handle, fmt, base_offset, length, index, bloom,
-                   num_entries, index_len)
+        bloom = _reused(sections, bloom_off, buf, start, bloom_len)
+        if bloom is None:
+            bloom = BloomFilter.decode(
+                _check_bloom(buf[start:start + bloom_len], bloom_len))
+            _remember(sections, bloom_off, buf, start, bloom_len, bloom)
+        return cls(uid, handle, fmt, base_offset, length, footer, index, bloom,
+                   sections)
 
     # -- reads ----------------------------------------------------------
 
@@ -629,13 +754,22 @@ class SSTableReader:
                 if meter is not None:
                     meter.charge(meter.model.memtable_lookup)
             else:
-                raw = yield from self.handle.read(
+                buf, start = yield from self.handle.read_view(
                     self.base_offset + off, length, meter)
-                block = DataBlock.decode(self.fmt, raw)
+                block = _reused(self._sections, off, buf, start, length)
+                if block is None:
+                    block = DataBlock.decode(self.fmt, buf, start, length)
+                    if block.entries is None:  # a view: keeping it is free
+                        _remember(self._sections, off, buf, start, length, block)
+                    else:  # decoded whole: not kept, nor what older bytes left
+                        self._sections.pop(off, None)
+                elif block.keys is None:
+                    block.build_keys()
                 if meter is not None:
                     meter.charge(meter.model.codec_per_record * max(1, block.count))
                 if block_cache is not None:
-                    block_cache.put((self.uid, off), block, len(raw))
+                    block_cache.put((self.uid, off), block,
+                                    min(length, len(buf) - start))
             if meter is not None:
                 meter.charge(meter.model.block_search)
             found = block.lookup(user_key, snapshot_seq)

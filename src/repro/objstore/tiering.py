@@ -155,6 +155,8 @@ class TieringPolicy:
                     engine.versions.current.live_numbers().items()):
                 if meta.container == container:
                     engine.table_cache.evict(number)
+                    # Its sections were parsed from the local file's bytes.
+                    engine.table_cache.forget(number)
             if engine.fd_cache is not None:
                 yield from engine.fd_cache.evict(container)
             if engine.fs.exists(container):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..sim import CpuMeter, Environment, Event
 from .device import BlockDevice
@@ -320,6 +320,12 @@ class FileHandle:
         """See :meth:`SimFS.read`."""
         return self.fs.read(self, offset, length, meter, sequential)
 
+    def read_view(self, offset: int, length: int,
+                  meter: Optional[CpuMeter] = None, sequential: bool = False
+                  ) -> Generator[Event, Any, Tuple[bytes, int]]:
+        """See :meth:`SimFS.read_view`."""
+        return self.fs.read_view(self, offset, length, meter, sequential)
+
     def fsync(self) -> Generator[Event, Any, None]:
         """See :meth:`SimFS.fsync`."""
         return self.fs.fsync(self)
@@ -536,11 +542,37 @@ class SimFS:
         requests, so a cold sequential scan pays bandwidth rather than
         per-page latency.
         """
+        return self._read(handle, offset, length, meter, sequential, False)
+
+    def read_view(self, handle: FileHandle, offset: int, length: int,
+                  meter: Optional[CpuMeter] = None, sequential: bool = False
+                  ) -> Generator[Event, Any, Tuple[bytes, int]]:
+        """:meth:`read` without the copy: ``(buf, start)`` with the range
+        at ``buf[start:start + length]``.
+
+        The same page-cache probes, device requests and meter charge as
+        :meth:`read`.  When the range lies inside one appended ``bytes``
+        chunk, ``buf`` *is* that chunk.  A chunk is immutable and every
+        write, punch, crash revert or tail freeze that touches the range
+        puts new chunk objects in its place, so a caller holding ``buf``
+        knows the bytes are unchanged while a later read hands back the
+        same object at the same ``start``.  Otherwise — the range spans
+        chunks, holes or the open tail, or ends past the end of file —
+        ``buf`` is a fresh join of just the (clamped) range, ``start`` is
+        0, and no later read returns it again.
+        """
+        return self._read(handle, offset, length, meter, sequential, True)
+
+    def _read(self, handle: FileHandle, offset: int, length: int,
+              meter: Optional[CpuMeter], sequential: bool, view: bool
+              ) -> Generator[Event, Any, Any]:
         file = handle._file
         size = file.size
         if length <= 0 or offset >= size:
-            return b""
-        length = min(length, size - offset)
+            return (b"", 0) if view else b""
+        clamped = length > size - offset
+        if clamped:
+            length = size - offset
         cache = self.page_cache
         if cache is not None:
             first = offset // PAGE_SIZE
@@ -571,8 +603,12 @@ class SimFS:
         chunk = file.chunks[i]
         base = starts[i]
         if type(chunk) is bytes and end - base <= len(chunk):
-            return chunk[offset - base:end - base]
-        return file.slice(offset, end)
+            if not view:
+                return chunk[offset - base:end - base]
+            if not clamped:
+                return chunk, offset - base
+        data = file.slice(offset, end)
+        return (data, 0) if view else data
 
     def _make_resident(self, file: _SimFile, offset: int, length: int) -> None:
         if self.page_cache is None or length <= 0:

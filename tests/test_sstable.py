@@ -573,7 +573,7 @@ def _reference_read_all(handle, fmt, base_offset, length):
 
 
 class _RecordingHandle:
-    """A FileHandle's ``read``, recording every request."""
+    """A FileHandle's ``read`` and ``read_view``, recording every request."""
 
     def __init__(self, handle):
         self._handle = handle
@@ -582,6 +582,10 @@ class _RecordingHandle:
     def read(self, offset, length, meter=None, sequential=False):
         self.reads.append((offset, length, sequential))
         return self._handle.read(offset, length, meter, sequential)
+
+    def read_view(self, offset, length, meter=None, sequential=False):
+        self.reads.append((offset, length, sequential))
+        return self._handle.read_view(offset, length, meter, sequential)
 
 
 def _build_back_to_back(fs, fmt, prefix, tables, name="t.cf"):
