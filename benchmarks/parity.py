@@ -11,7 +11,7 @@ two trees are compared with ``cmp``.  ~20 s at 3 000 records (one case at
 from repro.bench import BenchConfig, run_suite
 from repro.bench.experiments import fig11_group_compaction_sweep, fig12_ablation
 from repro.bench.harness import EXTRA_SYSTEMS, SYSTEMS
-from repro.core import bolt_ablation_options
+from repro import bolt_ablation_options
 
 CONFIG = BenchConfig(scale=256, record_count=3000, ops_per_phase=1000, seed=42)
 
