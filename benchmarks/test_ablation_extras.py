@@ -17,7 +17,7 @@ from conftest import run_once
 from repro.bench import SYSTEMS, new_stack, open_engine
 from repro.bench.harness import load_database
 from repro.bench.report import format_table
-from repro.core import bolt_options
+from repro.engines import bolt_options
 from repro.engines import leveldb_options
 from repro.storage import SATA_SSD
 

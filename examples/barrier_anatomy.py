@@ -11,18 +11,18 @@ Run:  python examples/barrier_anatomy.py
 
 import random
 
-from repro import BoLTEngine, LevelDBEngine, bolt_ablation_options
+from repro import LSMEngine, bolt_ablation_options
 from repro.bench import BenchConfig, new_stack
-from repro.core import ABLATION_STAGES
+from repro.engines import ABLATION_STAGES
 
 RECORDS = 10_000
 SCALE = 256
 
 
-def load(engine_cls, options, label):
+def load(options, label):
     config = BenchConfig(scale=SCALE, record_count=RECORDS, value_size=256)
     stack = new_stack(config)
-    db = engine_cls.open_sync(stack.env, stack.fs, options, "db")
+    db = LSMEngine.open_sync(stack.env, stack.fs, options, "db")
     rng = random.Random(1234)
 
     def writer():
@@ -49,8 +49,7 @@ def main() -> None:
     print("-" * 76)
     for stage in ABLATION_STAGES:
         options = bolt_ablation_options(stage, SCALE)
-        engine_cls = LevelDBEngine if stage == "stock" else BoLTEngine
-        load(engine_cls, options, stage)
+        load(options, stage)
     print("\nReading Fig 12 left to right: the compaction file (+LS) cuts")
     print("barriers per compaction to two; group compaction (+GC) cuts the")
     print("number of compactions; settled compaction (+STL) skips rewrites")

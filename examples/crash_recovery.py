@@ -13,7 +13,7 @@ Run:  python examples/crash_recovery.py
 
 import random
 
-from repro import BoLTEngine, bolt_options
+from repro import LSMEngine, bolt_options
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 
@@ -27,7 +27,7 @@ def main() -> None:
     env = Environment()
     fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
     options = bolt_options(SCALE)
-    db = BoLTEngine.open_sync(env, fs, options, "db")
+    db = LSMEngine.open_sync(env, fs, options, "db")
 
     durable = {}   # what we are owed after any crash
     pending = {}   # key -> every value written since the last quiesce
@@ -58,7 +58,7 @@ def main() -> None:
         # no-ordering hazard.
         db.kill()
         fs.crash(rng=rng, survive_probability=rng.random())
-        db = BoLTEngine.open_sync(env, fs, options, "db")
+        db = LSMEngine.open_sync(env, fs, options, "db")
         # Make whatever recovery salvaged durable before checking.
         env.run_until(env.process(db.flush_all()))
 

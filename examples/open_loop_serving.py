@@ -12,9 +12,8 @@ barriers the writer queue was eliding.
 Run:  python examples/open_loop_serving.py
 """
 
-from repro import bolt_options
+from repro import LSMEngine, bolt_options
 from repro.bench import BenchConfig, new_stack
-from repro.core import BoLTEngine
 from repro.svc import Server, run_open_loop
 from repro.ycsb.distributions import build_key
 from repro.ycsb.workload import WORKLOADS
@@ -33,7 +32,7 @@ def serve(clients, write_group_bytes=None):
     options = bolt_options(SCALE).copy(wal_sync=True)
     if write_group_bytes is not None:
         options = options.copy(write_group_bytes=write_group_bytes)
-    db = BoLTEngine.open_sync(stack.env, stack.fs, options, "db")
+    db = LSMEngine.open_sync(stack.env, stack.fs, options, "db")
     for i in range(RECORDS):
         db.put_sync(build_key(i), b"p" * 100)
     barriers_before = stack.fs.stats.num_barrier_calls

@@ -57,8 +57,8 @@ def main() -> None:
 
 def open_recovered(stack):
     """Re-open the crashed database from the same simulated disk."""
-    from repro import BoLTEngine, bolt_options
-    engine = BoLTEngine.open_sync(stack.env, stack.fs,
+    from repro import LSMEngine, bolt_options
+    engine = LSMEngine.open_sync(stack.env, stack.fs,
                                   bolt_options(256), "db")
     return engine, stack
 

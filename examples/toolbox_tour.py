@@ -12,7 +12,7 @@ A walk through the operational surface of the library:
 Run:  python examples/toolbox_tour.py
 """
 
-from repro import BoLTEngine, bolt_options
+from repro import LSMEngine, bolt_options
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 from repro.tools import describe_database, dump_manifest, repair_database
@@ -25,7 +25,7 @@ def main() -> None:
     env = Environment()
     fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
     options = bolt_options(SCALE)
-    db = BoLTEngine.open_sync(env, fs, options, "db")
+    db = LSMEngine.open_sync(env, fs, options, "db")
 
     # -- populate -----------------------------------------------------------
     for i in range(4_000):
@@ -76,7 +76,7 @@ def main() -> None:
         repair_database(env, fs, options, "db")))
     print(f"repair: {report}")
 
-    db2 = BoLTEngine.open_sync(env, fs, options, "db")
+    db2 = LSMEngine.open_sync(env, fs, options, "db")
     checked = 0
     for i in range(0, 4_000, 7):
         key = b"user%08d" % (i * 31 % 4000)

@@ -1,17 +1,19 @@
-"""Baseline key-value store engines the paper compares against.
+"""The engines the paper compares.
 
-Each module pairs an engine class with a ``*_options(scale)`` factory
-returning the paper's §4.1 configuration for that system, scaled down by
-``scale`` (see :meth:`repro.lsm.Options.scaled`).
+Each module holds ``*_options(scale)`` factories returning the paper's
+§4.1 configuration for a system, scaled down by ``scale`` (see
+:meth:`repro.lsm.Options.scaled`), and an engine class where the system
+differs from :class:`~repro.lsm.LSMEngine`, which is stock LevelDB.
 """
 
-from .leveldb import LevelDBEngine, leveldb_64mb_options, leveldb_options
+from .leveldb import leveldb_64mb_options, leveldb_options
 from .hyperleveldb import HyperLevelDBEngine, hyperleveldb_options
 from .rocksdb import RocksDBEngine, rocksdb_options
 from .pebblesdb import PebblesDBEngine, pebblesdb_options
+from .bolt import (ABLATION_STAGES, bolt_ablation_options, bolt_options,
+                   hyperbolt_options, rocksbolt_options)
 
 __all__ = [
-    "LevelDBEngine",
     "leveldb_options",
     "leveldb_64mb_options",
     "HyperLevelDBEngine",
@@ -20,4 +22,9 @@ __all__ = [
     "rocksdb_options",
     "PebblesDBEngine",
     "pebblesdb_options",
+    "ABLATION_STAGES",
+    "bolt_options",
+    "hyperbolt_options",
+    "rocksbolt_options",
+    "bolt_ablation_options",
 ]

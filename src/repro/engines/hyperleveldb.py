@@ -29,7 +29,6 @@ class HyperLevelDBEngine(LSMEngine):
     """HyperLevelDB: parallel writers, lazy governors, min-overlap picks."""
 
     name = "hyperleveldb"
-    read_lock = True
     #: Smarter victim selection: the table whose next-level overlap is
     #: cheapest, one per compaction (see ``LSMEngine._pick_victims``).
     min_overlap_victims = True

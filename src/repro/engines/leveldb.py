@@ -1,10 +1,10 @@
 """The stock LevelDB v1.20 baseline.
 
-This is simply the base :class:`~repro.lsm.engine.LSMEngine` with
-LevelDB's defaults plus the paper's §4.1 configuration: 2 MB SSTables,
-64 MB MemTable, bloom filters at 10 bits/key, compression off, the
-L0SlowDown(8)/L0Stop(12) governors and seek compaction enabled, and a
-single global writer mutex.
+This is simply the base :class:`~repro.lsm.engine.LSMEngine`, whose
+class defaults are LevelDB's, opened with LevelDB's defaults plus the
+paper's §4.1 configuration: 2 MB SSTables, 64 MB MemTable, bloom
+filters at 10 bits/key, compression off, the L0SlowDown(8)/L0Stop(12)
+governors and seek compaction enabled, and a single global writer mutex.
 
 ``LVL64MB`` — LevelDB reconfigured with 64 MB SSTables — is the variant
 Figure 13 calls out (2.75× faster writes than stock at the cost of ~9 %
@@ -13,18 +13,11 @@ more bytes written and far worse read tail latency).
 
 from __future__ import annotations
 
-from ..lsm import LSMEngine, Options
+from ..lsm import Options
 
-__all__ = ["LevelDBEngine", "leveldb_options", "leveldb_64mb_options"]
+__all__ = ["leveldb_options", "leveldb_64mb_options"]
 
 MB = 1 << 20
-
-
-class LevelDBEngine(LSMEngine):
-    """Stock LevelDB: the paper's primary baseline."""
-
-    name = "leveldb"
-    read_lock = True
 
 
 def leveldb_options(scale: int = 1, **overrides) -> Options:

@@ -26,8 +26,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Tuple
 
-from ..lsm import LSMEngine, Options
-from ..lsm.engine import Compaction
+from ..lsm import Compaction, LSMEngine, Options
 from ..lsm.manifest import VersionEdit
 from ..lsm.version import FileMetaData, Version, key_range
 from ..sim import CostModel
@@ -41,7 +40,6 @@ class PebblesDBEngine(LSMEngine):
     """Fragmented LSM-tree with guards and append-only level placement."""
 
     name = "pebblesdb"
-    read_lock = True
 
     #: A guard holding more tables than this is merged in place, which
     #: bounds per-guard read amplification (FLSM's guard compaction).

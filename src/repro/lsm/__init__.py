@@ -14,16 +14,20 @@ Module map:
 * :mod:`~repro.lsm.version` / :mod:`~repro.lsm.manifest` — the table
   tree and its commit-mark log (§2.4).
 * :mod:`~repro.lsm.engine` — the full leveled engine, BoLT's
-  techniques included as options (§3).
+  techniques included as options (§3), over its four seams:
+  :mod:`~repro.lsm.write_path`, :mod:`~repro.lsm.read_path`,
+  :mod:`~repro.lsm.compactor` and :mod:`~repro.lsm.recovery`.
 """
 
 from .bloom import BloomFilter
 from .cache import BlockCache, LRUCache, TableCache
 from .codec import CorruptionError, MAX_SEQUENCE, VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
-from .engine import Compaction, EngineStats, LSMEngine, Snapshot
+from .compactor import Compaction
+from .engine import EngineStats, LSMEngine
 from .manifest import VersionEdit, VersionSet
 from .memtable import DELETED, FOUND, MemTable, NOT_FOUND
 from .options import LEVELDB_FORMAT, Options, ROCKSDB_FORMAT, TableFormat
+from .read_path import Snapshot
 from .sink import OutputSink, PerTableFileSink
 from .sstable import DataBlock, SSTableBuilder, SSTableReader, TableInfo
 from .version import FileMetaData, Version

@@ -90,11 +90,6 @@ class LRUCache:
         if entry is not None:
             self._charge -= entry[1]
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
-        self._charge = 0
-
 
 class BlockCache(LRUCache):
     """Caches decoded data blocks, keyed ``(table_uid, block_offset)``."""
@@ -190,10 +185,6 @@ class TableCache:
         sections = self._sections.pop(uid, None)
         if sections is not None:
             release_sections(sections)
-
-    def clear(self) -> None:
-        """Drop every cached reader."""
-        self._cache.clear()
 
 
 class FileDescriptorCache:

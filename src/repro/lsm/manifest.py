@@ -311,7 +311,8 @@ class VersionSet:
         This is the second of the two barriers a BoLT compaction pays
         (§1: "one for the compaction file and the other for MANIFEST").
         """
-        yield self._commit_lock.acquire()
+        if not self._commit_lock.acquire_in_place():
+            yield self._commit_lock.acquire()
         try:
             edit.next_file_number = self.next_file_number
             edit.last_sequence = self.last_sequence

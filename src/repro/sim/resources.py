@@ -10,7 +10,7 @@ made room" write stalls).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Deque, List
 
 from .kernel import Environment, Event, SimulationError
 
@@ -95,27 +95,6 @@ class Resource:
             grant.succeed(self)  # slot transfers directly to the waiter
         else:
             self._in_use -= 1
-
-    def locked(self) -> Generator[Event, Any, "_Held"]:
-        """``yield from lock.locked()`` -> a released-on-close holder."""
-        yield self.acquire()
-        return _Held(self)
-
-
-class _Held:
-    """Tiny helper so callers can ``holder.release()`` exactly once."""
-
-    __slots__ = ("_resource", "_released")
-
-    def __init__(self, resource: Resource):
-        self._resource = resource
-        self._released = False
-
-    def release(self) -> None:
-        """Free one slot, granting it to the longest waiter."""
-        if not self._released:
-            self._released = True
-            self._resource.release()
 
 
 class Condition:

@@ -33,6 +33,7 @@ benchmark of the committed baseline regresses by more than
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -89,7 +90,7 @@ def bench_codec() -> Tuple[float, str]:
     """Block encode + decode: 2000 decodes of a 200-entry data block."""
     import random
 
-    from ..core import bolt_options
+    from ..engines import bolt_options
     from ..lsm.sstable import _decode_block, _encode_block, _entry_parts
 
     fmt = bolt_options(1024).table_format
@@ -236,7 +237,7 @@ def bench_lsst_meta() -> Tuple[float, str]:
     import random
     from itertools import count
 
-    from ..core import bolt_options
+    from ..engines import bolt_options
     from ..lsm.manifest import VersionEdit, VersionSet
     from ..lsm.version import FileMetaData
     from ..sim import Environment
@@ -299,7 +300,7 @@ def bench_build() -> Tuple[float, str]:
     inside one SimFS file."""
     import random
 
-    from ..core import bolt_options
+    from ..engines import bolt_options
     from ..lsm.codec import VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
     from ..lsm.iterators import collapse_versions, merge_streams
     from ..lsm.sstable import SSTableBuilder
@@ -349,7 +350,7 @@ def bench_compact_read() -> Tuple[float, str]:
     whole through ``read_table_extent``."""
     import random
 
-    from ..core import bolt_options
+    from ..engines import bolt_options
     from ..lsm.codec import VALUE_TYPE_VALUE
     from ..lsm.sstable import SSTableBuilder, read_table_extent
     from ..sim import CostModel, CpuMeter, Environment
@@ -399,7 +400,7 @@ def bench_point_read() -> Tuple[float, str]:
     over."""
     import random
 
-    from ..core import bolt_options
+    from ..engines import bolt_options
     from ..lsm.codec import MAX_SEQUENCE, VALUE_TYPE_VALUE
     from ..lsm.sstable import DataBlock, _encode_block, _entry_parts
 
@@ -567,7 +568,14 @@ def run_benchmarks(names: List[str], repeat: int = 3,
         best: Optional[float] = None
         fingerprint: Optional[str] = None
         for _ in range(max(1, repeat)):
-            seconds, digest = func()
+            # Time the benchmark, not the cyclic collector: each run
+            # starts from a collected heap with the collector paused.
+            gc.collect()
+            gc.disable()
+            try:
+                seconds, digest = func()
+            finally:
+                gc.enable()
             if fingerprint is None:
                 fingerprint = digest
             elif digest != fingerprint:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.engines import LevelDBEngine, leveldb_options
+from repro.engines import leveldb_options
+from repro.lsm import LSMEngine
 from repro.sim import Environment
 from repro.storage import BlockDevice, PAGE_SIZE, PageCache, SATA_SSD, SimFS
 
@@ -109,7 +110,7 @@ class TestFdatabarrierPrimitive:
 class TestBarrierFSEngine:
     def _load(self, options, n=2500, seed=3):
         env, fs = fresh_stack()
-        db = LevelDBEngine.open_sync(env, fs, options, "db")
+        db = LSMEngine.open_sync(env, fs, options, "db")
         rng = random.Random(seed)
         model = {}
 
@@ -158,14 +159,14 @@ class TestBarrierFSEngine:
             options.validate()
         env, fs = fresh_stack()
         with pytest.raises(ValueError, match="use_barrierfs"):
-            LevelDBEngine.open_sync(env, fs, options, "db")
+            LSMEngine.open_sync(env, fs, options, "db")
 
     def test_recovery_after_ordered_crash(self):
         env, fs, db, model = self._load(
             leveldb_options(SCALE).copy(use_barrierfs=True))
         db.kill()
         fs.crash(rng=random.Random(11), survive_probability=0.6)
-        db2 = LevelDBEngine.open_sync(
+        db2 = LSMEngine.open_sync(
             env, fs, leveldb_options(SCALE).copy(use_barrierfs=True), "db")
 
         def verify():

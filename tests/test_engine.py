@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import SYSTEMS
-from repro.lsm import CorruptionError, LSMEngine, Options, WriteBatch
+from repro.lsm import Compaction, CorruptionError, LSMEngine, Options, WriteBatch
 from repro.lsm.codec import (VALUE_TYPE_DELETION, VALUE_TYPE_VALUE, crc32,
                               encode_fixed32)
-from repro.lsm.engine import Compaction
 from repro.lsm.sstable import _FOOTER, FOOTER_SIZE, SSTableBuilder
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS

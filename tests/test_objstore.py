@@ -14,7 +14,8 @@ import random
 import pytest
 
 from repro.bench.report import unified_snapshot
-from repro.core import BoLTEngine, bolt_options
+from repro.engines import bolt_options
+from repro.lsm import LSMEngine
 from repro.lsm.sink import parse_container_number
 from repro.faults.checker import CrashChecker
 from repro.objstore import (
@@ -213,7 +214,7 @@ class TestParseContainerNumber:
 class TestTieringEndToEnd:
     def _tiered_db(self, fs_env=None, **overrides):
         env, _device, fs = fs_env or fresh_stack()
-        db = BoLTEngine.open_sync(env, fs, tiered_options(**overrides), "db")
+        db = LSMEngine.open_sync(env, fs, tiered_options(**overrides), "db")
         return env, fs, db
 
     def test_demotion_moves_cold_containers_remote(self):
@@ -252,13 +253,13 @@ class TestTieringEndToEnd:
         expected = db.scan_sync(b"", len(model) + 64)
         db.close_sync()
         fs.crash(survive_probability=0.0)  # cache dies, objects survive
-        db2 = BoLTEngine.open_sync(env, fs, tiered_options(), "db")
+        db2 = LSMEngine.open_sync(env, fs, tiered_options(), "db")
         first = db2.scan_sync(b"", len(model) + 64)
         assert first == expected
         assert db2.tiering.cache.misses > 0  # really fetched from remote
         db2.close_sync()
         fs.crash(survive_probability=0.0)
-        db3 = BoLTEngine.open_sync(env, fs, tiered_options(), "db")
+        db3 = LSMEngine.open_sync(env, fs, tiered_options(), "db")
         second = db3.scan_sync(b"", len(model) + 64)
         assert second == first  # recovery is a fixed point
         db3.close_sync()
@@ -277,7 +278,7 @@ class TestTieringEndToEnd:
         drive(env, store.put("db/MANIFEST-000001", b"copy"))
         db.close_sync()
         fs.crash(survive_probability=0.0)
-        db2 = BoLTEngine.open_sync(env, fs, tiered_options(), "db")
+        db2 = LSMEngine.open_sync(env, fs, tiered_options(), "db")
         assert not store.exists("db/999999.cf")
         assert store.exists("db/backup.tgz")
         assert store.exists("db/MANIFEST-000001")
@@ -321,7 +322,7 @@ class TestTieringEndToEnd:
 
     def test_tiering_off_leaves_no_trace(self):
         env, _device, fs = fresh_stack()
-        db = BoLTEngine.open_sync(env, fs, bolt_options(SCALE), "db")
+        db = LSMEngine.open_sync(env, fs, bolt_options(SCALE), "db")
         load_random(env, db, n=400)
         assert db.tiering is None
         assert fs.remote is None
@@ -335,11 +336,11 @@ class TestTieringEndToEnd:
         db.close_sync()
 
     def test_tiering_requires_compaction_files(self):
-        from repro.engines import LevelDBEngine, leveldb_options
+        from repro.engines import leveldb_options
         env, _device, fs = fresh_stack()
         options = leveldb_options(SCALE).copy(tiering_enabled=True)
         with pytest.raises(ValueError):
-            LevelDBEngine.open_sync(env, fs, options, "db")
+            LSMEngine.open_sync(env, fs, options, "db")
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ class TestTieringEndToEnd:
 class TestTierPointerClause:
     def _demoted_db(self):
         env, _device, fs = fresh_stack()
-        db = BoLTEngine.open_sync(env, fs, tiered_options(), "db")
+        db = LSMEngine.open_sync(env, fs, tiered_options(), "db")
         load_random(env, db)
         drive(env, db.wait_idle())
         assert db.versions.current.remote_containers
@@ -357,7 +358,7 @@ class TestTierPointerClause:
 
     def test_clean_store_has_no_violations(self):
         env, fs, db = self._demoted_db()
-        checker = CrashChecker(BoLTEngine, tiered_options(), "db")
+        checker = CrashChecker(LSMEngine, tiered_options(), "db")
         label = dict(site="test", model="none")
         assert checker._check_tier_refs(fs, db, label) == []
 
@@ -365,7 +366,7 @@ class TestTierPointerClause:
         env, fs, db = self._demoted_db()
         container = sorted(db.versions.current.remote_containers)[0]
         del fs.remote.objects[container]
-        checker = CrashChecker(BoLTEngine, tiered_options(), "db")
+        checker = CrashChecker(LSMEngine, tiered_options(), "db")
         violations = checker._check_tier_refs(
             fs, db, dict(site="test", model="none"))
         assert [v.kind for v in violations] == ["dangling-tier-pointer"]
@@ -375,7 +376,7 @@ class TestTierPointerClause:
         container = sorted(db.versions.current.remote_containers)[0]
         data = fs.remote.objects[container]
         fs.remote.objects[container] = data[:-1] + bytes([data[-1] ^ 0xFF])
-        checker = CrashChecker(BoLTEngine, tiered_options(), "db")
+        checker = CrashChecker(LSMEngine, tiered_options(), "db")
         violations = checker._check_tier_refs(
             fs, db, dict(site="test", model="none"))
         assert [v.kind for v in violations] == ["torn-tier-object"]

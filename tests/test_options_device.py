@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (ABLATION_STAGES, bolt_ablation_options, bolt_options,
+from repro.engines import (ABLATION_STAGES, bolt_ablation_options, bolt_options,
                         hyperbolt_options, rocksbolt_options)
 from repro.engines import hyperleveldb_options, leveldb_options, rocksdb_options
 from repro.lsm import LEVELDB_FORMAT, Options, ROCKSDB_FORMAT

@@ -13,8 +13,7 @@ import pytest
 
 from repro.bench import BenchConfig, SYSTEMS, new_stack, open_engine
 from repro.bench.harness import load_database
-from repro.core import bolt_options
-from repro.engines import leveldb_options
+from repro.engines import bolt_options, leveldb_options
 
 #: The default bench sizing: 20k records -> ~20+ MemTable flushes, data
 #: reaching level 4, which is deep enough for steady-state compaction.

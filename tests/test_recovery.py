@@ -10,7 +10,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BoLTEngine, bolt_options
+from repro.engines import bolt_options
 from repro.lsm import LSMEngine, Options
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
@@ -173,7 +173,7 @@ class TestRandomizedCrashes:
         rng = random.Random(seed)
         env, fs = fresh_stack()
         options = bolt_options(1024)
-        db = BoLTEngine.open_sync(env, fs, options, "db")
+        db = LSMEngine.open_sync(env, fs, options, "db")
         model = {}
         for i in range(rng.randrange(100, 400)):
             key = b"user%06d" % rng.randrange(150)
@@ -183,6 +183,6 @@ class TestRandomizedCrashes:
         env.run_until(env.process(db.flush_all()))
         fs.crash(rng=rng, survive_probability=rng.random())
 
-        db2 = BoLTEngine.open_sync(env, fs, options, "db")
+        db2 = LSMEngine.open_sync(env, fs, options, "db")
         for key, value in model.items():
             assert db2.get_sync(key) == value, key

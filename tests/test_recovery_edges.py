@@ -11,7 +11,7 @@ property of recovery (reopen-after-reopen changes nothing).
 import random
 
 from repro.bench import SYSTEMS
-from repro.core import BoLTEngine, bolt_options
+from repro.engines import bolt_options
 from repro.faults import (
     SITE_CURRENT_RENAME,
     SITE_HOLE_PUNCH,
@@ -109,7 +109,7 @@ class TestHolePunchCrash:
                          max_per_site=6)
         injector = CrashInjector(fs, plan, oracle)
         options = bolt_options(4096).copy(wal_sync=True)
-        db = BoLTEngine.open_sync(env, fs, options, "db")
+        db = LSMEngine.open_sync(env, fs, options, "db")
         run_workload(env, fs, db, oracle, num_ops=800, keyspace=300,
                      value_pad=90)
         db.close_sync()
@@ -117,7 +117,7 @@ class TestHolePunchCrash:
 
         assert injector.images, "workload never punched a hole"
         assert fs.stats.num_hole_punches > 0
-        checker = CrashChecker(BoLTEngine, options, "db")
+        checker = CrashChecker(LSMEngine, options, "db")
         for image in injector.images:
             for model in (ALL_LOST, SUBSET):
                 violations = checker.check_image(image, model, seed=5)

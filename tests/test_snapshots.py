@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import SYSTEMS
-from repro.core import BoLTEngine, bolt_options
+from repro.engines import bolt_options
 from repro.lsm import LSMEngine, Options
 from repro.lsm.codec import VALUE_TYPE_DELETION, VALUE_TYPE_VALUE
 from repro.lsm.iterators import collapse_versions
@@ -153,7 +153,7 @@ class TestSnapshotReads:
     def test_snapshot_on_bolt_engine(self):
         env = Environment()
         fs = SimFS(env, BlockDevice(env), PageCache(16 << 20))
-        db = BoLTEngine.open_sync(env, fs, bolt_options(1024), "db")
+        db = LSMEngine.open_sync(env, fs, bolt_options(1024), "db")
         for i in range(300):
             db.put_sync(b"key%04d" % i, b"old")
         snap = db.snapshot()

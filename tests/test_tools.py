@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.core import BoLTEngine, bolt_options
-from repro.engines import LevelDBEngine, leveldb_options
+from repro.engines import bolt_options, leveldb_options
+from repro.lsm import LSMEngine
 from repro.sim import Environment
 from repro.storage import BlockDevice, PageCache, SimFS
 from repro.tools import (
@@ -145,14 +145,14 @@ class TestDbBench:
 
 class TestDump:
     def test_dump_manifest(self):
-        env, fs, db, _model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, leveldb_options(SCALE))
         name = f"db/MANIFEST-{db.versions.manifest_file_number:06d}"
         lines = env.run_until(env.process(dump_manifest(fs, name)))
         assert lines
         assert any("add(L0" in line for line in lines)
 
     def test_dump_wal(self):
-        env, fs, db, _model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, leveldb_options(SCALE))
         db.put_sync(b"fresh-key", b"fresh-value")
         wal_name = f"db/{db._wal_number:06d}.log"
         lines = env.run_until(env.process(dump_wal(fs, wal_name)))
@@ -160,7 +160,7 @@ class TestDump:
                    or "fresh-key" in line for line in lines)
 
     def test_dump_table(self):
-        env, fs, db, _model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, leveldb_options(SCALE))
         meta = next(iter(db.versions.current.live_numbers().values()))
         summary = env.run_until(env.process(dump_table(
             fs, meta.container, meta.offset, meta.length,
@@ -169,7 +169,7 @@ class TestDump:
         assert len(summary["entries"]) == meta.num_entries
 
     def test_describe_database(self):
-        env, fs, db, _model = load_db(BoLTEngine, bolt_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, bolt_options(SCALE))
         lines = env.run_until(env.process(describe_database(fs, "db",
                                                             db.options)))
         text = "\n".join(lines)
@@ -183,7 +183,7 @@ class TestDump:
 
 class TestScanContainer:
     def test_finds_all_logical_tables(self):
-        env, fs, db, _model = load_db(BoLTEngine, bolt_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, bolt_options(SCALE))
         live = list(db.versions.current.live_numbers().values())
         containers = {}
         for meta in live:
@@ -196,7 +196,7 @@ class TestScanContainer:
             assert meta.offset in found_offsets
 
     def test_skips_corrupt_tables(self):
-        env, fs, db, _model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, leveldb_options(SCALE))
         metas = list(db.versions.current.live_numbers().values())
         victim = metas[0]
 
@@ -228,7 +228,7 @@ class TestRepair:
 
     def test_repair_leveldb(self):
         env, db, model, report = self._wreck_and_repair(
-            LevelDBEngine, leveldb_options(SCALE))
+            LSMEngine, leveldb_options(SCALE))
         assert report.tables_recovered > 0
 
         def verify():
@@ -242,7 +242,7 @@ class TestRepair:
         """The hard case: logical SSTable boundaries only existed in the
         destroyed MANIFEST; the footer scan must rediscover them."""
         env, db, model, report = self._wreck_and_repair(
-            BoLTEngine, bolt_options(SCALE))
+            LSMEngine, bolt_options(SCALE))
         assert report.tables_recovered > 0
 
         def verify():
@@ -253,7 +253,7 @@ class TestRepair:
         env.run_until(env.process(verify()))
 
     def test_repair_salvages_wal(self):
-        env, fs, db, model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, model = load_db(LSMEngine, leveldb_options(SCALE))
         db.put_sync(b"wal-only-key", b"wal-only-value")
         # WAL contents are in the page cache; sync so they survive.
         env.run_until(env.process(db._wal_handle.fsync()))
@@ -268,14 +268,14 @@ class TestRepair:
         report = env.run_until(env.process(
             repair_database(env, fs, leveldb_options(SCALE), "db")))
         assert report.wal_records_salvaged > 0
-        db2 = LevelDBEngine.open_sync(env, fs, leveldb_options(SCALE), "db")
+        db2 = LSMEngine.open_sync(env, fs, leveldb_options(SCALE), "db")
         assert db2.get_sync(b"wal-only-key") == b"wal-only-value"
 
     def test_repair_honours_quarantine_intent(self):
         """A table the scrubber quarantined must stay out of the rebuilt
         tree even when its bytes verify during the scavenge (the mark
         models intermittent media faults the CRC pass cannot see)."""
-        env, fs, db, _model = load_db(LevelDBEngine, leveldb_options(SCALE))
+        env, fs, db, _model = load_db(LSMEngine, leveldb_options(SCALE))
         live = list(db.versions.current.live_numbers().values())
         victim = live[0]
         db._quarantine(victim, "operator: intermittent read failures")
@@ -288,7 +288,7 @@ class TestRepair:
         report = env.run_until(env.process(
             repair_database(env, fs, leveldb_options(SCALE), "db")))
         assert report.tables_quarantined == 1
-        db2 = LevelDBEngine.open_sync(env, fs, leveldb_options(SCALE), "db")
+        db2 = LSMEngine.open_sync(env, fs, leveldb_options(SCALE), "db")
         rebuilt = db2.versions.current.live_numbers().values()
         assert all((m.container, m.offset)
                    != (victim.container, victim.offset) for m in rebuilt)
@@ -299,7 +299,7 @@ class TestRepair:
         must keep the newest value on top."""
         env, fs = fresh_stack()
         options = leveldb_options(SCALE)
-        db = LevelDBEngine.open_sync(env, fs, options, "db")
+        db = LSMEngine.open_sync(env, fs, options, "db")
         for generation in range(5):
             for i in range(200):
                 db.put_sync(b"key%04d" % i, b"gen-%d" % generation)
@@ -313,7 +313,7 @@ class TestRepair:
 
         env.run_until(env.process(destroy()))
         env.run_until(env.process(repair_database(env, fs, options, "db")))
-        db2 = LevelDBEngine.open_sync(env, fs, options, "db")
+        db2 = LSMEngine.open_sync(env, fs, options, "db")
         for i in range(0, 200, 17):
             assert db2.get_sync(b"key%04d" % i) == b"gen-4"
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lsm import FileMetaData, Options, Version, VersionEdit, VersionSet
-from repro.lsm.engine import Compaction, LSMEngine
+from repro.lsm import Compaction, LSMEngine
 from repro.lsm.version import isolated, split_by_overlap, split_promotable
 
 
