@@ -1,6 +1,7 @@
 """Benchmark harness: metrics, system registry, per-figure experiments."""
 
 from .harness import (
+    ALL_SYSTEMS,
     BenchConfig,
     SYSTEMS,
     Stack,
@@ -17,6 +18,7 @@ from .report import (aggregate_engine_stats, format_markdown_table,
 from . import experiments
 
 __all__ = [
+    "ALL_SYSTEMS",
     "BenchConfig",
     "SYSTEMS",
     "Stack",

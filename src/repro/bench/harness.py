@@ -37,8 +37,8 @@ from ..ycsb import RUN_ORDER, WORKLOADS, run_phase
 from ..ycsb.distributions import InsertCounter
 from .metrics import LatencyRecorder, PhaseResult
 
-__all__ = ["SystemSpec", "SYSTEMS", "BenchConfig", "Stack", "new_stack",
-           "open_engine", "run_suite", "load_database", "run_crash_sweep"]
+__all__ = ["SystemSpec", "SYSTEMS", "ALL_SYSTEMS", "BenchConfig", "Stack",
+           "new_stack", "open_engine", "run_suite", "load_database", "run_crash_sweep"]
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,9 @@ SYSTEMS: Dict[str, SystemSpec] = {
 ROCKSBOLT = SystemSpec("rocksbolt", "RBoLT", RocksDBEngine,
                        rocksbolt_options, "rocksbolt")
 EXTRA_SYSTEMS: Dict[str, SystemSpec] = {"rocksbolt": ROCKSBOLT}
+#: Every row by key: what ``dbbench --engine`` and the fault harnesses
+#: look an engine up in.
+ALL_SYSTEMS: Dict[str, SystemSpec] = {**SYSTEMS, **EXTRA_SYSTEMS}
 
 
 def _env_int(name: str, default: int) -> int:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..bench.harness import EXTRA_SYSTEMS, SYSTEMS
+from ..bench.harness import ALL_SYSTEMS
 from ..obs import Tracer
 from ..sim import Environment
 from ..storage import SATA_SSD, BlockDevice, PageCache, SimFS
@@ -133,16 +133,9 @@ class SweepReport:
                  "violations": len(r.violations)} for r in self.results]
 
 
-def _system(engine_key: str):
-    try:
-        return SYSTEMS[engine_key]
-    except KeyError:
-        return EXTRA_SYSTEMS[engine_key]
-
-
 def sweep_engine(engine_key: str, config: SweepConfig) -> EngineSweepResult:
     """Golden run + image capture + checking for one engine."""
-    spec = _system(engine_key)
+    spec = ALL_SYSTEMS[engine_key]
     tracer = Tracer()
     env = Environment(tracer=tracer)
     device = BlockDevice(env, SATA_SSD.scaled(config.scale))

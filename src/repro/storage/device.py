@@ -177,11 +177,11 @@ class BlockDevice:
         self.stats = DeviceStats()
         self._channel = Resource(env, capacity=profile.parallelism, name=f"{profile.name}-channel")
         #: Optional fault hook ``hook(op: str) -> bool`` consulted after
-        #: each request is serviced; returning True fails that attempt
-        #: with a *transient* EIO.  The driver layer retries (paying the
-        #: device time again and counting ``stats.num_eio_retries``) up
-        #: to :attr:`max_eio_retries` times before raising
-        #: :class:`DeviceError`.  Installed by :mod:`repro.faults`.
+        #: each write, read, metadata op or barrier is serviced; True
+        #: fails that attempt with a *transient* EIO.  The driver layer
+        #: retries (paying the device time again and counting
+        #: ``stats.num_eio_retries``) up to :attr:`max_eio_retries` times
+        #: before raising :class:`DeviceError`.  Installed by :mod:`repro.faults`.
         self.fault_hook = None
         self.max_eio_retries = 8
 
@@ -197,25 +197,38 @@ class BlockDevice:
         costs one retry; after ``max_eio_retries`` failed attempts the
         error is treated as persistent and :class:`DeviceError` raised.
         """
-        attempts = 0
         if not self._channel.acquire_in_place():
             yield self._channel.acquire()
         try:
-            while True:
-                self.stats.busy_time += duration
-                if not self.env.sleep_in_place(duration):
-                    yield self.env.timeout(duration)
-                hook = self.fault_hook
-                if hook is None or not hook(op):
-                    return
-                attempts += 1
-                self.stats.num_eio_retries += 1
-                if attempts > self.max_eio_retries:
-                    raise DeviceError(
-                        f"{op}: transient EIO persisted through "
-                        f"{attempts} attempts")
+            self.stats.busy_time += duration
+            if not self.env.sleep_in_place(duration):
+                yield self.env.timeout(duration)
+            if self.fault_hook is not None:
+                yield from self._redrive(op, duration)
         finally:
             self._channel.release()
+
+    def _redrive(self, op: str, duration: float
+                 ) -> Generator[Event, Any, int]:
+        """Re-drive a serviced request while :attr:`fault_hook` fails it.
+
+        The caller still holds the request's channel slots.  Returns the
+        number of retries, each of which paid ``duration`` again.
+        """
+        attempts = 0
+        while True:
+            hook = self.fault_hook
+            if hook is None or not hook(op):
+                return attempts
+            attempts += 1
+            self.stats.num_eio_retries += 1
+            if attempts > self.max_eio_retries:
+                raise DeviceError(
+                    f"{op}: transient EIO persisted through "
+                    f"{attempts} attempts")
+            self.stats.busy_time += duration
+            if not self.env.sleep_in_place(duration):
+                yield self.env.timeout(duration)
 
     # -- public operations ------------------------------------------------
 
@@ -286,6 +299,11 @@ class BlockDevice:
                 self.stats.busy_time += duration
                 if not self.env.sleep_in_place(duration):
                     yield self.env.timeout(duration)
+                if self.fault_hook is not None:
+                    # A faulted FLUSH is re-driven with the queue still
+                    # drained: every slot stays held across retries.
+                    retries = yield from self._redrive("barrier", duration)
+                    self.stats.barrier_time += retries * duration
             finally:
                 for _ in range(p.parallelism):
                     channel.release()

@@ -30,7 +30,7 @@ import random
 from typing import (Any, Callable, Generator, List, NamedTuple, Optional,
                     Tuple)
 
-from ..bench import (BenchConfig, SYSTEMS, new_stack, open_engine,
+from ..bench import (ALL_SYSTEMS, BenchConfig, new_stack, open_engine,
                      unified_snapshot)
 from ..bench.histogram import LatencyHistogram
 from ..bench.metrics import LatencyRecorder
@@ -66,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.dbbench",
         description="LevelDB-style db_bench over the simulated device")
-    parser.add_argument("--engine", default="bolt", choices=sorted(SYSTEMS),
+    parser.add_argument("--engine", default="bolt", choices=sorted(ALL_SYSTEMS),
                         help="system under test (default: bolt)")
     parser.add_argument("--num", type=int, default=10_000,
                         help="operations per benchmark (default 10000)")
@@ -175,7 +175,7 @@ def _open_stack(args: argparse.Namespace, options: Any,
     config = BenchConfig(scale=args.scale, record_count=args.num,
                          value_size=args.value_size, seed=args.seed)
     stack = new_stack(config, tracer=tracer, sanitize=sanitize)
-    return stack, open_engine(stack, SYSTEMS[args.engine], config, options)
+    return stack, open_engine(stack, ALL_SYSTEMS[args.engine], config, options)
 
 
 def _sanitizer_epilogue(env: Environment, out: Out) -> None:
@@ -255,7 +255,7 @@ def _run_serving(args: argparse.Namespace, out: Out) -> List[dict]:
     if spec is None or spec.is_load:
         raise SystemExit(f"unknown --workload {args.workload!r} "
                          f"(choose a run phase: a, b, c, d, e, f)")
-    system = SYSTEMS[args.engine]
+    system = ALL_SYSTEMS[args.engine]
     # The per-group WAL barrier is what the serving numbers measure, and
     # the cluster's acked-write-survives-failover contract needs it.
     options = system.options(args.scale).copy(wal_sync=True)
@@ -411,7 +411,7 @@ def _run_tier_report(args: argparse.Namespace, out: Out) -> List[dict]:
     store's request latency.  Output is deterministic for fixed
     arguments, so CI diffs two runs byte-for-byte.
     """
-    system = SYSTEMS[args.engine]
+    system = ALL_SYSTEMS[args.engine]
     budgets = sorted({max(0.25, args.cache_mb / 4), args.cache_mb,
                       args.cache_mb * 4})
     out(f"tier report: engine {system.label}, {args.num} ops, "
@@ -467,7 +467,7 @@ def _run_tier_report(args: argparse.Namespace, out: Out) -> List[dict]:
 def _run_db_bench(args: argparse.Namespace, out: Out) -> List[dict]:
     """Run the requested benchmark list; returns one row per benchmark."""
     tracer = Tracer() if args.trace else None
-    system = SYSTEMS[args.engine]
+    system = ALL_SYSTEMS[args.engine]
     options = system.options(args.scale)
     if args.tiered:
         options = _tiered_options(options, args)

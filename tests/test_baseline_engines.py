@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.bench.harness import (EXTRA_SYSTEMS, SYSTEMS, BenchConfig, Stack,
+from repro.bench.harness import (ALL_SYSTEMS, BenchConfig, Stack,
                                  open_engine)
 from repro.engines import (
     HyperLevelDBEngine,
@@ -284,11 +284,11 @@ SYSTEM_SHAPES = {
 
 class TestSystemRows:
     def test_every_system_is_recorded(self):
-        assert set(SYSTEM_SHAPES) == set(SYSTEMS) | set(EXTRA_SYSTEMS)
+        assert set(SYSTEM_SHAPES) == set(ALL_SYSTEMS)
 
     @pytest.mark.parametrize("key", sorted(SYSTEM_SHAPES))
     def test_row_opens_the_recorded_engine(self, key):
-        spec = {**SYSTEMS, **EXTRA_SYSTEMS}[key]
+        spec = ALL_SYSTEMS[key]
         env, fs = fresh_stack()
         db = open_engine(Stack(env, fs.device, fs), spec, BenchConfig(scale=256))
         name, read_lock, min_overlap, options_crc = SYSTEM_SHAPES[key]

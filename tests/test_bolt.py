@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.bench.harness import (EXTRA_SYSTEMS, SYSTEMS, BenchConfig, Stack,
+from repro.bench.harness import (ALL_SYSTEMS, BenchConfig, Stack,
                                  open_engine)
 from repro.engines import (
     ABLATION_STAGES,
@@ -54,7 +54,7 @@ class TestBoltIsAConfiguration:
         ("rocksdb", "rocksbolt"),
     ], ids=["leveldb", "hyperleveldb", "rocksdb"])
     def test_base_engine_with_bolt_options_is_bolt(self, base, bolt):
-        systems = {**SYSTEMS, **EXTRA_SYSTEMS}
+        systems = ALL_SYSTEMS
         engine_cls = systems[base].engine_cls
         assert systems[bolt].engine_cls is engine_cls
         env, fs = fresh_stack()

@@ -148,6 +148,27 @@ class TestTransientEIO:
             env.run_until(env.process(device.read(4 * KB)))
         assert device.stats.num_eio_retries == device.max_eio_retries + 1
 
+    def test_barrier_retries_in_place(self, env):
+        """A faulted FLUSH is re-driven holding every channel slot: each
+        retry pays the barrier time again, and past ``max_eio_retries``
+        the fault is persistent."""
+        device = BlockDevice(env)
+        env.run_until(env.process(device.barrier(8 * KB)))
+        clean = device.stats.barrier_time
+        device.fault_hook = TransientEIO(1.0, random.Random(1),
+                                         max_failures=2)
+        barrier = env.process(device.barrier(8 * KB))
+        env.run_until(env.process(device.read(4 * KB)))
+        assert barrier.triggered  # the read queued behind every attempt
+        assert device.stats.num_eio_retries == 2
+        assert device.stats.num_barriers == 2
+        assert device.stats.barrier_time == pytest.approx(4 * clean)
+        device.fault_hook = TransientEIO(1.0, random.Random(1),
+                                         max_failures=None)
+        with pytest.raises(DeviceError):
+            env.run_until(env.process(device.barrier()))
+        assert device.stats.num_eio_retries == 2 + device.max_eio_retries + 1
+
     def test_ops_filter_restricts_faults(self, env):
         device = BlockDevice(env)
         device.fault_hook = TransientEIO(1.0, random.Random(1),

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.bench import BenchConfig, SYSTEMS, new_stack, run_suite, unified_snapshot
-from repro.bench.harness import EXTRA_SYSTEMS
+from repro.bench.harness import ALL_SYSTEMS
 from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
@@ -225,9 +225,6 @@ def test_bolt_flushes_and_manifest_commits_are_traced(bolt_trace):
     assert tracer.find_spans(name="manifest.commit", cat="engine")
     assert tracer.find_spans(name="fsync", cat="barrier")
     assert tracer.metrics.counter("fd_cache.hit").value > 0
-
-
-ALL_SYSTEMS = {**SYSTEMS, **EXTRA_SYSTEMS}
 
 
 @pytest.mark.parametrize("key", sorted(ALL_SYSTEMS))

@@ -66,7 +66,7 @@ class TestDbBench:
 
     def test_every_engine_runs(self):
         for engine in ("leveldb", "hyperleveldb", "rocksdb", "pebblesdb",
-                       "hyperbolt"):
+                       "hyperbolt", "rocksbolt"):
             rows = dbbench_main([
                 "--engine", engine, "--num", "300", "--scale", "1024",
                 "--benchmarks", "fillrandom,readrandom",
