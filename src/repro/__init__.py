@@ -17,8 +17,9 @@ The package builds, from scratch, every system the paper touches:
 * a multi-client serving layer — server worker slots, admission
   control, WAL group commit, open-loop load generation
   (:mod:`repro.svc`);
-* span tracing, counters and Chrome-trace export for the whole
-  simulated stack (:mod:`repro.obs`).
+* span tracing and Chrome-trace export for the whole simulated stack
+  (:mod:`repro.obs`); the counts live on each layer's always-on stats,
+  merged by :func:`repro.bench.unified_snapshot`.
 
 Quickstart::
 
@@ -52,8 +53,7 @@ from .engines import (
     rocksdb_options,
 )
 from .lsm import LSMEngine, Options, WriteBatch
-from .obs import (MetricsRegistry, NULL_TRACER, Tracer, phase_summary,
-                  write_chrome_trace)
+from .obs import NULL_TRACER, Tracer, phase_summary, write_chrome_trace
 from .sim import Environment
 from .storage import BlockDevice, DeviceProfile, PageCache, SATA_SSD, SimFS
 
@@ -81,7 +81,6 @@ __all__ = [
     "WriteBatch",
     "Tracer",
     "NULL_TRACER",
-    "MetricsRegistry",
     "phase_summary",
     "write_chrome_trace",
     "Environment",

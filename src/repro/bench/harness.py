@@ -36,6 +36,7 @@ from ..storage import BlockDevice, DeviceProfile, PageCache, SATA_SSD, SimFS
 from ..ycsb import RUN_ORDER, WORKLOADS, run_phase
 from ..ycsb.distributions import InsertCounter
 from .metrics import LatencyRecorder, PhaseResult
+from .report import snapshot_delta, unified_snapshot
 
 __all__ = ["SystemSpec", "SYSTEMS", "ALL_SYSTEMS", "BenchConfig", "Stack",
            "new_stack", "open_engine", "run_suite", "load_database", "run_crash_sweep"]
@@ -171,34 +172,33 @@ def open_engine(stack: Stack, system: SystemSpec, config: BenchConfig,
     return db
 
 
-def _phase_result(system_label: str, workload: str, stack: Stack,
-                  db: LSMEngine, recorder: LatencyRecorder,
-                  elapsed: float, fs_before, dev_before,
-                  stats_before, record_bytes: int = 0) -> PhaseResult:
-    fs_delta = stack.fs.stats.delta(fs_before)
-    dev_delta = stack.device.stats.delta(dev_before)
-    stats = db.stats
+def _phase_result(system_label: str, workload: str,
+                  recorder: LatencyRecorder, before, after,
+                  record_bytes: int = 0) -> PhaseResult:
+    """A phase's result from the :func:`unified_snapshot` taken before
+    it and the one taken after."""
+    window = snapshot_delta(before, after)
+    fs, device, engine = window["fs"], window["device"], window["engine"]
     writes = (recorder.count("insert") + recorder.count("update")
               + recorder.count("rmw"))
     return PhaseResult(
         system=system_label,
         workload=workload,
         operations=recorder.count(),
-        elapsed=elapsed,
+        elapsed=window["clock"]["virtual_seconds"],
         latencies=recorder,
-        fsync_calls=fs_delta.num_barrier_calls,
-        bytes_written=dev_delta.bytes_written,
-        bytes_read=dev_delta.bytes_read,
-        logical_bytes=fs_delta.logical_bytes_written,
+        fsync_calls=fs["num_barrier_calls"],
+        bytes_written=device["bytes_written"],
+        bytes_read=device["bytes_read"],
+        logical_bytes=fs["logical_bytes_written"],
         user_bytes=writes * record_bytes,
-        metadata_ops=dev_delta.num_metadata_ops,
-        stall_time=stats.stall_time - stats_before.stall_time,
-        slowdown_time=stats.slowdown_time - stats_before.slowdown_time,
-        compactions=stats.compactions - stats_before.compactions,
-        settled_promotions=(stats.settled_promotions
-                            - stats_before.settled_promotions),
-        table_cache_hit_ratio=db.table_cache.hit_ratio,
-        block_cache_hit_ratio=db.block_cache.hit_ratio,
+        metadata_ops=device["num_metadata_ops"],
+        stall_time=engine["stall_time"],
+        slowdown_time=engine["slowdown_time"],
+        compactions=engine["compactions"],
+        settled_promotions=engine["settled_promotions"],
+        table_cache_hit_ratio=after["engine"]["table_cache_hit_ratio"],
+        block_cache_hit_ratio=after["engine"]["block_cache_hit_ratio"],
     )
 
 
@@ -210,17 +210,14 @@ def load_database(stack: Stack, db: LSMEngine, config: BenchConfig,
     """Run a load phase (LA/LE), returning its result and the counter."""
     counter = counter or InsertCounter(0)
     spec = WORKLOADS[workload]
-    fs_before = stack.fs.stats.snapshot()
-    dev_before = stack.device.stats.snapshot()
-    stats_before = db.stats.snapshot()
-    started = stack.env.now
+    before = unified_snapshot(stack, db)
     recorder = yield from run_phase(
         stack.env, db, spec, config.record_count, config.record_count,
         value_size=config.value_size, num_clients=config.num_clients,
         seed=config.seed, insert_counter=counter, quiesce=quiesce)
-    result = _phase_result(db.name, workload, stack, db, recorder,
-                           stack.env.now - started, fs_before, dev_before,
-                           stats_before, record_bytes=23 + config.value_size)
+    result = _phase_result(db.name, workload, recorder, before,
+                           unified_snapshot(stack, db),
+                           record_bytes=23 + config.value_size)
     return result, counter
 
 
@@ -271,10 +268,7 @@ def run_suite(system: SystemSpec, config: BenchConfig,
             spec = spec.with_distribution(request_dist)
         is_load = spec.is_load
         num_ops = config.record_count if is_load else config.ops_per_phase
-        fs_before = stack.fs.stats.snapshot()
-        dev_before = stack.device.stats.snapshot()
-        stats_before = db.stats.snapshot()
-        started = stack.env.now
+        before = unified_snapshot(stack, db)
         if tracer is not None and tracer.enabled:
             tracer.instant("phase-start", cat="bench", track="main",
                            phase=phase, system=db.name)
@@ -286,8 +280,7 @@ def run_suite(system: SystemSpec, config: BenchConfig,
             quiesce=is_load))
         recorder = stack.env.run_until(phase_proc)
         results[phase] = _phase_result(
-            db.name, phase, stack, db, recorder, stack.env.now - started,
-            fs_before, dev_before, stats_before,
+            db.name, phase, recorder, before, unified_snapshot(stack, db),
             record_bytes=23 + config.value_size)
     db.close_sync()
     if trace is not None:

@@ -1,6 +1,8 @@
 """Plain-text table rendering for benchmark output and EXPERIMENTS.md,
 plus :func:`unified_snapshot` — the single merged view of every counter
-a simulated stack produces (engine, filesystem, device, obs metrics).
+a simulated stack produces (engine, filesystem, device, health, server)
+— and :func:`snapshot_delta`, which turns two of them into the counters
+of the window between.
 
 One builder covers one engine (a one-machine stack) and a whole
 :mod:`repro.cluster` store: pass a ``ClusterStore`` as ``db`` and the
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 __all__ = ["format_table", "format_markdown_table", "unified_snapshot",
-           "aggregate_engine_stats"]
+           "snapshot_delta", "aggregate_engine_stats"]
 
 
 def _stringify(value) -> str:
@@ -118,12 +120,13 @@ def _cluster_sections(cluster) -> Dict[str, Dict[str, float]]:
     return sections
 
 
-def unified_snapshot(stack, db=None, tracer=None, server=None,
+def unified_snapshot(stack, db=None, server=None,
                      recorder=None) -> Dict[str, Dict[str, float]]:
     """Merge every counter in a simulated stack into one nested dict.
 
-    Figures, ``dbbench stats`` and trace summaries should all read from
-    this so they can never disagree.  Sections:
+    Figures, ``dbbench stats``, the benchmark harness and the perf
+    ledger all read from this so they can never disagree; a window's
+    counters are :func:`snapshot_delta` of two snapshots.  Sections:
 
     * ``clock``   — the virtual time of the snapshot
     * ``device``  — :class:`~repro.storage.DeviceStats` fields
@@ -137,8 +140,6 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
     * ``tier``    — :class:`~repro.objstore.TieringPolicy` counters
       (demotions, remote request/dollar totals, LSST-cache hit rate and
       miss p999) — only when the engine has tiering installed
-    * ``metrics`` — the :class:`~repro.obs.MetricsRegistry` counters and
-      gauges (only when an enabled tracer observes the stack)
     * ``svc``     — :class:`~repro.svc.ServerStats` counters (only when
       a ``server`` is given)
     * ``latency`` — per-kind count/mean/p99 from a
@@ -147,8 +148,7 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
       ``recorder`` is given)
 
     ``stack`` is one machine: anything with ``env``/``device``/``fs``
-    attributes (the harness's :class:`~repro.bench.harness.Stack`);
-    ``tracer`` defaults to the one installed on its ``env``.
+    attributes (the harness's :class:`~repro.bench.harness.Stack`).
 
     A :class:`~repro.cluster.ClusterStore` owns its machines, so for one
     ``stack`` is ``None`` and ``db`` is the store.  The snapshot is the
@@ -197,10 +197,6 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
         # Tier counters exist only when the objstore subsystem was
         # installed, so the untiered snapshot stays byte-identical.
         snap["tier"] = db.tiering.snapshot()
-    if tracer is None:
-        tracer = env.tracer
-    if tracer.enabled:
-        snap["metrics"] = tracer.metrics.snapshot()
     if server is not None:
         snap["svc"] = server.stats.snapshot()
     if recorder is not None:
@@ -211,6 +207,17 @@ def unified_snapshot(stack, db=None, tracer=None, server=None,
             latency[f"{kind}.p99"] = recorder.percentile(99.0, kind)
         snap["latency"] = latency
     return snap
+
+
+def snapshot_delta(before: Dict[str, Dict[str, float]],
+                   after: Dict[str, Dict[str, float]]
+                   ) -> Dict[str, Dict[str, float]]:
+    """The counters accumulated between two :func:`unified_snapshot`
+    calls: each section's numeric fields, ``after - before``."""
+    return {section: {key: value - before.get(section, {}).get(key, 0)
+                      for key, value in fields.items()
+                      if isinstance(value, (int, float))}
+            for section, fields in after.items()}
 
 
 def format_markdown_table(rows: Sequence[Dict[str, object]]) -> str:

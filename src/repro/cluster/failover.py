@@ -175,7 +175,6 @@ class FailoverController:
                 shard.state = SHARD_FAILED
                 shard.ready.notify_all()
                 span.set(outcome="failed")
-                tracer.count("cluster.shards_failed")
                 return
 
             replayed = 0
@@ -235,7 +234,6 @@ class FailoverController:
             span.set(outcome="promoted" if primary_dead else "fenced",
                      promoted=promoted.node_id, tail_records=replayed,
                      epoch=shard.epoch)
-        tracer.count("cluster.failovers")
         if tracer.enabled:
             tracer.instant("failover", cat="cluster", shard=shard.shard_id,
                            promoted=shard.primary.node_id,

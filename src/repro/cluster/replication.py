@@ -210,7 +210,6 @@ class ReplicationLink:
                 if tracer.enabled:
                     tracer.gauge(
                         f"cluster.shard{self.shard_id}.replication_lag", lag)
-                    tracer.count("cluster.records_shipped")
             del pending[turn]
             turn += 1
             self._space.notify_all()

@@ -181,12 +181,10 @@ class Shard:
     def note_fenced_write(self, num_ops: int) -> None:
         """Count client-visible writes rejected by fencing."""
         self.fenced_writes += num_ops
-        self.env.tracer.count("cluster.fenced_writes", num_ops)
 
     def note_fenced_ship(self, num_ops: int) -> None:
         """Count stale-epoch shipped ops rejected at a replica."""
         self.fenced_ships += num_ops
-        self.env.tracer.count("cluster.fenced_ships", num_ops)
 
     @property
     def replication(self) -> Optional[ShardReplication]:

@@ -152,8 +152,9 @@ def _check_read(read: HistoryOp, hist: _KeyHistory) -> Optional[str]:
     if read.value is not None and not writers:
         return f"R1 phantom value: {_describe(read)} returned a value no write ever wrote"
     if writers and all(w.outcome == FAIL for w in writers):
-        return (f"R1 fenced value resurfaced: {_describe(read)} returned "
-                f"the value of failed {_describe(writers[0])}")
+        return (f"R1 failed write resurfaced: {_describe(read)} returned "
+                f"the value of failed {_describe(writers[0])}, rejected "
+                f"with {writers[0].error or '(no error recorded)'}")
     if writers and all(w.invoked >= read.completed for w in writers):
         return (f"R1 value from the future: {_describe(read)} returned "
                 f"{_describe(writers[0])} invoked after the read completed")
@@ -203,9 +204,11 @@ def check_history(ops: List[HistoryOp]) -> List[str]:
     Every returned string is a definite violation of per-key
     linearizability under the strict interval order — an empty list
     means no witness was found (not a proof of linearizability, but
-    the classes of bug this harness hunts — lost acked writes, fenced
-    values resurfacing, stale reads after promotion, session
-    regressions — all produce witnesses of exactly these shapes).
+    the classes of bug this harness hunts — lost acked writes, failed
+    writes resurfacing (fenced by a stale epoch, or refused by a
+    read-only engine; the report carries the write's recorded error),
+    stale reads after promotion, session regressions — all produce
+    witnesses of exactly these shapes).
     """
     violations: List[str] = []
     by_key = _partition(ops)

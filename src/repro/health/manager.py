@@ -163,7 +163,6 @@ class ErrorManager:
         self.bg_error_count += 1
         self.errors_by_site[site] = self.errors_by_site.get(site, 0) + 1
         tracer = self.env.tracer
-        tracer.count("health.bg_errors")
         if tracer.enabled:
             tracer.instant("bg-error", cat="health", site=site,
                            severity=severity, error=repr(exc))
@@ -192,7 +191,6 @@ class ErrorManager:
             self._degraded_since = self.env.now
             self._degraded_span = self.env.tracer.span(
                 "health.degraded", cat="health", site=site)
-            self.env.tracer.gauge("health.degraded", 1)
         self.paused = True
         self.read_only = self.read_only or read_only or fatal
         self.fatal = self.fatal or fatal
@@ -203,7 +201,6 @@ class ErrorManager:
 
     def _exit_degraded(self) -> None:
         self.resume_attempts += 1
-        self.env.tracer.count("health.resume_attempts")
         self.paused = False
         self.read_only = False
         self.enospc = False
@@ -214,7 +211,6 @@ class ErrorManager:
         if self._degraded_span is not None:
             self._degraded_span.__exit__(None, None, None)
             self._degraded_span = None
-        self.env.tracer.gauge("health.degraded", 0)
         if self.on_resume is not None:
             self.on_resume()
 

@@ -225,15 +225,10 @@ class FileDescriptorCache:
         """Return a handle for ``name``, paying the metadata cost only
         on a cache miss.  Matches the ``TableCache.open_container``
         hook signature."""
-        tracer = self.fs.env.tracer
         sanitizer = self.fs.env.sanitizer
         handle = self._cache.get(name)
         if handle is not None:
-            if tracer.enabled:
-                tracer.count("fd_cache.hit")
             return handle
-        if tracer.enabled:
-            tracer.count("fd_cache.miss")
         contended = not self._lock.try_acquire()
         if contended:
             # Contended: another process is filling or evicting.  Wait

@@ -271,8 +271,7 @@ class Compactor:
                 yield from self.tiering.maybe_demote(meter)
             span.set(outputs=len(output_metas), settled=len(promoted))
             tracer = self.env.tracer
-            if tracer.enabled and promoted:
-                tracer.count("engine.settled_promotions", len(promoted))
+            if tracer.enabled:
                 for meta in promoted:
                     tracer.instant("settled-promotion", cat="engine",
                                    table=meta.number,
@@ -460,7 +459,6 @@ class Compactor:
         SSTable (§3.2).  A per-table file holds one table, so it is
         always unlinked."""
         version = self.versions.current
-        tracer = self.env.tracer
         for meta in metas:
             if self.tiering is not None and version.is_remote(meta.container):
                 # Remote container: when its last table dies the tier
@@ -477,8 +475,6 @@ class Compactor:
                 if not version.tables_in(meta.container):
                     if self.fd_cache is not None:
                         yield from self.fd_cache.evict(meta.container)
-                    if tracer.enabled:
-                        tracer.count("engine.containers_unlinked")
                     yield from self.fs.unlink(meta.container)
                 else:
                     # Not ``table_cache.open_handle``: on a tiered engine
@@ -491,9 +487,6 @@ class Compactor:
                     # §3.2: no fsync/fdatasync when punching holes — the
                     # lazy metadata sync is deliberately free of barriers.
                     handle.punch_hole(meta.offset, meta.length)
-                    if tracer.enabled:
-                        tracer.count("bolt.tables_punched")
-                        tracer.count("bolt.bytes_punched", meta.length)
             except FileSystemError:
                 # Concurrent cleanup batches may reference the same
                 # container; whoever loses the unlink race has nothing

@@ -321,7 +321,6 @@ class LSMEngine(WritePath, ReadPath, Compactor, Recovery):
         self.versions.quarantine_now(meta.number)
         self.table_cache.evict(meta.number)
         tracer = self.env.tracer
-        tracer.count("health.quarantined_tables")
         if tracer.enabled:
             tracer.instant("quarantine", cat="health", table=meta.number,
                            container=meta.container, reason=reason)

@@ -142,8 +142,9 @@ def list_wal_files(fs: SimFS, dbname: str) -> List[Tuple[int, str]]:
 
     Only a numeric stem (``000007.log``) names a WAL.  A listing is
     untrusted input: any other ``.log`` file in the db dir (operator
-    notes, foreign tooling) is counted on the tracer and left alone —
-    neither replayed nor deleted as obsolete.
+    notes, foreign tooling) is left alone — neither replayed nor
+    deleted as obsolete — and named in a ``wal-foreign-skipped``
+    trace instant.
     """
     logs: List[Tuple[int, str]] = []
     for name in fs.listdir(f"{dbname}/"):
@@ -153,5 +154,6 @@ def list_wal_files(fs: SimFS, dbname: str) -> List[Tuple[int, str]]:
         if stem.isascii() and stem.isdecimal():  # every such stem, int() parses
             logs.append((int(stem), name))
         else:
-            fs.env.tracer.count("wal.foreign_files_skipped")
+            fs.env.tracer.instant("wal-foreign-skipped", cat="wal",
+                                  file=name)
     return sorted(logs)

@@ -247,12 +247,6 @@ class WritePath:
                 seq += 1
         self.stats.group_commits += 1
         self.stats.grouped_writes += len(group)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.count("svc.group_commits")
-            tracer.count("svc.grouped_writes", len(group))
-            if saved:
-                tracer.count("svc.barriers_saved", saved)
         if self.wal_shipper is not None:
             # Ship the committed record to replication links.  Runs with
             # the db mutex held, so a full link backlog exerts

@@ -74,7 +74,6 @@ class LsstCache:
     def ensure(self, container: str) -> Generator[Event, Any, FileHandle]:
         """Return a handle to a local copy of ``container``, fetching it
         from the object store on a miss (single-flight)."""
-        tracer = self.fs.env.tracer
         local = self.local_name(container)
         while True:
             pending = self._inflight.get(container)
@@ -82,20 +81,14 @@ class LsstCache:
                 # Another process is fetching this container: park on its
                 # completion instead of paying a duplicate GET.
                 self.single_flight_waits += 1
-                if tracer.enabled:
-                    tracer.count("tier.cache_single_flight_waits")
                 yield pending
                 continue  # re-check: the leader admitted (or failed)
             if container in self._lru:
                 self.hits += 1
                 self._lru.move_to_end(container)
-                if tracer.enabled:
-                    tracer.count("tier.cache_hits")
                 return (yield from self.fs.open(local))
             break
         self.misses += 1
-        if tracer.enabled:
-            tracer.count("tier.cache_misses")
         done = self.fs.env.event()
         self._inflight[container] = done
         started = self.fs.env.now

@@ -136,8 +136,6 @@ class TieringPolicy:
         self.demoted_bytes += len(data)
         tracer = engine.env.tracer
         if tracer.enabled:
-            tracer.count("tier.demotions")
-            tracer.count("tier.demoted_bytes", len(data))
             tracer.instant("tier-demote", cat="tier", container=container,
                            nbytes=len(data))
         # The local file is now a cache copy; unlink it once no read is
@@ -193,9 +191,6 @@ class TieringPolicy:
         if engine.fs.exists(container):
             yield from engine.fs.unlink(container)
         self.releases += 1
-        tracer = engine.env.tracer
-        if tracer.enabled:
-            tracer.count("tier.releases")
         return True
 
     # -- recovery ----------------------------------------------------------
@@ -209,20 +204,15 @@ class TieringPolicy:
         """
         engine = self.engine
         referenced = set(engine.versions.current.remote_containers)
-        tracer = engine.env.tracer
         keys = yield from self.store.list_keys(f"{engine.dbname}/")
         for key in keys:
             if parse_container_number(key) is None:
                 self.foreign_objects_skipped += 1
-                if tracer.enabled:
-                    tracer.count("tier.foreign_objects_skipped")
                 continue
             if key in referenced:
                 continue
             yield from self.store.delete(key)
             self.orphans_collected += 1
-            if tracer.enabled:
-                tracer.count("tier.orphans_collected")
 
     # -- reporting ---------------------------------------------------------
 

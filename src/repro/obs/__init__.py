@@ -1,4 +1,4 @@
-"""Observability: span tracing, metrics, and trace export (repro.obs).
+"""Observability: span tracing and trace export (repro.obs).
 
 The subsystem has no dependency on the rest of :mod:`repro` — the
 simulation kernel installs the :data:`NULL_TRACER` by default and every
@@ -19,11 +19,8 @@ two-barriers-per-compaction invariant a trace makes visible.
 
 from .tracer import (
     NULL_TRACER,
-    Counter,
-    CounterSample,
-    Gauge,
+    GaugeSample,
     InstantRecord,
-    MetricsRegistry,
     NullTracer,
     SpanRecord,
     Tracer,
@@ -39,12 +36,9 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "SpanRecord",
     "InstantRecord",
-    "CounterSample",
+    "GaugeSample",
     "chrome_trace_events",
     "write_chrome_trace",
     "phase_summary",

@@ -2,7 +2,7 @@
 
 The Chrome format is the JSON array/object form consumed by Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing``: complete events
-(``ph: "X"``) for spans, instants (``"i"``), counters (``"C"``), and
+(``ph: "X"``) for spans, instants (``"i"``), gauge samples (``"C"``), and
 thread-name metadata (``"M"``) so each simulated process shows up as
 its own named thread.  Timestamps are microseconds of *virtual* time.
 
@@ -63,7 +63,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
         if instant.args:
             event["args"] = dict(instant.args)
         events.append(event)
-    for sample in tracer.counter_samples:
+    for sample in tracer.gauge_samples:
         events.append({
             "name": sample.name, "ph": "C", "ts": sample.ts * 1e6,
             "pid": _PID, "args": {"value": sample.value},
@@ -126,11 +126,4 @@ def phase_summary(tracer: Tracer) -> str:
         for row in cells:
             lines.append("  ".join(cell.ljust(widths[i])
                                    for i, cell in enumerate(row)))
-    counters = tracer.metrics.snapshot()
-    if counters:
-        lines.append("")
-        lines.append("metrics")
-        width = max(len(name) for name in counters)
-        for name, value in counters.items():
-            lines.append(f"  {name.ljust(width)}  {value}")
     return "\n".join(lines)

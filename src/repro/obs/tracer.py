@@ -1,13 +1,19 @@
-"""Span tracer and metrics registry driven by the virtual clock.
+"""Span tracer driven by the virtual clock.
 
 The whole point of the reproduction is *where time goes* — barrier
 waits, compaction I/O, write stalls — so the tracer records **spans**
-(named intervals of virtual time), **instant events**, and **counter
-samples**, all timestamped by the simulation clock, with near-zero
-overhead and exactly zero virtual-time cost.
+(named intervals of virtual time), **instant events**, and **gauge
+samples** (a time series such as one shard's replication lag), all
+timestamped by the simulation clock, with near-zero overhead and
+exactly zero virtual-time cost.
 
 Design rules:
 
+* **Stats count; the tracer records when.**  Every count lives on its
+  layer's always-on stats (``EngineStats``, ``FSStats``, the cache and
+  health counters), which ``bench.report.unified_snapshot`` merges.
+  The tracer keeps no counters of its own: a fact it records is a span
+  or an instant, with the details in its arguments.
 * **Off by default, free when off.**  Every instrumented object reads
   its tracer from ``Environment.tracer``, which defaults to the
   module-level :data:`NULL_TRACER` singleton.  The null tracer's methods
@@ -33,7 +39,7 @@ Usage::
     with tracer.span("compaction", cat="engine", level=2) as span:
         ...simulated work...
         span.set(outputs=3)
-    tracer.count("fd_cache.miss")
+    tracer.instant("quarantine", cat="health", table=7)
     write_chrome_trace(tracer, "trace.json")
 """
 
@@ -42,82 +48,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "SpanRecord",
     "InstantRecord",
-    "CounterSample",
+    "GaugeSample",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
 ]
-
-
-class Counter:
-    """A monotonically-increasing named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, delta: int = 1) -> int:
-        """Add ``delta``; returns the new total."""
-        self.value += delta
-        return self.value
-
-
-class Gauge:
-    """A named value that can move both ways (queue depths, sizes)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        self.value = value
-
-
-class MetricsRegistry:
-    """Named counters and gauges, created on first use."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
-
-    def counters(self) -> Dict[str, int]:
-        """A snapshot of every counter's value."""
-        return {name: c.value for name, c in sorted(self._counters.items())}
-
-    def gauges(self) -> Dict[str, float]:
-        """A snapshot of every gauge's value."""
-        return {name: g.value for name, g in sorted(self._gauges.items())}
-
-    def snapshot(self) -> Dict[str, float]:
-        """All metrics as one flat name -> value mapping."""
-        merged: Dict[str, float] = {}
-        merged.update(self.counters())
-        merged.update(self.gauges())
-        return merged
 
 
 class SpanRecord:
@@ -168,8 +105,8 @@ class InstantRecord:
         self.args = args
 
 
-class CounterSample:
-    """A counter's value at a point in virtual time (Chrome 'C' event)."""
+class GaugeSample:
+    """A gauge's value at a point in virtual time (Chrome 'C' event)."""
 
     __slots__ = ("name", "ts", "value")
 
@@ -237,10 +174,6 @@ class NullTracer:
         """No-op (tracing disabled)."""
         pass
 
-    def count(self, name: str, delta: int = 1) -> None:
-        """No-op (tracing disabled)."""
-        pass
-
     def gauge(self, name: str, value: float) -> None:
         """No-op (tracing disabled)."""
         pass
@@ -264,7 +197,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records spans, instants and metrics against the virtual clock.
+    """Records spans, instants and gauge samples against the virtual clock.
 
     A tracer is created detached and bound to a simulation with
     :meth:`attach` (``Environment(tracer=...)`` and
@@ -277,11 +210,10 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
         self.instants: List[InstantRecord] = []
-        self.counter_samples: List[CounterSample] = []
+        self.gauge_samples: List[GaugeSample] = []
         self._env: Any = None
         self._offset = 0.0
         self._open_spans = 0
@@ -346,15 +278,9 @@ class Tracer:
             InstantRecord(name, cat, self._track(track), self.now,
                           args or None))
 
-    def count(self, name: str, delta: int = 1) -> None:
-        """Bump a registry counter and record a timestamped sample."""
-        value = self.metrics.counter(name).add(delta)
-        self.counter_samples.append(CounterSample(name, self.now, value))
-
     def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` and record the sample."""
-        self.metrics.gauge(name).set(value)
-        self.counter_samples.append(CounterSample(name, self.now, value))
+        """Record a timestamped sample of the time series ``name``."""
+        self.gauge_samples.append(GaugeSample(name, self.now, value))
 
     # -- kernel hooks -----------------------------------------------------
 

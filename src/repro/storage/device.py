@@ -130,7 +130,7 @@ HARD_DISK = DeviceProfile(
 
 @dataclass
 class DeviceStats:
-    """Cumulative device counters, reset-able between benchmark phases."""
+    """Cumulative device counters."""
 
     bytes_written: int = 0
     bytes_read: int = 0
@@ -146,20 +146,6 @@ class DeviceStats:
     def snapshot(self) -> "DeviceStats":
         """An independent copy of the current counters."""
         return DeviceStats(**vars(self))
-
-    def delta(self, earlier: "DeviceStats") -> "DeviceStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return DeviceStats(
-            bytes_written=self.bytes_written - earlier.bytes_written,
-            bytes_read=self.bytes_read - earlier.bytes_read,
-            num_writes=self.num_writes - earlier.num_writes,
-            num_reads=self.num_reads - earlier.num_reads,
-            num_barriers=self.num_barriers - earlier.num_barriers,
-            num_metadata_ops=self.num_metadata_ops - earlier.num_metadata_ops,
-            num_eio_retries=self.num_eio_retries - earlier.num_eio_retries,
-            busy_time=self.busy_time - earlier.busy_time,
-            barrier_time=self.barrier_time - earlier.barrier_time,
-        )
 
 
 class BlockDevice:

@@ -79,13 +79,6 @@ class FSStats:
         """An independent copy of the current counters."""
         return FSStats(**vars(self))
 
-    def delta(self, earlier: "FSStats") -> "FSStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return FSStats(**{
-            name: getattr(self, name) - getattr(earlier, name)
-            for name in vars(self)
-        })
-
 
 class _SimFile:
     """Internal per-file state: the file as written, dirty pages, holes.
@@ -750,7 +743,6 @@ class SimFS:
         if tracer.enabled:
             tracer.instant("hole-punch", cat="fs", file=file.name,
                            offset=offset, length=length)
-            tracer.count("fs.hole_punches")
         self.fault_site("fs.hole_punch", file=file.name,
                         offset=offset, length=length)
 

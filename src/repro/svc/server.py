@@ -274,8 +274,6 @@ class Server:
             self.stats.completed += 1
             if status == STATUS_OK:
                 self.stats.ok += 1
-            if tracer.enabled:
-                tracer.count("svc.completed")
             done.succeed(RequestOutcome(
                 request=request, status=status, value=value,
                 started=started, finished=self.env.now, error=error))

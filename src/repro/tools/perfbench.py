@@ -27,7 +27,9 @@ verifies that performance work never changes simulation results
 (``--digest`` twice, ``diff``).  Wall-clock seconds naturally vary; the
 ``--assert-floor`` gate therefore only fails when the *slowest*
 benchmark of the committed baseline regresses by more than
-``--tolerance`` (default 20%), while fingerprints must always match.
+``--tolerance`` (default 20%) against the host's speed, measured by a
+calibration loop timed just before each of its rounds, while
+fingerprints must always match.
 """
 
 from __future__ import annotations
@@ -535,9 +537,10 @@ def calibrate(repeat: int = 3) -> float:
     """Wall-clock seconds for a fixed pure-Python spin loop (best-of).
 
     A committed ``BENCH_perf.json`` records the baseline machine's
-    calibration; :func:`_assert_floor` scales its floor by the ratio of
-    the two calibrations, so the gate compares *simulator* speed rather
-    than host speed.  The loop shape (integer LCG) is deliberately dull:
+    calibration; :func:`_assert_floor` gates the ratio of a benchmark
+    round to a calibration taken just before it against the baseline's
+    ratio, so the gate compares *simulator* speed rather than host
+    speed.  The loop shape (integer LCG) is deliberately dull:
     no allocation, no C-library leverage, just interpreter dispatch —
     the same resource the simulator burns.
     """
@@ -553,21 +556,25 @@ def calibrate(repeat: int = 3) -> float:
     return round(best, 4)
 
 
-def run_benchmarks(names: List[str], repeat: int = 3,
-                   out=print) -> Dict[str, Dict[str, Any]]:
+def run_benchmarks(names: List[str], repeat: int = 3, out=print,
+                   paired: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
     """Run ``names`` ``repeat`` times each; best-of wall time per benchmark.
 
     Returns ``{name: {"seconds": float, "fingerprint": str}}``.  The
     fingerprint must be identical across repeats — a mismatch means the
     benchmark (and so possibly the simulator) is nondeterministic, which
-    is reported and fails the run.
+    is reported and fails the run.  Each round of the benchmark named
+    ``paired`` runs just after a one-loop :func:`calibrate`, and its row
+    gains ``ratio``: the best round's seconds over that calibration.
     """
     results: Dict[str, Dict[str, Any]] = {}
     for name in names:
         func = BENCHMARKS[name]
         best: Optional[float] = None
+        ratio: Optional[float] = None
         fingerprint: Optional[str] = None
         for _ in range(max(1, repeat)):
+            calibration = calibrate(repeat=1) if name == paired else None
             # Time the benchmark, not the cyclic collector: each run
             # starts from a collected heap with the collector paused.
             gc.collect()
@@ -585,25 +592,35 @@ def run_benchmarks(names: List[str], repeat: int = 3,
                     f"nondeterministic benchmark")
             if best is None or seconds < best:
                 best = seconds
+            if calibration and (ratio is None or seconds / calibration < ratio):
+                ratio = seconds / calibration
         results[name] = {"seconds": round(best, 4), "fingerprint": fingerprint}
+        if ratio is not None:
+            results[name]["ratio"] = round(ratio, 4)
         out(f"{name:12s} : {best:8.4f} s   {fingerprint[:16]}")
     return results
 
 
-def _assert_floor(results: Dict[str, Dict[str, Any]], baseline_path: str,
-                  tolerance: float, calibration: float, out=print) -> None:
+def _gated_row(baseline: Dict[str, Any]) -> str:
+    """The baseline's slowest benchmark: the one the floor gates."""
+    rows = baseline["benchmarks"]
+    return max(rows, key=lambda name: rows[name]["seconds"])
+
+
+def _assert_floor(results: Dict[str, Dict[str, Any]], baseline: Dict[str, Any],
+                  tolerance: float, out=print) -> None:
     """Fail if fingerprints drift or the slowest baseline benchmark regresses.
 
     All fingerprints must match the committed baseline exactly (results
     are a pure function of the code).  Wall-clock time is gated only on
     the benchmark with the largest baseline ``seconds`` — the one whose
-    regression would actually move tier-1 suite time — scaled by the
-    host-speed calibration ratio, and only beyond ``tolerance``
+    regression would actually move tier-1 suite time.  Its best ratio of
+    a round to the calibration loop timed just before that round (the
+    row's ``ratio``, see :func:`run_benchmarks`) may exceed the
+    baseline's ``seconds / calibration_seconds`` only by ``tolerance``
     (CI machines are noisy; small deltas are meaningless).
     """
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    base_rows = baseline.get("benchmarks", baseline)
+    base_rows = baseline["benchmarks"]
     failures: List[str] = []
     for name, row in sorted(base_rows.items()):
         current = results.get(name)
@@ -614,20 +631,18 @@ def _assert_floor(results: Dict[str, Dict[str, Any]], baseline_path: str,
             failures.append(
                 f"{name}: fingerprint {current['fingerprint'][:12]} != "
                 f"baseline {row['fingerprint'][:12]} (results changed)")
-    slowest = max(base_rows, key=lambda name: base_rows[name]["seconds"])
-    if slowest in results:
-        base_calibration = baseline.get("calibration_seconds") or calibration
-        scale = calibration / base_calibration if base_calibration else 1.0
-        limit = base_rows[slowest]["seconds"] * scale * (1.0 + tolerance)
-        seconds = results[slowest]["seconds"]
-        if seconds > limit:
+    gated = _gated_row(baseline)
+    if gated in results:
+        base_ratio = (base_rows[gated]["seconds"]
+                      / baseline["calibration_seconds"])
+        limit = base_ratio * (1.0 + tolerance)
+        ratio = results[gated]["ratio"]
+        if ratio > limit:
             failures.append(
-                f"{slowest}: {seconds:.4f} s exceeds floor {limit:.4f} s "
-                f"(baseline {base_rows[slowest]['seconds']:.4f} s x "
-                f"host scale {scale:.2f} + {tolerance:.0%})")
+                f"{gated}: {ratio:.3f} x calibration exceeds floor "
+                f"{limit:.3f} (baseline {base_ratio:.3f} + {tolerance:.0%})")
         else:
-            out(f"floor ok: {slowest} {seconds:.4f} s <= {limit:.4f} s "
-                f"(host scale {scale:.2f})")
+            out(f"floor ok: {gated} {ratio:.3f} x calibration <= {limit:.3f}")
     if failures:
         for failure in failures:
             out(f"perfbench FAIL: {failure}")
@@ -670,7 +685,12 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, Dict[str, Any]]:
     quiet = args.digest
     out = (lambda *a, **k: None) if quiet else print
     repeat = 1 if args.digest else args.repeat
-    results = run_benchmarks(names, repeat=repeat, out=out)
+    baseline = None
+    if args.assert_floor:
+        with open(args.assert_floor, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    results = run_benchmarks(names, repeat=repeat, out=out,
+                             paired=baseline and _gated_row(baseline))
     if args.digest:
         digests = {name: row["fingerprint"] for name, row in results.items()}
         json.dump(digests, sys.stdout, indent=1, sort_keys=True)
@@ -686,9 +706,8 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, Dict[str, Any]]:
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
         out(f"wrote {args.json}")
-    if args.assert_floor:
-        _assert_floor(results, args.assert_floor, args.tolerance,
-                      calibration, out=out)
+    if baseline is not None:
+        _assert_floor(results, baseline, args.tolerance, out=out)
     return results
 
 

@@ -330,8 +330,10 @@ class TestWalTailForeignFiles:
         fs.crash(survive_probability=1.0)
         tracer = Tracer()
         db = LSMEngine.open_sync(env, fs, cluster_options(tracer=tracer), "db")
-        assert (tracer.metrics.counter("wal.foreign_files_skipped").value
-                == len(self.FOREIGN))
+        skipped = [instant.args["file"] for instant in tracer.instants
+                   if instant.name == "wal-foreign-skipped"]
+        assert sorted(skipped) == sorted(f"db/{name}"
+                                         for name, _payload in self.FOREIGN)
         assert db.versions.last_sequence == 20
         assert db.scan_sync(b"", 64) == [(b"fe%04d" % i, b"e" * 8)
                                          for i in range(20)]

@@ -514,12 +514,25 @@ class TestHistoryChecker:
         assert len(violations) == 1 and "phantom" in violations[0]
 
     def test_fenced_write_must_stay_invisible(self):
-        ops = [
-            _op(1, 0, "w", b"k", b"doomed", 0.0, 1.0, outcome="fail"),
-            _op(2, 1, "r", b"k", b"doomed", 2.0, 3.0),
-        ]
-        violations = check_history(ops)
-        assert len(violations) == 1 and "fenced" in violations[0]
+        doomed = _op(1, 0, "w", b"k", b"doomed", 0.0, 1.0, outcome="fail")
+        doomed.error = "FencedError('epoch 1 < 2')"
+        violations = check_history([doomed,
+                                    _op(2, 1, "r", b"k", b"doomed", 2.0, 3.0)])
+        assert len(violations) == 1
+        assert violations[0].startswith("R1 failed write resurfaced")
+        assert violations[0].endswith("rejected with FencedError('epoch 1 < 2')")
+
+    def test_refused_write_resurfacing_is_not_called_fenced(self):
+        """Single-engine chaos fails a write with ``ReadOnlyError``: no
+        fencing took place, and the report says what did."""
+        refused = _op(1, 0, "w", b"k", b"refused", 0.0, 1.0, outcome="fail")
+        refused.error = "ReadOnlyError('database is read-only')"
+        violations = check_history([refused,
+                                    _op(2, 1, "r", b"k", b"refused", 2.0, 3.0)])
+        assert len(violations) == 1
+        assert "fenced" not in violations[0]
+        assert violations[0].startswith("R1 failed write resurfaced: op1")
+        assert "ReadOnlyError('database is read-only')" in violations[0]
 
     def test_stale_read_is_reported(self):
         ops = [

@@ -13,16 +13,23 @@ dbbench's default seed 301:
   evidence check sees this; the history stays clean).
 * D — a write refused with ``ReadOnlyError`` is applied to the MemTable
   first: a refused value becomes readable.
+
+Run as a script, the module prints the whole kill table — every mutant
+against every run, with the violation count and the clauses that fired
+— as docs/FAULT_MODEL.md shows it::
+
+    PYTHONPATH=src python tests/test_harness_teeth.py
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from repro.cluster import ReplicationLink, failover
 from repro.health import ReadOnlyError
 from repro.lsm import VALUE_TYPE_VALUE, LSMEngine, MemTable
-from repro.tools.dbbench import _parser, run_benchmarks
+from repro.tools.dbbench import _chaos, _cluster_chaos, _nemesis, _parser, run_benchmarks
 
 #: The harness runs as ``make smoke`` spells them, at seed 301.
 CI_RUNS = {
@@ -110,3 +117,47 @@ def test_never_stale_epoch_is_seen_by_the_fencing_evidence(monkeypatch):
 def test_unmutated_runs_pass(run):
     passed, lines = run_harness(run)
     assert passed, "\n".join(lines)
+
+
+MUTANTS = (drop_every_7th_put, empty_wal_tail, never_stale_epoch,
+           refused_write_applied)
+HARNESSES = {"chaos": _chaos, "cluster-chaos": _cluster_chaos,
+             "nemesis": _nemesis}
+
+
+def violations(name):
+    """Every violation one CI harness run reports, unabridged."""
+    config, harness = HARNESSES[name](
+        _parser().parse_args(CI_RUNS[name] + ["--seed", "301"]))
+    result = harness(config)
+    return [violation for run in getattr(result, "results", [result])
+            for violation in run.violations]
+
+
+def clause(violation):
+    """``[tag]`` of an evidence check, or the history clause's label."""
+    if violation.startswith("["):
+        return violation[:violation.index("]") + 1]
+    return violation[:violation.index(":")]
+
+
+def kill_table():
+    """The mutants x runs table of docs/FAULT_MODEL.md, in markdown."""
+    lines = ["| mutant | " + " | ".join(CI_RUNS) + " |",
+             "|---" * (len(CI_RUNS) + 1) + "|"]
+    for mutant in MUTANTS:
+        cells = []
+        for name in CI_RUNS:
+            with pytest.MonkeyPatch.context() as patch:
+                mutant(patch)
+                found = violations(name)
+            fired = Counter(clause(violation) for violation in found)
+            cells.append(f"**{len(found)}**: " + ", ".join(
+                f"`{label}` ×{count}" for label, count in sorted(fired.items()))
+                if found else "0 — survives")
+        lines.append(f"| {mutant.__name__} | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(kill_table())

@@ -7,18 +7,19 @@ The two load-bearing guarantees tested here:
    table + MANIFEST), a BoLT compaction exactly 2 (compaction file +
    MANIFEST), §1/§3.1.
 2. **Tracing is free when disabled and inert when enabled** — it never
-   advances the virtual clock, so EngineStats and every fs/device
-   counter are identical with tracing on and off.
+   advances the virtual clock and keeps no counters of its own, so every
+   section of ``unified_snapshot`` is identical with tracing on and off.
 """
 
 import json
 
 import pytest
 
-from repro.bench import BenchConfig, SYSTEMS, new_stack, run_suite, unified_snapshot
+from repro.bench import (BenchConfig, SYSTEMS, new_stack, open_engine, run_suite,
+                         unified_snapshot)
 from repro.bench.harness import ALL_SYSTEMS
+from repro.cluster import ClusterConfig, ClusterStore
 from repro.obs import (
-    MetricsRegistry,
     NULL_TRACER,
     NullTracer,
     Tracer,
@@ -28,6 +29,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.sim import Environment
+from repro.svc import Request, Server
 from repro.tools.traceview import summarize_trace, thread_rows
 
 
@@ -104,21 +106,13 @@ class TestTracerCore:
         env = Environment(tracer=Tracer())
         tracer = env.tracer
         tracer.instant("mark", cat="test", track="t", detail=7)
-        tracer.count("hits")
-        tracer.count("hits", 2)
         tracer.gauge("depth", 4.0)
+        tracer.gauge("depth", 1.5)
         assert tracer.instants[0].name == "mark"
         assert tracer.instants[0].args == {"detail": 7}
-        assert tracer.metrics.counter("hits").value == 3
-        assert tracer.metrics.gauge("depth").value == 4.0
-        assert [s.value for s in tracer.counter_samples
-                if s.name == "hits"] == [1, 3]
-
-    def test_metrics_registry_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("a").add(2)
-        registry.gauge("b").set(9.5)
-        assert registry.snapshot() == {"a": 2, "b": 9.5}
+        samples = [e for e in chrome_trace_events(tracer) if e["ph"] == "C"]
+        assert [(e["name"], e["args"]["value"]) for e in samples] == [
+            ("depth", 4.0), ("depth", 1.5)]
 
     def test_attach_keeps_time_monotonic_across_stacks(self):
         tracer = Tracer()
@@ -145,7 +139,7 @@ class TestTracerCore:
         with span_a as span:
             span.set(ignored=True)
         NULL_TRACER.instant("nothing")
-        NULL_TRACER.count("nothing")
+        NULL_TRACER.gauge("nothing", 1.0)
         assert NULL_TRACER.attach(Environment()) is NULL_TRACER
 
     def test_environment_defaults_to_null_tracer(self):
@@ -224,7 +218,6 @@ def test_bolt_flushes_and_manifest_commits_are_traced(bolt_trace):
     assert tracer.find_spans(name="flush", cat="engine")
     assert tracer.find_spans(name="manifest.commit", cat="engine")
     assert tracer.find_spans(name="fsync", cat="barrier")
-    assert tracer.metrics.counter("fd_cache.hit").value > 0
 
 
 @pytest.mark.parametrize("key", sorted(ALL_SYSTEMS))
@@ -248,31 +241,72 @@ def test_every_compaction_has_a_span(key):
 # -- tracing must not perturb the simulation ---------------------------------
 
 
-def run_fixed_workload(tracer):
-    """A deterministic direct-API workload; returns every observable."""
+def engine_workload(tracer, **overrides):
+    """A deterministic direct-API BoLT workload; returns its snapshot."""
     config = tiny_config(record_count=2000)
-    stack = new_stack(config)
-    spec = SYSTEMS["bolt"]
-    options = spec.options(config.scale)
-    if tracer is not None:
-        options = options.copy(tracer=tracer)
-    db = spec.engine_cls.open_sync(stack.env, stack.fs, options, "db")
+    stack = new_stack(config, tracer=tracer)
+    db = open_engine(stack, SYSTEMS["bolt"], config,
+                     SYSTEMS["bolt"].options(config.scale, **overrides))
     for i in range(2000):
         db.put_sync(b"key%07d" % (i * 13 % 500), b"v" * 128)
         if i % 5 == 0:
             db.get_sync(b"key%07d" % (i % 500))
     stack.env.run_until(stack.env.process(db.flush_all()))
     db.close_sync()
-    return (vars(db.stats.snapshot()), vars(stack.fs.stats.snapshot()),
-            vars(stack.device.stats.snapshot()), stack.env.now)
+    assert db.fd_cache.hits > 0
+    if db.tiering is not None:
+        assert db.tiering.demotions > 0 and db.tiering.cache.hits > 0
+    return unified_snapshot(stack, db)
 
 
-def test_tracing_on_vs_off_identical_stats():
-    baseline = run_fixed_workload(None)
+def tiered_workload(tracer):
+    """The same workload with cold tables demoted to the object store."""
+    base = SYSTEMS["bolt"].options(256)
+    return engine_workload(tracer, tiering_enabled=True, tier_cold_level=1,
+                           tier_cache_bytes=64 << 10,
+                           memtable_size=base.memtable_size // 32,
+                           level1_max_bytes=base.level1_max_bytes // 4)
+
+
+def served_cluster_workload(tracer):
+    """Two clients through ``svc.Server`` onto a 2-shard, 1-replica store."""
+    env = Environment(tracer=tracer)
+    cluster = ClusterStore(env, SYSTEMS["bolt"].engine_cls,
+                           SYSTEMS["bolt"].options(256, wal_sync=True),
+                           ClusterConfig(num_shards=2, replicas_per_shard=1,
+                                         scale=256))
+    server = Server(env, cluster, num_workers=4)
+
+    def client(index):
+        for i in range(300):
+            key = b"key%07d" % ((i * 13 + index) % 200)
+            kind = "read" if i % 3 == 0 else "update"
+            outcome = yield from server.submit(Request(
+                kind=kind, key=key, payload=b"v" * 64, client_id=index,
+                intended_start=env.now))
+            yield outcome
+
+    env.run_until(env.all_of([env.process(client(i)) for i in range(2)]))
+    server.close_sync()
+    snap = unified_snapshot(None, db=cluster, server=server)
+    cluster.close_sync()
+    assert snap["replication"]["records_applied"] > 0
+    return snap
+
+
+STACKS = {"bolt": engine_workload, "tiered-bolt": tiered_workload,
+          "cluster-server": served_cluster_workload}
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_tracing_on_vs_off_identical_stats(stack):
+    """Every section of ``unified_snapshot``, the clock included, is the
+    same whether a tracer observed the run or not."""
+    baseline = STACKS[stack](None)
     tracer = Tracer()
-    traced = run_fixed_workload(tracer)
+    traced = STACKS[stack](tracer)
     assert tracer.spans, "tracer was supposed to observe the run"
-    assert baseline == traced  # stats, counters AND the virtual clock
+    assert baseline == traced
 
 
 def test_tracing_on_vs_off_identical_suite_results():
@@ -336,7 +370,7 @@ def test_phase_summary_and_rows(bolt_trace):
     assert rows[0]["total_ms"] == max(row["total_ms"] for row in rows)
     text = phase_summary(tracer)
     assert "compaction" in text and "fsync" in text
-    assert "fd_cache.hit" in text  # metrics section
+    assert "metrics" not in text  # counts live on the stats, not the tracer
 
 
 def test_traceview_summarizes_written_trace(tmp_path, bolt_trace):
@@ -378,17 +412,15 @@ def test_unified_snapshot_sections():
         db.put_sync(b"k%06d" % i, b"v" * 64)
     stack.env.run_until(stack.env.process(db.flush_all()))
     snap = unified_snapshot(stack, db)
-    assert set(snap) == {"clock", "device", "fs", "engine", "health",
-                         "metrics"}
+    assert set(snap) == {"clock", "device", "fs", "engine", "health"}
     # simcheck: waive[SIM004] - snapshot must equal the clock exactly
     assert snap["clock"]["virtual_seconds"] == stack.env.now
     assert snap["fs"]["num_barrier_calls"] == stack.fs.stats.num_barrier_calls
     assert snap["engine"]["compactions"] == db.stats.compactions
     assert snap["device"]["bytes_written"] == stack.device.stats.bytes_written
-    assert snap["metrics"] == tracer.metrics.snapshot()
 
 
 def test_unified_snapshot_without_tracer_or_db():
     stack = new_stack(tiny_config())
     snap = unified_snapshot(stack)
-    assert set(snap) == {"clock", "device", "fs"}  # no engine, no metrics
+    assert set(snap) == {"clock", "device", "fs"}  # no engine

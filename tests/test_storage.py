@@ -62,16 +62,16 @@ class TestBlockDevice:
         env.run()
         assert done["barrier"] > done["write"]
 
-    def test_stats_accumulate_and_delta(self, env, run):
+    def test_stats_accumulate(self, env, run):
         dev = BlockDevice(env, SATA_SSD)
-        before = dev.stats.snapshot()
         run(dev.write(1000))
         run(dev.read(500))
-        delta = dev.stats.delta(before)
-        assert delta.bytes_written == 1000
-        assert delta.bytes_read == 500
-        assert delta.num_writes == 1
-        assert delta.num_reads == 1
+        run(dev.write(24))
+        stats = dev.stats.snapshot()
+        assert stats.bytes_written == 1024
+        assert stats.bytes_read == 500
+        assert stats.num_writes == 2
+        assert stats.num_reads == 1
 
     def test_zero_byte_ops_are_free(self, env, run):
         dev = BlockDevice(env, SATA_SSD)
